@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientTokens, ZeroWeights
 from .linalg import Array, as_matrix, pseudoinverse
-from .moe import MoeLayer, RoutingRecord
+from .moe import MoeLayer, RoutingRecord, block_params
 
 
 def relative_compactness(expert_outputs) -> float | None:
@@ -49,14 +49,6 @@ def relative_compactness(expert_outputs) -> float | None:
     return float(np.trace(within @ pseudoinverse(between)))
 
 
-def _flatten_expert(expert, w1_only: bool) -> Array:
-    if w1_only:
-        return expert.w1.ravel()
-    return np.concatenate([
-        expert.w1.ravel(), expert.b1.ravel(), expert.w2.ravel(), expert.b2.ravel(),
-    ])
-
-
 def expert_weight_similarity(layer: MoeLayer, w1_only: bool = False) -> Array:
     """Pairwise cosine similarity between flattened expert parameters.
 
@@ -66,7 +58,11 @@ def expert_weight_similarity(layer: MoeLayer, w1_only: bool = False) -> Array:
     """
     if layer.n_experts < 2:
         raise ValueError("need at least two experts")
-    vectors = [_flatten_expert(e, w1_only) for e in layer.experts]
+    vectors = [
+        e.w1.ravel() if w1_only
+        else np.concatenate([arr.ravel() for _, arr in block_params(e)])
+        for e in layer.experts
+    ]
     norms = [float(np.linalg.norm(v)) for v in vectors]
     for i, n in enumerate(norms):
         if n == 0.0:

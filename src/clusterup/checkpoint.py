@@ -9,19 +9,19 @@ canonical JSON encoding makes save -> load -> save byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusterUpError
+from .errors import CheckpointError
 
 MAGIC = b"CKP1"
+HEADER_BYTES = len(MAGIC) + 8
 FORMAT_VERSION = 1
-
-
-class CheckpointError(ClusterUpError):
-    """Malformed or inconsistent checkpoint file."""
+REQUIRED_KEYS = ("format_version", "tensors", "config", "seeds", "extra")
 
 
 @dataclass
@@ -88,27 +88,58 @@ def save_checkpoint(
             fh.write(blob)
 
 
+def _check_tensor_table(entries, blob_bytes: int, path) -> None:
+    """Every entry is well formed, and the entries tile the blob in order."""
+    if not isinstance(entries, list):
+        raise CheckpointError(f"manifest tensor table in {path} is not a list")
+    offset = 0
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise CheckpointError(f"malformed tensor entry {entry!r} in {path}")
+        if type(entry.get("offset")) is not int or entry["offset"] != offset:
+            raise CheckpointError(
+                f"tensor {entry['name']!r} at offset {entry.get('offset')!r}, expected {offset}"
+            )
+        offset += 4 * math.prod(entry["shape"])
+    if offset != blob_bytes:
+        raise CheckpointError(f"blob length {blob_bytes} != manifest total {offset}")
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; tensors come back as float64 for computation."""
+    """Read a checkpoint; tensors come back as float64 for computation.
+
+    Any malformed or truncated file raises ``CheckpointError``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(HEADER_BYTES)
+        magic = header[:len(MAGIC)]
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r} in {path}")
-        (length,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(length).decode("utf-8"))
+        if len(header) < HEADER_BYTES:
+            raise CheckpointError(f"truncated header in {path}")
+        (length,) = struct.unpack("<Q", header[len(MAGIC):])
+        if length > os.fstat(fh.fileno()).st_size - HEADER_BYTES:
+            raise CheckpointError(f"manifest length {length} runs past the end of {path}")
+        payload = fh.read(length)
         blob = fh.read()
-    if manifest.get("format_version") != FORMAT_VERSION:
+    try:
+        manifest = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"unreadable manifest in {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest in {path} is not a JSON object")
+    missing = [key for key in REQUIRED_KEYS if key not in manifest]
+    if missing:
+        raise CheckpointError(f"manifest in {path} lacks {missing}")
+    if manifest["format_version"] != FORMAT_VERSION:
         raise CheckpointError(
-            f"unsupported format version {manifest.get('format_version')}"
+            f"unsupported format version {manifest['format_version']}"
         )
-    expected = sum(
-        int(np.prod(entry["shape"], dtype=np.int64)) * 4
-        for entry in manifest["tensors"]
-    )
-    if len(blob) != expected:
-        raise CheckpointError(
-            f"blob length {len(blob)} != manifest total {expected}"
-        )
+    if not isinstance(manifest["extra"], dict):
+        raise CheckpointError(f"manifest extra in {path} is not a JSON object")
+    _check_tensor_table(manifest["tensors"], len(blob), path)
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
         size = int(np.prod(entry["shape"], dtype=np.int64))

@@ -32,10 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir", default=None,
         help=f"override output directory (also via ${OUTPUT_DIR_ENV})",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="internal parallelism hint; results are identical for any value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("train-dense", help="pretrain the dense model")
@@ -80,8 +76,6 @@ def main(argv=None) -> int:
     import os
 
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        return _fail(ConfigError("--threads must be >= 1"))
     try:
         cfg = load_config(args.config)
         override = args.out_dir or os.environ.get(OUTPUT_DIR_ENV)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AllMasked, ShapeMismatch
 from .linalg import Array, as_matrix
-from .moe import MoeLayer, dense_ensemble_forward
+from .moe import MoeLayer, block_params, dense_ensemble_forward
 
 
 @dataclass
@@ -38,25 +38,16 @@ def make_teacher(student: MoeLayer, beta: float) -> EmaTeacher:
     return EmaTeacher(mirror=student.copy(), beta=beta, step_count=0)
 
 
-def _pairs(teacher: MoeLayer, student: MoeLayer):
-    if teacher.n_experts != student.n_experts:
-        raise ShapeMismatch("teacher and student expert counts differ")
-    yield teacher.router, student.router
-    for te, se in zip(teacher.experts, student.experts):
-        yield te.w1, se.w1
-        yield te.b1, se.b1
-        yield te.w2, se.w2
-        yield te.b2, se.b2
-
-
 def ema_update(teacher: EmaTeacher, student: MoeLayer) -> EmaTeacher:
     """In-place EMA step over every mirrored tensor, including the router.
 
     ``beta = 1`` leaves the teacher bitwise unchanged; ``beta = 0`` copies the
     student. Returns the mutated teacher.
     """
+    if teacher.mirror.n_experts != student.n_experts:
+        raise ShapeMismatch("teacher and student expert counts differ")
     beta = teacher.beta
-    for t_param, s_param in _pairs(teacher.mirror, student):
+    for (_, t_param), (_, s_param) in zip(block_params(teacher.mirror), block_params(student)):
         if t_param.shape != s_param.shape:
             raise ShapeMismatch(
                 f"teacher tensor {t_param.shape} != student tensor {s_param.shape}"

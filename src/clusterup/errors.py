@@ -59,3 +59,7 @@ class NonFiniteLoss(ClusterUpError):
 
 class ConfigError(ClusterUpError):
     """Configuration file failed strict validation."""
+
+
+class CheckpointError(ClusterUpError):
+    """Malformed or inconsistent checkpoint file."""

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import CheckpointError, ShapeMismatch
 from .linalg import Array, as_matrix
 
 ACTIVATIONS = ("relu",)
+FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -103,6 +104,56 @@ class MoeLayer:
             [e.copy() for e in self.experts], self.router.copy(),
             self.k, self.capacity_factor,
         )
+
+
+def block_params(block: DenseFfn | MoeLayer, prefix: str = ""):
+    """The (name, array) walk over one block's trainable tensors.
+
+    A ``DenseFfn`` yields ``w1, b1, w2, b2``; a ``MoeLayer`` yields ``router``
+    and then each expert's walk under ``expert{i}.``. Every name is prefixed
+    with ``prefix``. This order is the one SGD, EMA, checkpoints and the
+    gradient check all share.
+    """
+    if isinstance(block, MoeLayer):
+        yield prefix + "router", block.router
+        ffns = [(f"{prefix}expert{i}.", e) for i, e in enumerate(block.experts)]
+    else:
+        ffns = [(prefix, block)]
+    for ffn_prefix, ffn in ffns:
+        for key in FFN_PARAMS:
+            yield ffn_prefix + key, getattr(ffn, key)
+
+
+def block_structure(block: DenseFfn | MoeLayer) -> dict:
+    """The non-tensor description ``block_from_tensors`` needs to rebuild a block."""
+    if isinstance(block, MoeLayer):
+        return {
+            "kind": "moe",
+            "n_experts": block.n_experts,
+            "k": block.k,
+            "capacity_factor": block.capacity_factor,
+        }
+    return {"kind": "dense"}
+
+
+def block_from_tensors(entry: dict, tensors: dict, prefix: str = "") -> DenseFfn | MoeLayer:
+    """Inverse of ``block_params``: rebuild a block from its structure entry.
+
+    Raises ``CheckpointError`` when the entry or a tensor it names is missing.
+    """
+    try:
+        if entry["kind"] == "moe":
+            experts = [
+                block_from_tensors({"kind": "dense"}, tensors, f"{prefix}expert{i}.")
+                for i in range(entry["n_experts"])
+            ]
+            return MoeLayer(
+                experts=experts, router=tensors[prefix + "router"],
+                k=entry["k"], capacity_factor=entry["capacity_factor"],
+            )
+        return DenseFfn(*(tensors[prefix + key] for key in FFN_PARAMS))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint is missing {exc} for block {prefix!r}") from None
 
 
 @dataclass

@@ -30,8 +30,9 @@ from .analysis import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig
-from .errors import ClusterUpError
-from .moe import DenseFfn, MoeLayer
+from .distill import EmaTeacher
+from .errors import CheckpointError, ClusterUpError
+from .moe import block_from_tensors, block_params, block_structure
 from .seeding import derive_seed
 from .train import (
     ModelTeacher,
@@ -41,6 +42,7 @@ from .train import (
     make_dense_model,
     make_model_teacher,
     make_synthetic_dataset,
+    named_params,
     run_training,
 )
 from .upcycle import ActivationBank, default_moe_sites, upcycle_model
@@ -77,73 +79,23 @@ def moe_path(cfg, method: str, trained: bool = False) -> Path:
 # model (de)serialization
 # ---------------------------------------------------------------------------
 
-def model_tensors(model: ToyModel, prefix: str = "") -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {prefix + "head": model.head}
-    for b, block in enumerate(model.blocks):
-        bp = f"{prefix}block{b}."
-        if isinstance(block, MoeLayer):
-            tensors[bp + "router"] = block.router
-            for i, e in enumerate(block.experts):
-                ep = f"{bp}expert{i}."
-                tensors[ep + "w1"] = e.w1
-                tensors[ep + "b1"] = e.b1
-                tensors[ep + "w2"] = e.w2
-                tensors[ep + "b2"] = e.b2
-        else:
-            tensors[bp + "w1"] = block.w1
-            tensors[bp + "b1"] = block.b1
-            tensors[bp + "w2"] = block.w2
-            tensors[bp + "b2"] = block.b2
-    return tensors
-
-
 def model_structure(model: ToyModel) -> dict:
-    blocks = []
-    for block in model.blocks:
-        if isinstance(block, MoeLayer):
-            blocks.append({
-                "kind": "moe",
-                "n_experts": block.n_experts,
-                "k": block.k,
-                "capacity_factor": block.capacity_factor,
-            })
-        else:
-            blocks.append({"kind": "dense"})
     return {
         "input_dim": model.input_dim,
         "n_classes": model.n_classes,
-        "blocks": blocks,
+        "blocks": [block_structure(block) for block in model.blocks],
     }
 
 
-def model_from_tensors(
-    structure: dict, tensors: dict[str, np.ndarray], prefix: str = ""
-) -> ToyModel:
-    blocks = []
-    for b, entry in enumerate(structure["blocks"]):
-        bp = f"{prefix}block{b}."
-        if entry["kind"] == "moe":
-            experts = [
-                DenseFfn(
-                    tensors[f"{bp}expert{i}.w1"], tensors[f"{bp}expert{i}.b1"],
-                    tensors[f"{bp}expert{i}.w2"], tensors[f"{bp}expert{i}.b2"],
-                )
-                for i in range(entry["n_experts"])
-            ]
-            blocks.append(MoeLayer(
-                experts=experts, router=tensors[bp + "router"],
-                k=entry["k"], capacity_factor=entry["capacity_factor"],
-            ))
-        else:
-            blocks.append(DenseFfn(
-                tensors[bp + "w1"], tensors[bp + "b1"],
-                tensors[bp + "w2"], tensors[bp + "b2"],
-            ))
-    return ToyModel(
-        input_dim=structure["input_dim"],
-        blocks=blocks,
-        head=tensors[prefix + "head"],
-    )
+def model_from_tensors(structure: dict, tensors: dict[str, np.ndarray]) -> ToyModel:
+    try:
+        blocks = [
+            block_from_tensors(entry, tensors, f"block{b}.")
+            for b, entry in enumerate(structure["blocks"])
+        ]
+        return ToyModel(input_dim=structure["input_dim"], blocks=blocks, head=tensors["head"])
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint is missing {exc}") from None
 
 
 def save_model_checkpoint(
@@ -151,15 +103,11 @@ def save_model_checkpoint(
     extra: dict | None = None, teacher: ModelTeacher | None = None,
     cluster_tensors: dict[str, np.ndarray] | None = None,
 ) -> None:
-    tensors = model_tensors(model)
+    tensors = dict(named_params(model))
     meta = {"model": model_structure(model)}
     if teacher is not None:
         for b, site_teacher in sorted(teacher.sites.items()):
-            mirror_model = _mirror_as_model(site_teacher.mirror, model, b)
-            tensors.update({
-                k: v for k, v in model_tensors(mirror_model, prefix="teacher.").items()
-                if k.startswith(f"teacher.block{b}.")
-            })
+            tensors.update(block_params(site_teacher.mirror, f"teacher.block{b}."))
         meta["teacher"] = {
             "beta": teacher.beta,
             "step_counts": {str(b): t.step_count for b, t in teacher.sites.items()},
@@ -170,36 +118,24 @@ def save_model_checkpoint(
                     extra={**meta, **(extra or {})})
 
 
-def _mirror_as_model(mirror: MoeLayer, model: ToyModel, site: int) -> ToyModel:
-    # Wrap the mirror at its block index so tensor names line up with the student.
-    blocks: list = [model.blocks[b] for b in range(len(model.blocks))]
-    blocks[site] = mirror
-    return ToyModel(input_dim=model.input_dim, blocks=blocks, head=model.head)
-
-
 def load_model_checkpoint(path) -> tuple[ToyModel, ModelTeacher | None, dict]:
     ckpt = load_checkpoint(path)
+    if "model" not in ckpt.extra:
+        raise CheckpointError(f"{path} holds no model")
     structure = ckpt.extra["model"]
     model = model_from_tensors(structure, ckpt.tensors)
     teacher = None
     if "teacher" in ckpt.extra:
         beta = ckpt.extra["teacher"]["beta"]
         step_counts = ckpt.extra["teacher"]["step_counts"]
-        from .distill import EmaTeacher
-
         sites = {}
         for b in model.moe_sites:
-            key = f"teacher.block{b}.router"
-            if key not in ckpt.tensors:
+            prefix = f"teacher.block{b}."
+            if prefix + "router" not in ckpt.tensors:
                 continue
-            shadow = model_from_tensors(structure, {
-                **{k: v for k, v in ckpt.tensors.items() if not k.startswith("teacher.")},
-                **{k[len("teacher."):]: v for k, v in ckpt.tensors.items()
-                   if k.startswith("teacher.")},
-            })
             sites[b] = EmaTeacher(
-                mirror=shadow.blocks[b], beta=beta,
-                step_count=step_counts.get(str(b), 0),
+                mirror=block_from_tensors(structure["blocks"][b], ckpt.tensors, prefix),
+                beta=beta, step_count=step_counts.get(str(b), 0),
             )
         teacher = ModelTeacher(sites=sites, beta=beta)
     return model, teacher, ckpt.manifest
@@ -286,6 +222,8 @@ def run_capture(cfg: PipelineConfig) -> Path:
 
 def load_bank(path) -> ActivationBank:
     ckpt = load_checkpoint(path)
+    if "token_cap" not in ckpt.extra:
+        raise CheckpointError(f"{path} holds no activation bank")
     per_site = {
         int(name[len("site"):name.index(".")]): arr
         for name, arr in ckpt.tensors.items()

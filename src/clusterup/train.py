@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import routing_entropy
 from .distill import EmaTeacher, ema_update, make_teacher, teacher_forward
 from .errors import AllMasked, NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from .linalg import Array, as_matrix
@@ -24,6 +25,7 @@ from .moe import (
     MoeForwardCache,
     MoeLayer,
     RoutingRecord,
+    block_params,
     ffn_backward,
     ffn_forward_cached,
     load_balance_loss,
@@ -89,20 +91,7 @@ def named_params(model: ToyModel):
     """Deterministic (name, array) walk over every trainable tensor."""
     yield "head", model.head
     for b, block in enumerate(model.blocks):
-        prefix = f"block{b}."
-        if isinstance(block, MoeLayer):
-            yield prefix + "router", block.router
-            for i, e in enumerate(block.experts):
-                ep = f"{prefix}expert{i}."
-                yield ep + "w1", e.w1
-                yield ep + "b1", e.b1
-                yield ep + "w2", e.w2
-                yield ep + "b2", e.b2
-        else:
-            yield prefix + "w1", block.w1
-            yield prefix + "b1", block.b1
-            yield prefix + "w2", block.w2
-            yield prefix + "b2", block.b2
+        yield from block_params(block, f"block{b}.")
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +117,6 @@ def update_model_teacher(teacher: ModelTeacher, model: ToyModel) -> ModelTeacher
     for b, site_teacher in teacher.sites.items():
         ema_update(site_teacher, model.blocks[b])
     return teacher
-
-
-def named_teacher_params(teacher: ModelTeacher):
-    for b in sorted(teacher.sites):
-        mirror = teacher.sites[b].mirror
-        prefix = f"teacher.block{b}."
-        yield prefix + "router", mirror.router
-        for i, e in enumerate(mirror.experts):
-            ep = f"{prefix}expert{i}."
-            yield ep + "w1", e.w1
-            yield ep + "b1", e.b1
-            yield ep + "w2", e.w2
-            yield ep + "b2", e.b2
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +404,8 @@ def _loss_value(
     frozen_teacher: dict[int, Array] | None,
     mask,
     capacity_factor: float | None,
-) -> tuple[float, list]:
-    """Loss value plus the discrete routing decisions, without gradients."""
+) -> tuple[float, ForwardState]:
+    """Loss value plus the forward state, without gradients."""
     state = model_forward(model, inputs, capacity_factor)
     sites = model.moe_sites
     task, _ = _cross_entropy(state.logits, labels)
@@ -438,17 +414,25 @@ def _loss_value(
     if frozen_teacher is not None and sites:
         eesd, _, _ = _eesd_terms(state, frozen_teacher, sites, mask)
     total = task + lambda_lb * lb + lambda_eesd * eesd
-    decisions = [
-        (state.records[b].topk_indices, state.records[b].dropped) for b in sites
-    ]
-    return total, decisions
+    return total, state
 
 
-def _same_decisions(a: list, b: list) -> bool:
-    return all(
-        np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
-        for x, y in zip(a, b)
-    )
+def _decisions(state: ForwardState) -> bytes:
+    """Top-k selections, capacity drops and ReLU signs of one forward pass.
+
+    The loss is smooth only while all of them stay fixed. They are packed
+    into one byte string, so two passes compare with one equality test; a
+    site's selections and drops precede, and fix the sizes of, its expert
+    ReLU masks, so equal bytes mean equal decisions.
+    """
+    parts = [cache.pre > 0.0 for cache in state.ffn_caches.values()]
+    for b, record in state.records.items():
+        parts += [record.topk_indices, record.dropped]
+        parts += [
+            cache.pre > 0.0 for cache in state.moe_caches[b].expert_caches
+            if cache is not None
+        ]
+    return b"".join(part.tobytes() for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +469,6 @@ def train_step(
     return model, teacher, report
 
 
-def _mean_routing_entropy(records: dict[int, RoutingRecord]) -> float:
-    if not records:
-        return 0.0
-    values = []
-    for record in records.values():
-        p = record.probs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, p * np.log(p), 0.0)
-        values.append(float(-terms.sum(axis=1).mean()))
-    return float(np.mean(values))
-
-
 def run_training(
     model: ToyModel,
     teacher: ModelTeacher | None,
@@ -529,7 +501,8 @@ def run_training(
             state: ForwardState = state_out["state"]
             record = {"step": step}
             record.update(report.to_dict())
-            record["routing_entropy"] = _mean_routing_entropy(state.records)
+            entropies = [routing_entropy(r.probs) for r in state.records.values()]
+            record["routing_entropy"] = float(np.mean(entropies)) if entropies else 0.0
             record["drop_rate"] = {
                 str(b): float(r.dropped.mean()) for b, r in state.records.items()
             }
@@ -571,12 +544,12 @@ def grad_check(
     """Compare analytic gradients against central finite differences.
 
     Samples parameters per tensor and skips any whose perturbation flips a
-    top-k selection or capacity decision at either evaluation point, since the
-    objective is only piecewise smooth there. Teacher predictions are frozen
-    at their base values for every evaluation, matching the stop-gradient
-    semantics of the distillation term, so teacher-parameter quotients are
-    exactly zero. Returns a dict with max_rel_error, per_tensor errors,
-    checked/skipped counts, and teacher_max_quotient.
+    top-k selection, capacity decision or ReLU sign at either evaluation
+    point, since the objective is only piecewise smooth there. Teacher
+    predictions are frozen at their base values for every evaluation, matching
+    the stop-gradient semantics of the distillation term, so teacher-parameter
+    quotients are exactly zero. Returns a dict with max_rel_error, per_tensor
+    errors, checked/skipped counts, and teacher_max_quotient.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
@@ -593,7 +566,7 @@ def grad_check(
         lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
         frozen_teacher=frozen, mask=mask, capacity_factor=capacity_factor,
     )
-    _, base_decisions = _loss_value(model, xm, labels, **kwargs)
+    base_decisions = _decisions(state)
 
     rng = np.random.default_rng(seed)
     per_tensor: dict[str, float] = {}
@@ -606,12 +579,11 @@ def grad_check(
         for flat_idx in indices:
             orig = arr.flat[flat_idx]
             arr.flat[flat_idx] = orig + epsilon
-            loss_plus, dec_plus = _loss_value(model, xm, labels, **kwargs)
+            loss_plus, state_plus = _loss_value(model, xm, labels, **kwargs)
             arr.flat[flat_idx] = orig - epsilon
-            loss_minus, dec_minus = _loss_value(model, xm, labels, **kwargs)
+            loss_minus, state_minus = _loss_value(model, xm, labels, **kwargs)
             arr.flat[flat_idx] = orig
-            if not (_same_decisions(dec_plus, base_decisions)
-                    and _same_decisions(dec_minus, base_decisions)):
+            if not _decisions(state_plus) == _decisions(state_minus) == base_decisions:
                 skipped += 1
                 continue
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
@@ -625,7 +597,11 @@ def grad_check(
     teacher_max_quotient = None
     if teacher is not None:
         teacher_max_quotient = 0.0
-        for _, arr in named_teacher_params(teacher):
+        teacher_params = [
+            param for b in sorted(teacher.sites)
+            for param in block_params(teacher.sites[b].mirror, f"teacher.block{b}.")
+        ]
+        for _, arr in teacher_params:
             count = min(samples_per_tensor, arr.size)
             indices = rng.choice(arr.size, size=count, replace=False)
             for flat_idx in indices:

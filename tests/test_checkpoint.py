@@ -1,5 +1,8 @@
 """Tests for the manifest+blob checkpoint container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,16 +11,52 @@ from clusterup.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from clusterup.moe import block_params
 from clusterup.pipeline import (
     load_model_checkpoint,
     model_from_tensors,
     model_structure,
-    model_tensors,
     save_model_checkpoint,
 )
 from clusterup.config import PipelineConfig
 from clusterup.train import make_dense_model, make_model_teacher, named_params
 from clusterup.upcycle import upcycle_model
+
+
+def _f32(a):
+    return a.astype(np.float32).astype(np.float64)
+
+
+def _container(manifest, blob=b""):
+    """Raw checkpoint bytes around an arbitrary manifest and blob."""
+    payload = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    return b"CKP1" + struct.pack("<Q", len(payload)) + payload + blob
+
+
+def _manifest(tensors):
+    return {"format_version": 1, "tensors": tensors, "config": {}, "seeds": {},
+            "extra": {}}
+
+
+ONE_TENSOR = [{"name": "a", "shape": [2], "dtype": "float32", "offset": 0}]
+
+MALFORMED = {
+    "short_header": b"CKP1\x05\x00",
+    "manifest_past_end": b"CKP1" + struct.pack("<Q", 1 << 62) + b"{}",
+    "bad_json": _container(b"{not json"),
+    "bad_utf8": _container(b"\xff\xfe"),
+    "not_an_object": _container([1, 2]),
+    "missing_tensors_key": _container(
+        {k: v for k, v in _manifest(ONE_TENSOR).items() if k != "tensors"}, bytes(8)),
+    "extra_not_object": _container({**_manifest(ONE_TENSOR), "extra": []}, bytes(8)),
+    "entry_without_shape": _container(_manifest([{"name": "a", "offset": 0}]), bytes(8)),
+    "negative_dim": _container(
+        _manifest([{**ONE_TENSOR[0], "shape": [-2]}]), bytes(8)),
+    "offset_past_blob": _container(
+        _manifest([{**ONE_TENSOR[0], "offset": 64}]), bytes(8)),
+    "overlapping_offsets": _container(
+        _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "name": "b"}]), bytes(16)),
+}
 
 
 class TestContainer:
@@ -61,6 +100,13 @@ class TestContainer:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("raw", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_raises_checkpoint_error(self, tmp_path, raw):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, {"a": np.ones(4)}, config={}, seeds={})
@@ -79,9 +125,8 @@ class TestModelSerialization:
         loaded, teacher, manifest = load_model_checkpoint(path)
         assert teacher is None
         assert manifest["config"] == cfg.to_dict()
-        f32 = lambda a: a.astype(np.float32).astype(np.float64)
         for (name, arr), (_, arr2) in zip(named_params(model), named_params(loaded)):
-            np.testing.assert_array_equal(f32(arr), arr2)
+            np.testing.assert_array_equal(_f32(arr), arr2)
 
     def test_moe_model_roundtrip(self, tmp_path):
         dense = make_dense_model(6, 8, 4, 2, seed=1)
@@ -109,17 +154,82 @@ class TestModelSerialization:
         assert loaded_teacher is not None
         assert loaded_teacher.beta == 0.99
         assert loaded_teacher.sites[1].step_count == 7
-        f32 = lambda a: a.astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(
             loaded_teacher.sites[1].mirror.router,
-            f32(teacher.sites[1].mirror.router),
+            _f32(teacher.sites[1].mirror.router),
         )
 
     def test_structure_tensors_consistent(self):
         dense = make_dense_model(5, 7, 4, 3, seed=5)
         moe, _, _ = upcycle_model(dense, "drop", n_experts=2, k=1,
                                   capacity_factor=1.0, seed=6)
-        rebuilt = model_from_tensors(model_structure(moe), model_tensors(moe))
+        rebuilt = model_from_tensors(model_structure(moe), dict(named_params(moe)))
         for (name, a), (name2, b) in zip(named_params(moe), named_params(rebuilt)):
             assert name == name2
             np.testing.assert_array_equal(a, b)
+
+    def test_missing_tensor_raises_checkpoint_error(self):
+        moe, _, _ = upcycle_model(make_dense_model(5, 7, 2, 3, seed=5), "sparse",
+                                  n_experts=2, k=1, capacity_factor=1.0, seed=6)
+        tensors = dict(named_params(moe))
+        del tensors["block1.expert1.b2"]
+        with pytest.raises(CheckpointError, match="block1.expert1.b2"):
+            model_from_tensors(model_structure(moe), tensors)
+        structure = model_structure(moe)
+        del structure["blocks"][1]["k"]
+        with pytest.raises(CheckpointError):
+            model_from_tensors(structure, dict(named_params(moe)))
+
+
+class TestSingleWalk:
+    """Checkpoints, teacher mirrors and SGD all share the walk in clusterup.moe."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        dense = make_dense_model(6, 8, 4, 2, seed=7)
+        moe, _, _ = upcycle_model(dense, "drop", n_experts=3, k=2,
+                                  capacity_factor=1.5, seed=8)
+        teacher = make_model_teacher(moe, beta=0.9)
+        for b, site_teacher in teacher.sites.items():
+            for _, arr in block_params(site_teacher.mirror):
+                arr += 0.125 * (b + 1)
+            site_teacher.step_count = 3 + b
+        cluster = {"cluster.site1.centroids": np.arange(6.0).reshape(2, 3)}
+        path = tmp_path / "w.ckpt"
+        save_model_checkpoint(path, moe, PipelineConfig(), {"root": 0},
+                              extra={"init_method": "drop"}, teacher=teacher,
+                              cluster_tensors=cluster)
+        return path, moe, teacher, cluster
+
+    def test_manifest_names_follow_the_walk(self, saved):
+        path, moe, teacher, cluster = saved
+        names = [e["name"] for e in load_checkpoint(path).manifest["tensors"]]
+        teacher_names = [
+            name for b in (1, 3)
+            for name, _ in block_params(teacher.sites[b].mirror, f"teacher.block{b}.")
+        ]
+        assert names == [n for n, _ in named_params(moe)] + teacher_names + list(cluster)
+        assert teacher_names[0] == "teacher.block1.router"
+        assert teacher_names[-1] == "teacher.block3.expert2.b2"
+
+    def test_save_load_save_byte_identical(self, saved, tmp_path):
+        path, _, _, _ = saved
+        model, teacher, manifest = load_model_checkpoint(path)
+        cluster = {k: v for k, v in load_checkpoint(path).tensors.items()
+                   if k.startswith("cluster.")}
+        again = tmp_path / "again.ckpt"
+        save_model_checkpoint(again, model, PipelineConfig(), manifest["seeds"],
+                              extra={"init_method": "drop"}, teacher=teacher,
+                              cluster_tensors=cluster)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_every_mirror_reloads(self, saved):
+        path, _, teacher, _ = saved
+        _, loaded, _ = load_model_checkpoint(path)
+        assert sorted(loaded.sites) == sorted(teacher.sites)
+        for b, site_teacher in teacher.sites.items():
+            assert loaded.sites[b].step_count == site_teacher.step_count
+            pairs = zip(block_params(loaded.sites[b].mirror),
+                        block_params(site_teacher.mirror))
+            for (name, got), (_, want) in pairs:
+                np.testing.assert_array_equal(got, _f32(want), err_msg=name)

@@ -181,6 +181,21 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "NonFiniteLoss"
 
+    def test_truncated_checkpoint_reports_json(self, workspace, capsys):
+        cfg_path, out = workspace
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster")):
+            assert run("--config", cfg_path, *argv) == 0
+        ckpt = out / "moe_cluster.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        capsys.readouterr()
+        assert run("--config", cfg_path, "train-moe", "--method", "cluster") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        # A checkpoint of the wrong kind is reported the same way.
+        assert run("--config", cfg_path, "analyze", "--checkpoint", out / "bank.ckpt") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+
     def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
         cfg_path, out = workspace
         other = tmp_path / "elsewhere"

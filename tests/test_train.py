@@ -7,6 +7,7 @@ import pytest
 
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible
+from clusterup.moe import DenseFfn
 from clusterup.train import (
     LossReport,
     ToyModel,
@@ -229,6 +230,17 @@ class TestGradCheck:
                             samples_per_tensor=20, seed=37)
         assert result["max_rel_error"] < 1e-4
         assert result["teacher_max_quotient"] == 0.0
+
+    def test_skips_sample_whose_perturbation_flips_a_relu(self):
+        # pre[0] = w1[0] @ x + b1[0] = 1e-6 sits within epsilon of the kink, so
+        # perturbing w1[0, 0] or b1[0] by +-1e-5 flips that unit's ReLU.
+        block = DenseFfn(w1=np.eye(2), b1=np.array([1e-6 - 1.0, 0.5]),
+                         w2=np.array([[4.0, 0.0], [0.0, 1.0]]), b2=np.zeros(2))
+        model = ToyModel(input_dim=2, blocks=[block], head=np.eye(2))
+        x = np.array([[1.0], [0.0]])
+        result = grad_check(model, None, x, np.array([1]), samples_per_tensor=4)
+        assert result["skipped"] == 2
+        assert result["max_rel_error"] < 1e-5
 
     def test_epsilon_bounds(self):
         model = make_dense_model(4, 6, 1, 2, seed=38)
