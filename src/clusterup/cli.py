@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import load_config
-from .errors import ClusterUpError, ConfigError, NonFiniteLoss
+from .errors import ClusterUpError, ConfigError
 
 OUTPUT_DIR_ENV = "CLUSTERUP_OUTPUT_DIR"
 
@@ -106,9 +106,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
         print(path)
         return 0
-    except (ConfigError, NonFiniteLoss, pipeline.MissingArtifact, FileNotFoundError) as exc:
-        return _fail(exc)
-    except ClusterUpError as exc:
+    except (ClusterUpError, FileNotFoundError) as exc:
         return _fail(exc)
 
 

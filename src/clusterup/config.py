@@ -8,6 +8,7 @@ derived from it through named sub-streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -111,6 +112,8 @@ def _build_section(cls, raw: dict, path: str):
         elif expected == "float" or expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}.{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}.{name} must be finite, got {value!r}")
             coerced[name] = float(value)
         elif expected == "str" or expected is str:
             if not isinstance(value, str):

@@ -139,7 +139,7 @@ def block_structure(block: DenseFfn | MoeLayer) -> dict:
 def block_from_tensors(entry: dict, tensors: dict, prefix: str = "") -> DenseFfn | MoeLayer:
     """Inverse of ``block_params``: rebuild a block from its structure entry.
 
-    Raises ``CheckpointError`` when the entry or a tensor it names is missing.
+    Raises ``CheckpointError`` when the entry is malformed or a tensor it names is missing.
     """
     try:
         if entry["kind"] == "moe":
@@ -154,6 +154,8 @@ def block_from_tensors(entry: dict, tensors: dict, prefix: str = "") -> DenseFfn
         return DenseFfn(*(tensors[prefix + key] for key in FFN_PARAMS))
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc} for block {prefix!r}") from None
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"invalid structure for block {prefix!r}: {exc}") from None
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """Pipeline stages gluing models, checkpoints, and reports together.
 
-Each stage reads/writes artifacts under the config's output directory:
+The stages ``train_dense`` -> ``capture`` -> ``upcycle`` -> ``train_moe`` ->
+``compare_row`` work in memory. Each CLI stage (``run_*``) loads its input
+checkpoints, calls one of them and saves its artifacts under the config's
+output directory:
 
 * ``train-dense``   dense.ckpt, dense_log.jsonl
 * ``capture``       bank.ckpt
@@ -10,6 +13,8 @@ Each stage reads/writes artifacts under the config's output directory:
 * ``gradcheck``     gradcheck.json
 * ``compare``       compare.csv
 
+``compare`` pretrains and captures once per seed for all four methods.
+
 All randomness is derived from the config's root seed through named streams,
 so reruns with identical inputs are byte-identical.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +35,7 @@ from .analysis import (
     write_routing_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import PipelineConfig
+from .config import INIT_METHODS, PipelineConfig
 from .distill import EmaTeacher
 from .errors import CheckpointError, ClusterUpError
 from .moe import block_from_tensors, block_params, block_structure
@@ -98,6 +104,14 @@ def model_from_tensors(structure: dict, tensors: dict[str, np.ndarray]) -> ToyMo
         raise CheckpointError(f"checkpoint is missing {exc}") from None
 
 
+def config_snapshot(cfg: PipelineConfig) -> dict:
+    """The config recorded in checkpoints: all of it but ``output_dir``, so a
+    run writes the same bytes whichever directory it writes them to."""
+    snapshot = cfg.to_dict()
+    del snapshot["output_dir"]
+    return snapshot
+
+
 def save_model_checkpoint(
     path, model: ToyModel, cfg: PipelineConfig, seeds: dict,
     extra: dict | None = None, teacher: ModelTeacher | None = None,
@@ -114,7 +128,7 @@ def save_model_checkpoint(
         }
     if cluster_tensors:
         tensors.update(cluster_tensors)
-    save_checkpoint(path, tensors, config=cfg.to_dict(), seeds=seeds,
+    save_checkpoint(path, tensors, config=config_snapshot(cfg), seeds=seeds,
                     extra={**meta, **(extra or {})})
 
 
@@ -148,7 +162,7 @@ def _require_artifact(path: Path, hint: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: in memory, no file I/O
 # ---------------------------------------------------------------------------
 
 def _datasets(cfg: PipelineConfig):
@@ -162,16 +176,98 @@ def _datasets(cfg: PipelineConfig):
     return full.slice(0, cfg.data.n), full.slice(cfg.data.n, full.n)
 
 
-def _seeds_dict(cfg: PipelineConfig) -> dict:
-    root = cfg.root_seed
+def train_dense(cfg: PipelineConfig, log_fn=None) -> ToyModel:
+    """Pretrain a freshly initialized dense model; ``log_fn`` gets each step's record."""
+    dataset, _ = _datasets(cfg)
+    model = make_dense_model(
+        cfg.model.d, cfg.model.h, cfg.model.blocks, cfg.model.n_classes,
+        seed=derive_seed(cfg.root_seed, "model_init"),
+    )
+    run_training(
+        model, None, dataset,
+        steps=cfg.train.steps_dense, batch_size=cfg.train.batch_size,
+        lr=cfg.train.lr, seed=derive_seed(cfg.root_seed, "dense_batches"),
+        log_fn=log_fn,
+    )
+    return model
+
+
+def capture(cfg: PipelineConfig, dense: ToyModel) -> ActivationBank:
+    """Calibration activations entering each MoE site of ``dense``."""
+    from .upcycle import capture_activations
+
+    dataset, _ = _datasets(cfg)
+    return capture_activations(
+        dense, dataset.inputs, default_moe_sites(cfg.model.blocks),
+        cfg.calibration.token_cap, seed=derive_seed(cfg.root_seed, "calibration"),
+    )
+
+
+def upcycle(cfg: PipelineConfig, dense: ToyModel, method: str, bank: ActivationBank | None):
+    """``upcycle_model``'s (MoE model, reports, cluster models) for ``dense``,
+    which it leaves unchanged; only the cluster method needs ``bank``."""
+    return upcycle_model(
+        dense, method,
+        n_experts=cfg.moe.n_experts, k=cfg.moe.k,
+        capacity_factor=cfg.moe.capacity_train,
+        seed=derive_seed(cfg.root_seed, f"upcycle:{method}"),
+        bank=bank, ratio=cfg.init.ratio, fraction=cfg.init.fraction,
+        tau=cfg.init.tau, router_scale=cfg.init.router_scale,
+    )
+
+
+def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
+              log_fn=None) -> ModelTeacher | None:
+    """Train the upcycled ``model`` in place; returns its EMA teacher (``None``
+    without ``eesd``). ``log_fn`` gets each step's record; ``compare`` keeps
+    no log and passes none, which saves ~3% of each step."""
+    dataset, _ = _datasets(cfg)
+    teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
+    run_training(
+        model, teacher, dataset,
+        steps=cfg.train.steps, batch_size=cfg.train.batch_size, lr=cfg.train.lr,
+        lambda_lb=cfg.train.lambda_lb,
+        lambda_eesd=cfg.train.lambda_eesd if eesd else 0.0,
+        capacity_factor=cfg.moe.capacity_train,
+        seed=derive_seed(cfg.root_seed, f"moe_batches:{method}"),
+        log_fn=log_fn,
+    )
+    return teacher
+
+
+COMPARE_COLUMNS = (
+    "seed", "method", "task_loss", "lb_loss", "accuracy",
+    "routing_entropy", "utilization_min", "utilization_max",
+    "mean_similarity",
+)
+
+
+def compare_row(cfg: PipelineConfig, model: ToyModel, method: str) -> dict:
+    """One ``compare.csv`` row: ``model`` evaluated on the held-out split."""
+    _, eval_set = _datasets(cfg)
+    report, _, accuracy = evaluate(model, eval_set.inputs, eval_set.labels, cfg.moe.capacity_eval)
+    sites = analyze_model(model, eval_set.inputs, cfg.moe.capacity_eval).per_site.values()
+    utilizations = np.concatenate([site.utilization for site in sites])
     return {
-        "root": root,
-        "data": derive_seed(root, "data"),
-        "router": derive_seed(root, "router"),
-        "drop": derive_seed(root, "drop"),
-        "clustering": derive_seed(root, "clustering"),
-        "calibration": derive_seed(root, "calibration"),
+        "seed": cfg.root_seed,
+        "method": method,
+        "task_loss": report.task,
+        "lb_loss": report.lb,
+        "accuracy": accuracy,
+        "routing_entropy": float(np.mean([site.mean_routing_entropy for site in sites])),
+        "utilization_min": float(utilizations.min()),
+        "utilization_max": float(utilizations.max()),
+        "mean_similarity": float(np.mean([site.mean_pairwise_similarity for site in sites])),
     }
+
+
+# ---------------------------------------------------------------------------
+# CLI stages: load inputs, run one stage, save outputs
+# ---------------------------------------------------------------------------
+
+def _seeds_dict(cfg: PipelineConfig) -> dict:
+    streams = ("data", "router", "drop", "clustering", "calibration")
+    return {"root": cfg.root_seed, **{s: derive_seed(cfg.root_seed, s) for s in streams}}
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
@@ -180,19 +276,15 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_train_dense(cfg: PipelineConfig) -> Path:
-    dataset, _ = _datasets(cfg)
-    model = make_dense_model(
-        cfg.model.d, cfg.model.h, cfg.model.blocks, cfg.model.n_classes,
-        seed=derive_seed(cfg.root_seed, "model_init"),
-    )
     log: list[dict] = []
-    run_training(
-        model, None, dataset,
-        steps=cfg.train.steps_dense, batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr, seed=derive_seed(cfg.root_seed, "dense_batches"),
-        log_fn=log.append,
-    )
+    model = train_dense(cfg, log.append)
     path = dense_path(cfg)
     save_model_checkpoint(path, model, cfg, _seeds_dict(cfg))
     _write_jsonl(out_dir(cfg) / "dense_log.jsonl", log)
@@ -200,22 +292,13 @@ def run_train_dense(cfg: PipelineConfig) -> Path:
 
 
 def run_capture(cfg: PipelineConfig) -> Path:
-    from .upcycle import capture_activations
-
-    model, _, _ = load_model_checkpoint(
-        _require_artifact(dense_path(cfg), "train-dense")
-    )
-    dataset, _ = _datasets(cfg)
-    sites = default_moe_sites(cfg.model.blocks)
-    bank = capture_activations(
-        model, dataset.inputs, sites, cfg.calibration.token_cap,
-        seed=derive_seed(cfg.root_seed, "calibration"),
-    )
+    dense, _, _ = load_model_checkpoint(_require_artifact(dense_path(cfg), "train-dense"))
+    bank = capture(cfg, dense)
     tensors = {f"site{b}.activations": acts for b, acts in sorted(bank.per_site.items())}
     path = bank_path(cfg)
     save_checkpoint(
-        path, tensors, config=cfg.to_dict(), seeds=_seeds_dict(cfg),
-        extra={"token_cap": bank.token_cap, "sites": sites},
+        path, tensors, config=config_snapshot(cfg), seeds=_seeds_dict(cfg),
+        extra={"token_cap": bank.token_cap, "sites": list(bank.per_site)},
     )
     return path
 
@@ -234,41 +317,25 @@ def load_bank(path) -> ActivationBank:
 
 def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
     method = method or cfg.init.method
-    dense_model, _, _ = load_model_checkpoint(
-        _require_artifact(dense_path(cfg), "train-dense")
-    )
+    dense, _, _ = load_model_checkpoint(_require_artifact(dense_path(cfg), "train-dense"))
     bank = None
     if method == "cluster":
         bank = load_bank(_require_artifact(bank_path(cfg), "capture"))
-    moe_model, reports, cluster_models = upcycle_model(
-        dense_model, method,
-        n_experts=cfg.moe.n_experts, k=cfg.moe.k,
-        capacity_factor=cfg.moe.capacity_train,
-        seed=derive_seed(cfg.root_seed, f"upcycle:{method}"),
-        bank=bank, ratio=cfg.init.ratio, fraction=cfg.init.fraction,
-        tau=cfg.init.tau, router_scale=cfg.init.router_scale,
-    )
-    cluster_tensors: dict[str, np.ndarray] = {}
-    cluster_meta: dict[str, dict] = {}
-    for b, cm in sorted(cluster_models.items()):
-        cluster_tensors[f"cluster.site{b}.centroids"] = cm.centroids
-        cluster_tensors[f"cluster.site{b}.assignments"] = cm.assignments.astype(np.float64)
-        cluster_tensors[f"cluster.site{b}.pca_projection"] = cm.pca_projection
-        cluster_tensors[f"cluster.site{b}.objective_trace"] = np.asarray(cm.objective_trace)
-        cluster_meta[str(b)] = {"seed": cm.seed}
+    moe_model, reports, cluster_models = upcycle(cfg, dense, method, bank)
+    cluster_tensors = {
+        f"cluster.site{b}.{name}": np.asarray(getattr(cm, name), dtype=np.float64)
+        for b, cm in sorted(cluster_models.items())
+        for name in ("centroids", "assignments", "pca_projection", "objective_trace")
+    }
+    cluster_meta = {str(b): {"seed": cm.seed} for b, cm in sorted(cluster_models.items())}
     path = moe_path(cfg, method)
     save_model_checkpoint(
         path, moe_model, cfg, _seeds_dict(cfg),
         extra={"init_method": method, "cluster_meta": cluster_meta},
         cluster_tensors=cluster_tensors,
     )
-    report_path = out_dir(cfg) / f"init_report_{method}.json"
-    with open(report_path, "w") as fh:
-        json.dump(
-            {str(b): r.to_dict() for b, r in sorted(reports.items())},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out_dir(cfg) / f"init_report_{method}.json",
+                {str(b): r.to_dict() for b, r in sorted(reports.items())})
     return path
 
 
@@ -277,18 +344,8 @@ def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = F
     model, _, _ = load_model_checkpoint(
         _require_artifact(moe_path(cfg, method), f"upcycle --method {method}")
     )
-    teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
-    dataset, _ = _datasets(cfg)
     log: list[dict] = []
-    run_training(
-        model, teacher, dataset,
-        steps=cfg.train.steps, batch_size=cfg.train.batch_size, lr=cfg.train.lr,
-        lambda_lb=cfg.train.lambda_lb,
-        lambda_eesd=cfg.train.lambda_eesd if eesd else 0.0,
-        capacity_factor=cfg.moe.capacity_train,
-        seed=derive_seed(cfg.root_seed, f"moe_batches:{method}"),
-        log_fn=log.append,
-    )
+    teacher = train_moe(cfg, model, method, eesd, log.append)
     path = moe_path(cfg, method, trained=True)
     save_model_checkpoint(
         path, model, cfg, _seeds_dict(cfg),
@@ -355,14 +412,11 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
         seed=derive_seed(cfg.root_seed, "gradcheck_sample"),
         samples_per_tensor=25,
     )
-    payload = {
+    path = out_dir(cfg) / "gradcheck.json"
+    _write_json(path, {
         "dense": {k: v for k, v in dense_result.items() if k != "per_tensor"},
         "moe": {k: v for k, v in moe_result.items() if k != "per_tensor"},
-    }
-    path = out_dir(cfg) / "gradcheck.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return path
 
 
@@ -370,87 +424,29 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
 # compare
 # ---------------------------------------------------------------------------
 
-COMPARE_COLUMNS = (
-    "seed", "method", "task_loss", "lb_loss", "accuracy",
-    "routing_entropy", "utilization_min", "utilization_max",
-    "mean_similarity",
-)
+def _compare_seed(cfg: PipelineConfig, root_seed: int, methods, eesd: bool) -> list[dict]:
+    # Every method upcycles the same dense model, so it is pretrained and
+    # captured once; upcycling copies it and capture only reads it.
+    cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
+    dense = train_dense(cfg)
+    bank = capture(cfg, dense)
+    rows = []
+    for method in methods:
+        model, _, _ = upcycle(cfg, dense, method, bank)
+        train_moe(cfg, model, method, eesd)
+        rows.append(compare_row(cfg, model, method))
+    return rows
 
 
 def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) -> dict:
-    """One end-to-end pipeline pass in memory; returns the final metrics."""
-    from dataclasses import replace
-
-    from .upcycle import capture_activations
-
-    run_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
-    dataset, eval_set = _datasets(run_cfg)
-    model = make_dense_model(
-        run_cfg.model.d, run_cfg.model.h, run_cfg.model.blocks,
-        run_cfg.model.n_classes, seed=derive_seed(root_seed, "model_init"),
-    )
-    run_training(
-        model, None, dataset,
-        steps=run_cfg.train.steps_dense, batch_size=run_cfg.train.batch_size,
-        lr=run_cfg.train.lr, seed=derive_seed(root_seed, "dense_batches"),
-    )
-    bank = None
-    if method == "cluster":
-        bank = capture_activations(
-            model, dataset.inputs, default_moe_sites(run_cfg.model.blocks),
-            run_cfg.calibration.token_cap,
-            seed=derive_seed(root_seed, "calibration"),
-        )
-    moe_model, _, _ = upcycle_model(
-        model, method,
-        n_experts=run_cfg.moe.n_experts, k=run_cfg.moe.k,
-        capacity_factor=run_cfg.moe.capacity_train,
-        seed=derive_seed(root_seed, f"upcycle:{method}"),
-        bank=bank, ratio=run_cfg.init.ratio, fraction=run_cfg.init.fraction,
-        tau=run_cfg.init.tau, router_scale=run_cfg.init.router_scale,
-    )
-    teacher = make_model_teacher(moe_model, run_cfg.train.beta) if eesd else None
-    run_training(
-        moe_model, teacher, dataset,
-        steps=run_cfg.train.steps, batch_size=run_cfg.train.batch_size,
-        lr=run_cfg.train.lr, lambda_lb=run_cfg.train.lambda_lb,
-        lambda_eesd=run_cfg.train.lambda_eesd if eesd else 0.0,
-        capacity_factor=run_cfg.moe.capacity_train,
-        seed=derive_seed(root_seed, f"moe_batches:{method}"),
-    )
-    report, state, accuracy = evaluate(
-        moe_model, eval_set.inputs, eval_set.labels, run_cfg.moe.capacity_eval
-    )
-    analysis = analyze_model(moe_model, eval_set.inputs, run_cfg.moe.capacity_eval)
-    utilizations = np.concatenate(
-        [site.utilization for site in analysis.per_site.values()]
-    )
-    entropy = float(np.mean(
-        [site.mean_routing_entropy for site in analysis.per_site.values()]
-    ))
-    similarity = float(np.mean(
-        [site.mean_pairwise_similarity for site in analysis.per_site.values()]
-    ))
-    return {
-        "seed": root_seed,
-        "method": method,
-        "task_loss": report.task,
-        "lb_loss": report.lb,
-        "accuracy": accuracy,
-        "routing_entropy": entropy,
-        "utilization_min": float(utilizations.min()),
-        "utilization_max": float(utilizations.max()),
-        "mean_similarity": similarity,
-    }
+    """One compare cell from scratch in memory; returns its ``compare.csv`` row."""
+    return _compare_seed(cfg, root_seed, (method,), eesd)[0]
 
 
-def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False,
-                methods=("sparse", "drop", "drop_svd", "cluster")) -> Path:
+def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False) -> Path:
     rows = []
     for offset in range(n_seeds):
-        root = cfg.root_seed + offset
-        for method in methods:
-            rows.append(compare_run(cfg, root, method, eesd))
+        rows += _compare_seed(cfg, cfg.root_seed + offset, INIT_METHODS, eesd)
     path = out_dir(cfg) / "compare.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)

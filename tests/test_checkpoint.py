@@ -124,7 +124,8 @@ class TestModelSerialization:
         save_model_checkpoint(path, model, cfg, {"root": 0})
         loaded, teacher, manifest = load_model_checkpoint(path)
         assert teacher is None
-        assert manifest["config"] == cfg.to_dict()
+        assert manifest["config"] == {
+            k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
         for (name, arr), (_, arr2) in zip(named_params(model), named_params(loaded)):
             np.testing.assert_array_equal(_f32(arr), arr2)
 
@@ -178,6 +179,17 @@ class TestModelSerialization:
         structure = model_structure(moe)
         del structure["blocks"][1]["k"]
         with pytest.raises(CheckpointError):
+            model_from_tensors(structure, dict(named_params(moe)))
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", 9), ("k", "2"), ("n_experts", 0), ("capacity_factor", -1.0),
+    ])
+    def test_invalid_structure_raises_checkpoint_error(self, key, value):
+        moe, _, _ = upcycle_model(make_dense_model(5, 7, 2, 3, seed=5), "sparse",
+                                  n_experts=2, k=1, capacity_factor=1.0, seed=6)
+        structure = model_structure(moe)
+        structure["blocks"][1][key] = value
+        with pytest.raises(CheckpointError, match="block1"):
             model_from_tensors(structure, dict(named_params(moe)))
 
 

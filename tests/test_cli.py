@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from clusterup.cli import main
-from clusterup.checkpoint import load_checkpoint
-from clusterup.pipeline import load_model_checkpoint, moe_path
+from clusterup.checkpoint import load_checkpoint, save_checkpoint
+from clusterup.pipeline import compare_run, load_model_checkpoint, moe_path, run_compare
 from clusterup.config import load_config
 
 
@@ -144,7 +144,27 @@ class TestCommands:
         run("--config", cfg_path, "train-dense")
         cfg = load_config(cfg_path)
         ckpt = load_checkpoint(out / "dense.ckpt")
-        assert ckpt.config == cfg.to_dict()
+        assert ckpt.config == {k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
+
+    def test_checkpoint_bytes_independent_of_output_dir(self, workspace, tmp_path, capsys):
+        cfg_path, _ = workspace
+        for name in ("a", "b"):
+            assert run("--config", cfg_path, "--out-dir", tmp_path / name, "train-dense") == 0
+        assert (tmp_path / "a" / "dense.ckpt").read_bytes() == \
+            (tmp_path / "b" / "dense.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("eesd", [False, True])
+    def test_compare_rows_match_single_cells(self, workspace, eesd):
+        # compare pretrains and captures once per seed for all methods; each
+        # row must equal the same cell run alone from scratch.
+        cfg_path, out = workspace
+        cfg = load_config(cfg_path)
+        with open(run_compare(cfg, 2, eesd=eesd), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        for row in rows:
+            alone = compare_run(cfg, int(row["seed"]), row["method"], eesd)
+            assert row == {k: str(v) for k, v in alone.items()}
 
 
 class TestErrors:
@@ -163,6 +183,10 @@ class TestErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+        cfg_path.write_text("train: {lr: .inf}\n")
+        assert run("--config", cfg_path, "train-dense") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "message": "train.lr must be finite, got inf"}
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run("--config", tmp_path / "nope.yaml", "train-dense")
@@ -195,6 +219,21 @@ class TestErrors:
         assert run("--config", cfg_path, "analyze", "--checkpoint", out / "bank.ckpt") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CheckpointError"
+
+    def test_out_of_range_structure_reports_json(self, workspace, capsys):
+        cfg_path, out = workspace
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster")):
+            assert run("--config", cfg_path, *argv) == 0
+        path = out / "moe_cluster.ckpt"
+        ckpt = load_checkpoint(path)
+        ckpt.extra["model"]["blocks"][1]["k"] = 9
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, "train-moe", "--method", "cluster") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert "k must lie in [1, 4], got 9" in err["message"]
 
     def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
         cfg_path, out = workspace

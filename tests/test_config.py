@@ -47,6 +47,17 @@ def test_range_validation():
         config_from_dict({"init": {"method": "magic"}})
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "lr", float("inf")),
+    ("train", "lr", float("nan")),
+    ("moe", "capacity_train", float("inf")),
+    ("data", "separation", float("-inf")),
+])
+def test_non_finite_float_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
+        config_from_dict({section: {key: value}})
+
+
 def test_yaml_roundtrip(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(
