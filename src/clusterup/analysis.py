@@ -163,17 +163,18 @@ def analyze_sites(
     return AnalysisReport(per_site=per_site)
 
 
-def analyze_model(model, inputs, capacity_factor: float | None = None) -> AnalysisReport:
-    """Run the model on ``inputs`` and compute every site's diagnostics."""
-    from .train import model_forward
+def analyze_model(model, state) -> AnalysisReport:
+    """Every MoE site's diagnostics from one forward pass of ``model``.
 
-    state = model_forward(model, inputs, capacity_factor)
-    layers = {b: model.blocks[b] for b in model.moe_sites}
-    expert_outputs: dict[int, list] = {}
-    for b in model.moe_sites:
-        cache = state.moe_caches[b]
-        expert_outputs[b] = list(cache.expert_outputs)
-    return analyze_sites(layers, state.records, expert_outputs)
+    ``state`` is the ``ForwardState`` that ``train.model_forward`` returned
+    for ``model``; its routing records and per-expert outputs are analyzed.
+    """
+    sites = model.moe_sites
+    return analyze_sites(
+        {b: model.blocks[b] for b in sites},
+        state.records,
+        {b: list(state.moe_caches[b].expert_outputs) for b in sites},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .config import load_config
+from .config import INIT_METHODS, load_config
 from .errors import ClusterUpError, ConfigError
 
 OUTPUT_DIR_ENV = "CLUSTERUP_OUTPUT_DIR"
+# The CLI spells the init methods with hyphens (``drop-svd``).
+METHOD_CHOICES = tuple(method.replace("_", "-") for method in INIT_METHODS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,13 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     up = sub.add_parser("upcycle", help="convert the dense model to MoE")
     up.add_argument(
-        "--method", choices=("sparse", "drop", "drop-svd", "cluster"),
+        "--method", choices=METHOD_CHOICES,
         default=None, help="initialization strategy (default: config init.method)",
     )
 
     tm = sub.add_parser("train-moe", help="train the upcycled model")
-    tm.add_argument("--method", choices=("sparse", "drop", "drop-svd", "cluster"),
-                    default=None)
+    tm.add_argument("--method", choices=METHOD_CHOICES, default=None)
     tm.add_argument("--eesd", action="store_true",
                     help="enable the EMA-ensemble distillation loss")
 

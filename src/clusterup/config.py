@@ -112,9 +112,15 @@ def _build_section(cls, raw: dict, path: str):
         elif expected == "float" or expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}.{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ConfigError(
+                    f"{path}.{name} must be finite, got an integer too large for a float"
+                ) from None
+            if not math.isfinite(number):
                 raise ConfigError(f"{path}.{name} must be finite, got {value!r}")
-            coerced[name] = float(value)
+            coerced[name] = number
         elif expected == "str" or expected is str:
             if not isinstance(value, str):
                 raise ConfigError(f"{path}.{name} must be a string, got {value!r}")

@@ -68,26 +68,40 @@ def teacher_forward(teacher: EmaTeacher, x) -> Array:
     return dense_ensemble_forward(teacher.mirror, x)
 
 
+def eesd_terms(student_y: Array, teacher_y: Array, mask=None) -> tuple[float, Array]:
+    """EESD value and the residual ``student_y - teacher_y`` its gradient needs.
+
+    The value is the squared residual summed over the valid tokens and divided
+    by their count. ``mask`` marks valid tokens; with a mask, the residual
+    holds the valid tokens' columns only. Inputs are not scanned for NaN/Inf,
+    so a diverged student yields a non-finite value for the caller's loss
+    check to report.
+    """
+    if student_y.shape != teacher_y.shape:
+        raise ShapeMismatch(f"student {student_y.shape} vs teacher {teacher_y.shape}")
+    residual = student_y - teacher_y
+    if mask is not None:
+        valid = np.asarray(mask, dtype=bool).reshape(-1)
+        if valid.size != residual.shape[1]:
+            raise ShapeMismatch(f"mask length {valid.size} != {residual.shape[1]} tokens")
+        residual = residual[:, valid]
+    n_valid = residual.shape[1]
+    if n_valid == 0:
+        raise AllMasked("every token is masked")
+    return float(np.sum(residual * residual) / n_valid), residual
+
+
 def eesd_loss(student_y, teacher_y, mask=None) -> float:
     """Mean squared token gap between teacher and student layer outputs.
 
     ``mask`` marks valid tokens; masked tokens are excluded from both the sum
-    and the denominator. The teacher output is treated as a constant in
-    differentiation (stop-gradient); this function only computes the value.
+    and the denominator. Non-finite inputs raise ``ValueError``. The teacher
+    output is treated as a constant in differentiation (stop-gradient); this
+    function only computes the value.
     """
     s = as_matrix(student_y, "student_y")
     t = as_matrix(teacher_y, "teacher_y")
-    if s.shape != t.shape:
-        raise ShapeMismatch(f"student {s.shape} vs teacher {t.shape}")
-    n_tokens = s.shape[1]
     if mask is None:
-        valid = np.ones(n_tokens, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool).reshape(-1)
-        if valid.size != n_tokens:
-            raise ShapeMismatch(f"mask length {valid.size} != {n_tokens} tokens")
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise AllMasked("every token is masked")
-    diff = (t - s)[:, valid]
-    return float(np.sum(diff * diff) / n_valid)
+        # Selecting every column sums in column order, as this value always has.
+        mask = np.ones(s.shape[1], dtype=bool)
+    return eesd_terms(s, t, mask)[0]

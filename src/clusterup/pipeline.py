@@ -40,6 +40,7 @@ from .distill import EmaTeacher
 from .errors import CheckpointError, ClusterUpError
 from .moe import block_from_tensors, block_params, block_structure
 from .seeding import derive_seed
+from . import train  # so run_analyze looks up train.model_forward at call time
 from .train import (
     ModelTeacher,
     ToyModel,
@@ -245,8 +246,10 @@ COMPARE_COLUMNS = (
 def compare_row(cfg: PipelineConfig, model: ToyModel, method: str) -> dict:
     """One ``compare.csv`` row: ``model`` evaluated on the held-out split."""
     _, eval_set = _datasets(cfg)
-    report, _, accuracy = evaluate(model, eval_set.inputs, eval_set.labels, cfg.moe.capacity_eval)
-    sites = analyze_model(model, eval_set.inputs, cfg.moe.capacity_eval).per_site.values()
+    report, state, accuracy = evaluate(
+        model, eval_set.inputs, eval_set.labels, cfg.moe.capacity_eval
+    )
+    sites = analyze_model(model, state).per_site.values()
     utilizations = np.concatenate([site.utilization for site in sites])
     return {
         "seed": cfg.root_seed,
@@ -359,10 +362,8 @@ def run_analyze(cfg: PipelineConfig, checkpoint: Path | str) -> list[Path]:
     ckpt_path = _require_artifact(Path(checkpoint), "upcycle or train-moe")
     model, _, _ = load_model_checkpoint(ckpt_path)
     _, eval_set = _datasets(cfg)
-    report = analyze_model(model, eval_set.inputs, cfg.moe.capacity_eval)
-    from .train import model_forward
-
-    state = model_forward(model, eval_set.inputs, cfg.moe.capacity_eval)
+    state = train.model_forward(model, eval_set.inputs, cfg.moe.capacity_eval)
+    report = analyze_model(model, state)
     stem = ckpt_path.stem
     paths = [
         out_dir(cfg) / f"analysis_{stem}.json",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import routing_entropy
-from .distill import EmaTeacher, ema_update, make_teacher, teacher_forward
-from .errors import AllMasked, NonFiniteLoss, SeparationInfeasible, ShapeMismatch
+from .distill import EmaTeacher, eesd_terms, ema_update, make_teacher, teacher_forward
+from .errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from .linalg import Array, as_matrix
 from .moe import (
     DenseFfn,
@@ -309,24 +309,34 @@ def _teacher_outputs(
     return {b: teacher_forward(teacher.sites[b], state.block_inputs[b]) for b in sites}
 
 
-def _eesd_terms(
-    state: ForwardState, teacher_ys: dict[int, Array], sites: list[int], mask
-) -> tuple[float, dict[int, Array], int]:
-    t_tokens = state.final.shape[1]
-    if mask is None:
-        valid = np.ones(t_tokens, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool).reshape(-1)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise AllMasked("every token is masked")
-    per_site_diff = {}
-    total = 0.0
-    for b in sites:
-        diff = (state.site_outputs[b] - teacher_ys[b]) * valid[None, :]
-        per_site_diff[b] = diff
-        total += float(np.sum(diff * diff) / n_valid)
-    return total / len(sites), per_site_diff, n_valid
+def _objective(
+    model: ToyModel,
+    state: ForwardState,
+    labels,
+    teacher_ys: dict[int, Array] | None,
+    lambda_lb: float,
+    lambda_eesd: float,
+) -> tuple[LossReport, Array, dict[int, Array]]:
+    """Task, load-balancing and distillation terms of one forward pass.
+
+    The task term is mean cross-entropy at the head; the load-balancing term
+    sums over MoE sites; the distillation term averages ``eesd_terms`` over
+    MoE sites and is active only when teacher outputs are supplied. Returns
+    the report, the task gradient wrt the logits, and each site's EESD
+    residual (empty without teacher outputs).
+    """
+    sites = model.moe_sites
+    task, dlogits = _cross_entropy(state.logits, labels)
+    lb = float(sum(load_balance_loss(state.records[b]) for b in sites))
+    eesd = 0.0
+    residuals: dict[int, Array] = {}
+    if teacher_ys is not None and sites:
+        for b in sites:
+            value, residuals[b] = eesd_terms(state.site_outputs[b], teacher_ys[b])
+            eesd += value
+        eesd /= len(sites)
+    report = LossReport.build(task, lb, eesd, lambda_lb, lambda_eesd)
+    return report, dlogits, residuals
 
 
 def total_loss(
@@ -337,37 +347,27 @@ def total_loss(
     *,
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
-    mask=None,
     capacity_factor: float | None = None,
     frozen_teacher: dict[int, Array] | None = None,
     state_out: dict | None = None,
 ) -> tuple[LossReport, dict[str, Array]]:
-    """Combined objective and its gradients for every trainable tensor.
+    """Combined objective (see ``_objective``) and its gradients for every
+    trainable tensor.
 
-    The task term is mean cross-entropy at the head; the load-balancing term
-    sums over MoE sites; the distillation term averages over MoE sites and is
-    active only when a teacher is supplied. Teacher predictions are constants
-    under differentiation (``frozen_teacher`` substitutes precomputed ones,
-    which is how the finite-difference checker pins them).
+    Teacher predictions are constants under differentiation
+    (``frozen_teacher`` substitutes precomputed ones, which is how the
+    finite-difference checker pins them).
     """
     xm = as_matrix(inputs, "inputs")
     state = model_forward(model, xm, capacity_factor)
     sites = model.moe_sites
     t_tokens = xm.shape[1]
-
-    task, dlogits = _cross_entropy(state.logits, labels)
-    lb = float(sum(load_balance_loss(state.records[b]) for b in sites))
-
-    eesd = 0.0
-    eesd_diff: dict[int, Array] = {}
-    n_valid = t_tokens
     teacher_ys = frozen_teacher
     if teacher_ys is None:
         teacher_ys = _teacher_outputs(teacher, state, sites)
-    if teacher_ys is not None and sites:
-        eesd, eesd_diff, n_valid = _eesd_terms(state, teacher_ys, sites, mask)
-
-    report = LossReport.build(task, lb, eesd, lambda_lb, lambda_eesd)
+    report, dlogits, residuals = _objective(
+        model, state, labels, teacher_ys, lambda_lb, lambda_eesd
+    )
 
     grads: dict[str, Array] = {"head": dlogits @ state.final.T}
     dx = model.head.T @ dlogits
@@ -376,8 +376,8 @@ def total_loss(
         prefix = f"block{b}."
         if isinstance(block, MoeLayer):
             dy = dx
-            if b in eesd_diff and lambda_eesd != 0.0:
-                dy = dx + (2.0 * lambda_eesd / (len(sites) * n_valid)) * eesd_diff[b]
+            if b in residuals and lambda_eesd != 0.0:
+                dy = dx + (2.0 * lambda_eesd / (len(sites) * t_tokens)) * residuals[b]
             dprobs_extra = None
             if lambda_lb != 0.0:
                 fraction = state.records[b].per_expert_fraction
@@ -392,29 +392,6 @@ def total_loss(
     if state_out is not None:
         state_out["state"] = state
     return report, grads
-
-
-def _loss_value(
-    model: ToyModel,
-    inputs: Array,
-    labels,
-    *,
-    lambda_lb: float,
-    lambda_eesd: float,
-    frozen_teacher: dict[int, Array] | None,
-    mask,
-    capacity_factor: float | None,
-) -> tuple[float, ForwardState]:
-    """Loss value plus the forward state, without gradients."""
-    state = model_forward(model, inputs, capacity_factor)
-    sites = model.moe_sites
-    task, _ = _cross_entropy(state.logits, labels)
-    lb = float(sum(load_balance_loss(state.records[b]) for b in sites))
-    eesd = 0.0
-    if frozen_teacher is not None and sites:
-        eesd, _, _ = _eesd_terms(state, frozen_teacher, sites, mask)
-    total = task + lambda_lb * lb + lambda_eesd * eesd
-    return total, state
 
 
 def _decisions(state: ForwardState) -> bytes:
@@ -448,7 +425,6 @@ def train_step(
     *,
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
-    mask=None,
     capacity_factor: float | None = None,
     state_out: dict | None = None,
 ) -> tuple[ToyModel, ModelTeacher | None, LossReport]:
@@ -457,7 +433,7 @@ def train_step(
         raise ValueError(f"lr must be >= 0, got {lr}")
     report, grads = total_loss(
         model, teacher, inputs, labels,
-        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd, mask=mask,
+        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
         capacity_factor=capacity_factor, state_out=state_out,
     )
     if not math.isfinite(report.total):
@@ -515,9 +491,7 @@ def evaluate(
 ) -> tuple[LossReport, ForwardState, float]:
     """Task/lb losses, forward state, and accuracy on a fixed batch."""
     state = model_forward(model, inputs, capacity_factor)
-    task, _ = _cross_entropy(state.logits, labels)
-    lb = float(sum(load_balance_loss(state.records[b]) for b in model.moe_sites))
-    report = LossReport.build(task, lb, 0.0, 0.0, 0.0)
+    report, _, _ = _objective(model, state, labels, None, 0.0, 0.0)
     pred = state.logits.argmax(axis=0)
     accuracy = float(np.mean(pred == np.asarray(labels).reshape(-1)))
     return report, state, accuracy
@@ -536,7 +510,6 @@ def grad_check(
     *,
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
-    mask=None,
     capacity_factor: float | None = None,
     samples_per_tensor: int = 50,
     seed: int = 0,
@@ -559,13 +532,13 @@ def grad_check(
 
     _, grads = total_loss(
         model, teacher, xm, labels,
-        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd, mask=mask,
+        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
         capacity_factor=capacity_factor, frozen_teacher=frozen,
     )
-    kwargs = dict(
-        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
-        frozen_teacher=frozen, mask=mask, capacity_factor=capacity_factor,
-    )
+
+    def loss_value(forward: ForwardState) -> float:
+        return _objective(model, forward, labels, frozen, lambda_lb, lambda_eesd)[0].total
+
     base_decisions = _decisions(state)
 
     rng = np.random.default_rng(seed)
@@ -579,14 +552,14 @@ def grad_check(
         for flat_idx in indices:
             orig = arr.flat[flat_idx]
             arr.flat[flat_idx] = orig + epsilon
-            loss_plus, state_plus = _loss_value(model, xm, labels, **kwargs)
+            state_plus = model_forward(model, xm, capacity_factor)
             arr.flat[flat_idx] = orig - epsilon
-            loss_minus, state_minus = _loss_value(model, xm, labels, **kwargs)
+            state_minus = model_forward(model, xm, capacity_factor)
             arr.flat[flat_idx] = orig
             if not _decisions(state_plus) == _decisions(state_minus) == base_decisions:
                 skipped += 1
                 continue
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+            numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
             analytic = float(grads[name].flat[flat_idx])
             rel = abs(analytic - numeric) / max(1.0, abs(numeric))
             tensor_err = max(tensor_err, rel)
@@ -607,9 +580,9 @@ def grad_check(
             for flat_idx in indices:
                 orig = arr.flat[flat_idx]
                 arr.flat[flat_idx] = orig + epsilon
-                loss_plus, _ = _loss_value(model, xm, labels, **kwargs)
+                loss_plus = loss_value(model_forward(model, xm, capacity_factor))
                 arr.flat[flat_idx] = orig - epsilon
-                loss_minus, _ = _loss_value(model, xm, labels, **kwargs)
+                loss_minus = loss_value(model_forward(model, xm, capacity_factor))
                 arr.flat[flat_idx] = orig
                 quotient = abs(loss_plus - loss_minus) / (2.0 * epsilon)
                 teacher_max_quotient = max(teacher_max_quotient, quotient)

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .clustering import ClusterModel, normalize_rows, spherical_kmeans
+from .config import INIT_METHODS
 from .errors import EmptyCalibration, InsufficientData, NotPositiveDefinite
 from .linalg import (
     Array,
@@ -443,9 +444,6 @@ def cluster_aware_init(
 # model-level upcycling
 # ---------------------------------------------------------------------------
 
-METHODS = ("sparse", "drop", "drop_svd", "cluster")
-
-
 def upcycle_model(
     dense_model: ToyModel,
     method: str,
@@ -466,8 +464,8 @@ def upcycle_model(
     the new model plus per-site init reports and cluster models (the latter
     only for the cluster method).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method not in INIT_METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {INIT_METHODS}")
     sites = default_moe_sites(len(dense_model.blocks))
     model = dense_model.copy()
     reports: dict[int, InitReport] = {}

@@ -16,7 +16,12 @@ from clusterup.analysis import (
 )
 from clusterup.errors import InsufficientTokens, ZeroWeights
 from clusterup.moe import DenseFfn, MoeLayer, RoutingRecord
-from clusterup.train import make_dense_model, make_synthetic_dataset, run_training
+from clusterup.train import (
+    make_dense_model,
+    make_synthetic_dataset,
+    model_forward,
+    run_training,
+)
 from clusterup.upcycle import capture_activations, upcycle_model
 
 
@@ -195,22 +200,22 @@ class TestAnalyzeModel:
 
     def test_sparse_layer_similarity_one(self):
         moe, ds = self.build("sparse")
-        report = analyze_model(moe, ds.inputs[:, :256], 2.0)
+        report = analyze_model(moe, model_forward(moe, ds.inputs[:, :256], 2.0))
         for site in report.per_site.values():
             assert site.mean_pairwise_similarity == 1.0
 
     def test_cluster_breaks_symmetry_and_lowers_entropy(self):
         moe_c, ds = self.build("cluster")
         moe_s, _ = self.build("sparse")
-        rep_c = analyze_model(moe_c, ds.inputs[:, :256], 2.0)
-        rep_s = analyze_model(moe_s, ds.inputs[:, :256], 2.0)
+        rep_c = analyze_model(moe_c, model_forward(moe_c, ds.inputs[:, :256], 2.0))
+        rep_s = analyze_model(moe_s, model_forward(moe_s, ds.inputs[:, :256], 2.0))
         for b in rep_c.per_site:
             assert rep_c.per_site[b].mean_pairwise_similarity < 1 - 1e-3
             assert rep_c.per_site[b].mean_routing_entropy < rep_s.per_site[b].mean_routing_entropy
 
     def test_report_invariants(self):
         moe, ds = self.build("drop")
-        report = analyze_model(moe, ds.inputs[:, :256], 2.0)
+        report = analyze_model(moe, model_forward(moe, ds.inputs[:, :256], 2.0))
         for site in report.per_site.values():
             sim = site.similarity_matrix
             np.testing.assert_allclose(sim, sim.T, atol=0)
@@ -220,7 +225,7 @@ class TestAnalyzeModel:
 
     def test_csv_rows_schema(self):
         moe, ds = self.build("sparse", seed=10)
-        report = analyze_model(moe, ds.inputs[:, :128], 2.0)
+        report = analyze_model(moe, model_forward(moe, ds.inputs[:, :128], 2.0))
         rows = analysis_csv_rows(report)
         sites = {r[0] for r in rows}
         assert sites == {1, 3}

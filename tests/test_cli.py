@@ -8,7 +8,15 @@ import pytest
 
 from clusterup.cli import main
 from clusterup.checkpoint import load_checkpoint, save_checkpoint
-from clusterup.pipeline import compare_run, load_model_checkpoint, moe_path, run_compare
+from clusterup import train
+from clusterup.pipeline import (
+    compare_row,
+    compare_run,
+    load_model_checkpoint,
+    moe_path,
+    run_analyze,
+    run_compare,
+)
 from clusterup.config import load_config
 
 
@@ -165,6 +173,26 @@ class TestCommands:
         for row in rows:
             alone = compare_run(cfg, int(row["seed"]), row["method"], eesd)
             assert row == {k: str(v) for k, v in alone.items()}
+
+    def test_one_forward_pass_per_evaluation(self, workspace, monkeypatch, capsys):
+        cfg_path, _ = workspace
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster")):
+            assert run("--config", cfg_path, *argv) == 0
+        cfg = load_config(cfg_path)
+        model, _, _ = load_model_checkpoint(moe_path(cfg, "cluster"))
+        calls = []
+        forward = train.model_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(train, "model_forward", counted)
+        compare_row(cfg, model, "cluster")
+        assert len(calls) == 1
+        calls.clear()
+        run_analyze(cfg, moe_path(cfg, "cluster"))
+        assert len(calls) == 1
 
 
 class TestErrors:

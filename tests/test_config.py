@@ -52,6 +52,7 @@ def test_range_validation():
     ("train", "lr", float("nan")),
     ("moe", "capacity_train", float("inf")),
     ("data", "separation", float("-inf")),
+    pytest.param("train", "lr", 10**401, id="train-lr-401-digit-int"),
 ])
 def test_non_finite_float_rejected(section, key, value):
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):

@@ -169,6 +169,20 @@ class TestTrainStep:
             train_step(model, None, ds.inputs, ds.labels, lr=0.1)
         assert err.value.report is not None
 
+    def test_diverged_eesd_step_raises_non_finite_loss(self):
+        # The training path does not scan for NaN/Inf, so a diverged expert
+        # reaches the loss check through the distillation term.
+        dense = make_dense_model(6, 8, 2, 3, seed=16)
+        moe, _, _ = upcycle_model(dense, "sparse", n_experts=3, k=2,
+                                  capacity_factor=1.5, seed=17)
+        teacher = make_model_teacher(moe, beta=0.999)
+        moe.blocks[moe.moe_sites[0]].experts[0].w1[0, 0] = np.nan
+        ds = make_synthetic_dataset(6, 3, 3, 32, 3.0, seed=18)
+        with pytest.raises(NonFiniteLoss) as err:
+            train_step(moe, teacher, ds.inputs, ds.labels, lr=0.1,
+                       lambda_lb=0.001, lambda_eesd=1.0)
+        assert not math.isfinite(err.value.report.eesd)
+
     def test_training_run_bit_reproducible(self):
         outcomes = []
         for _ in range(2):
