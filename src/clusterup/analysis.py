@@ -131,21 +131,19 @@ class AnalysisReport:
         return {"per_site": {str(b): s.to_dict() for b, s in self.per_site.items()}}
 
 
-def analyze_sites(
-    layers: dict[int, MoeLayer],
-    records: dict[int, RoutingRecord],
-    expert_outputs: dict[int, list[Array]],
-) -> AnalysisReport:
-    """Assemble the per-site report from routing records and expert outputs.
+def analyze_model(model, state) -> AnalysisReport:
+    """Every MoE site's diagnostics from one forward pass of ``model``.
 
-    ``expert_outputs[site][i]`` holds expert i's outputs on the tokens routed
-    to it (kept slots only); experts with fewer than two routed tokens make the
-    compactness statistic undefined for that site.
+    ``state`` is the ``ForwardState`` that ``train.model_forward`` returned
+    for ``model``. Each site's cache gives its routing record and each
+    expert's outputs on the tokens routed to it (kept slots only); experts
+    with fewer than two routed tokens make the compactness statistic
+    undefined for that site.
     """
     per_site = {}
-    for b, layer in layers.items():
-        outputs = expert_outputs.get(b, [])
-        populated = [m for m in outputs if m is not None and m.shape[1] >= 2]
+    for b in model.moe_sites:
+        layer, cache = model.blocks[b], state.caches[b]
+        populated = [m for m in cache.expert_outputs if m is not None and m.shape[1] >= 2]
         try:
             rc = relative_compactness(populated)
         except InsufficientTokens:
@@ -157,24 +155,10 @@ def analyze_sites(
             mean_pairwise_similarity=mean_offdiagonal(sim),
             mean_pairwise_similarity_w1=mean_offdiagonal(sim_w1),
             similarity_matrix=sim,
-            mean_routing_entropy=routing_entropy(records[b].probs),
-            utilization=expert_utilization(records[b]),
+            mean_routing_entropy=routing_entropy(cache.record.probs),
+            utilization=expert_utilization(cache.record),
         )
     return AnalysisReport(per_site=per_site)
-
-
-def analyze_model(model, state) -> AnalysisReport:
-    """Every MoE site's diagnostics from one forward pass of ``model``.
-
-    ``state`` is the ``ForwardState`` that ``train.model_forward`` returned
-    for ``model``; its routing records and per-expert outputs are analyzed.
-    """
-    sites = model.moe_sites
-    return analyze_sites(
-        {b: model.blocks[b] for b in sites},
-        state.records,
-        {b: list(state.moe_caches[b].expert_outputs) for b in sites},
-    )
 
 
 # ---------------------------------------------------------------------------

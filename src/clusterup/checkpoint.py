@@ -8,6 +8,7 @@ canonical JSON encoding makes save -> load -> save byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -57,7 +58,9 @@ def save_checkpoint(
     """Write tensors (cast to float32) with their manifest to ``path``.
 
     Tensor order follows the dict's insertion order and is preserved in the
-    manifest, so identical inputs always produce identical bytes.
+    manifest, so identical inputs always produce identical bytes. The bytes go
+    to a temporary file in the same directory that then replaces ``path``, so
+    a write that fails leaves any previous checkpoint there intact.
     """
     entries = []
     blobs = []
@@ -80,12 +83,19 @@ def save_checkpoint(
         "extra": extra or {},
     }
     payload = _canonical_json(manifest)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _check_tensor_table(entries, blob_bytes: int, path) -> None:

@@ -194,7 +194,9 @@ def load_config(path) -> PipelineConfig:
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises ValueError for an integer literal past Python's
+        # integer-to-string digit limit.
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if raw is None:
         raw = {}

@@ -181,9 +181,7 @@ class MoeForwardCache:
 
     x: Array
     record: RoutingRecord
-    sel_probs: Array             # (T, k)
     denom: Array                 # (T,)
-    capacity: int
     expert_cols: list[np.ndarray]   # token indices routed to each expert (kept slots)
     expert_slots: list[np.ndarray]  # matching slot position within the top-k row
     expert_caches: list["FfnCache | None"]
@@ -302,7 +300,7 @@ def _route(layer: MoeLayer, x: Array, capacity_factor: float):
         per_expert_fraction=counts.astype(np.float64) / (t_tokens * k),
         per_expert_mean_prob=probs.mean(axis=0),
     )
-    return record, sel_probs, denom, cap
+    return record, denom
 
 
 def moe_forward_cached(
@@ -312,7 +310,7 @@ def moe_forward_cached(
     if xm.shape[0] != layer.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
     cf = layer.capacity_factor if capacity_factor is None else capacity_factor
-    record, sel_probs, denom, cap = _route(layer, xm, cf)
+    record, denom = _route(layer, xm, cf)
 
     y = np.zeros_like(xm)
     expert_cols: list[np.ndarray] = []
@@ -334,7 +332,7 @@ def moe_forward_cached(
         expert_outputs.append(out)
 
     cache = MoeForwardCache(
-        x=xm, record=record, sel_probs=sel_probs, denom=denom, capacity=cap,
+        x=xm, record=record, denom=denom,
         expert_cols=expert_cols, expert_slots=expert_slots,
         expert_caches=expert_caches, expert_outputs=expert_outputs, y=y,
     )
@@ -377,10 +375,8 @@ def moe_backward(
         rows = cache.expert_cols[i]
         prefix = f"expert{i}."
         if rows.size == 0:
-            grads[prefix + "w1"] = np.zeros_like(expert.w1)
-            grads[prefix + "b1"] = np.zeros_like(expert.b1)
-            grads[prefix + "w2"] = np.zeros_like(expert.w2)
-            grads[prefix + "b2"] = np.zeros_like(expert.b2)
+            for key in FFN_PARAMS:
+                grads[prefix + key] = np.zeros_like(getattr(expert, key))
             continue
         slots = cache.expert_slots[i]
         g = record.gates[rows, slots]

@@ -103,6 +103,8 @@ def model_from_tensors(structure: dict, tensors: dict[str, np.ndarray]) -> ToyMo
         return ToyModel(input_dim=structure["input_dim"], blocks=blocks, head=tensors["head"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc}") from None
+    except TypeError as exc:  # e.g. ``blocks`` is not a list
+        raise CheckpointError(f"invalid model structure: {exc}") from None
 
 
 def config_snapshot(cfg: PipelineConfig) -> dict:
@@ -141,8 +143,11 @@ def load_model_checkpoint(path) -> tuple[ToyModel, ModelTeacher | None, dict]:
     model = model_from_tensors(structure, ckpt.tensors)
     teacher = None
     if "teacher" in ckpt.extra:
-        beta = ckpt.extra["teacher"]["beta"]
-        step_counts = ckpt.extra["teacher"]["step_counts"]
+        meta = ckpt.extra["teacher"] if isinstance(ckpt.extra["teacher"], dict) else {}
+        beta, step_counts = meta.get("beta"), meta.get("step_counts")
+        if not (isinstance(beta, (int, float)) and 0.0 <= beta <= 1.0
+                and isinstance(step_counts, dict)):
+            raise CheckpointError(f"malformed teacher metadata in {path}")
         sites = {}
         for b in model.moe_sites:
             prefix = f"teacher.block{b}."
@@ -310,11 +315,14 @@ def load_bank(path) -> ActivationBank:
     ckpt = load_checkpoint(path)
     if "token_cap" not in ckpt.extra:
         raise CheckpointError(f"{path} holds no activation bank")
-    per_site = {
-        int(name[len("site"):name.index(".")]): arr
-        for name, arr in ckpt.tensors.items()
-        if name.startswith("site") and name.endswith(".activations")
-    }
+    try:
+        per_site = {
+            int(name[len("site"):name.index(".")]): arr
+            for name, arr in ckpt.tensors.items()
+            if name.startswith("site") and name.endswith(".activations")
+        }
+    except ValueError as exc:
+        raise CheckpointError(f"bad activation tensor name in {path}: {exc}") from None
     return ActivationBank(per_site=per_site, token_cap=ckpt.extra["token_cap"])
 
 

@@ -249,13 +249,24 @@ class LossReport:
 
 @dataclass
 class ForwardState:
+    """Every intermediate of one forward pass, each stored once.
+
+    ``caches[b]`` is block b's ``FfnCache``, or its ``MoeForwardCache`` at an
+    MoE site; the latter holds the site's routing record and output.
+    """
+
     block_inputs: list[Array]
-    ffn_caches: dict
-    moe_caches: dict[int, MoeForwardCache]
-    records: dict[int, RoutingRecord]
-    site_outputs: dict[int, Array]
+    caches: list
     final: Array
     logits: Array
+
+    @property
+    def records(self) -> dict[int, RoutingRecord]:
+        """Each MoE site's routing record, in block order."""
+        return {
+            b: cache.record for b, cache in enumerate(self.caches)
+            if isinstance(cache, MoeForwardCache)
+        }
 
 
 def model_forward(model: ToyModel, x, capacity_factor: float | None = None) -> ForwardState:
@@ -263,24 +274,18 @@ def model_forward(model: ToyModel, x, capacity_factor: float | None = None) -> F
     xm = as_matrix(x, "x")
     if xm.shape[0] != model.input_dim:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, model expects {model.input_dim}")
-    block_inputs, ffn_caches, moe_caches = [], {}, {}
-    records, site_outputs = {}, {}
+    block_inputs, caches = [], []
     cur = xm
-    for b, block in enumerate(model.blocks):
+    for block in model.blocks:
         block_inputs.append(cur)
         if isinstance(block, MoeLayer):
-            y, record, cache = moe_forward_cached(block, cur, capacity_factor)
-            moe_caches[b] = cache
-            records[b] = record
-            site_outputs[b] = y
+            y, _, cache = moe_forward_cached(block, cur, capacity_factor)
         else:
             y, cache = ffn_forward_cached(block, cur)
-            ffn_caches[b] = cache
+        caches.append(cache)
         cur = cur + y
     return ForwardState(
-        block_inputs=block_inputs, ffn_caches=ffn_caches, moe_caches=moe_caches,
-        records=records, site_outputs=site_outputs,
-        final=cur, logits=model.head @ cur,
+        block_inputs=block_inputs, caches=caches, final=cur, logits=model.head @ cur,
     )
 
 
@@ -327,12 +332,12 @@ def _objective(
     """
     sites = model.moe_sites
     task, dlogits = _cross_entropy(state.logits, labels)
-    lb = float(sum(load_balance_loss(state.records[b]) for b in sites))
+    lb = float(sum(load_balance_loss(state.caches[b].record) for b in sites))
     eesd = 0.0
     residuals: dict[int, Array] = {}
     if teacher_ys is not None and sites:
         for b in sites:
-            value, residuals[b] = eesd_terms(state.site_outputs[b], teacher_ys[b])
+            value, residuals[b] = eesd_terms(state.caches[b].y, teacher_ys[b])
             eesd += value
         eesd /= len(sites)
     report = LossReport.build(task, lb, eesd, lambda_lb, lambda_eesd)
@@ -348,23 +353,17 @@ def total_loss(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-    frozen_teacher: dict[int, Array] | None = None,
-    state_out: dict | None = None,
-) -> tuple[LossReport, dict[str, Array]]:
-    """Combined objective (see ``_objective``) and its gradients for every
-    trainable tensor.
+) -> tuple[LossReport, dict[str, Array], ForwardState]:
+    """Combined objective (see ``_objective``), its gradients for every
+    trainable tensor, and the forward state they were computed from.
 
-    Teacher predictions are constants under differentiation
-    (``frozen_teacher`` substitutes precomputed ones, which is how the
-    finite-difference checker pins them).
+    Teacher predictions are constants under differentiation.
     """
     xm = as_matrix(inputs, "inputs")
     state = model_forward(model, xm, capacity_factor)
     sites = model.moe_sites
     t_tokens = xm.shape[1]
-    teacher_ys = frozen_teacher
-    if teacher_ys is None:
-        teacher_ys = _teacher_outputs(teacher, state, sites)
+    teacher_ys = _teacher_outputs(teacher, state, sites)
     report, dlogits, residuals = _objective(
         model, state, labels, teacher_ys, lambda_lb, lambda_eesd
     )
@@ -372,7 +371,7 @@ def total_loss(
     grads: dict[str, Array] = {"head": dlogits @ state.final.T}
     dx = model.head.T @ dlogits
     for b in reversed(range(len(model.blocks))):
-        block = model.blocks[b]
+        block, cache = model.blocks[b], state.caches[b]
         prefix = f"block{b}."
         if isinstance(block, MoeLayer):
             dy = dx
@@ -380,18 +379,15 @@ def total_loss(
                 dy = dx + (2.0 * lambda_eesd / (len(sites) * t_tokens)) * residuals[b]
             dprobs_extra = None
             if lambda_lb != 0.0:
-                fraction = state.records[b].per_expert_fraction
+                fraction = cache.record.per_expert_fraction
                 dprobs_extra = lambda_lb * fraction / t_tokens
-            dxi, block_grads = moe_backward(block, state.moe_caches[b], dy, dprobs_extra)
+            dxi, block_grads = moe_backward(block, cache, dy, dprobs_extra)
         else:
-            dxi, block_grads = ffn_backward(block, state.ffn_caches[b], dx)
+            dxi, block_grads = ffn_backward(block, cache, dx)
         for key, val in block_grads.items():
             grads[prefix + key] = val
         dx = dx + dxi
-
-    if state_out is not None:
-        state_out["state"] = state
-    return report, grads
+    return report, grads, state
 
 
 def _decisions(state: ForwardState) -> bytes:
@@ -402,13 +398,13 @@ def _decisions(state: ForwardState) -> bytes:
     site's selections and drops precede, and fix the sizes of, its expert
     ReLU masks, so equal bytes mean equal decisions.
     """
-    parts = [cache.pre > 0.0 for cache in state.ffn_caches.values()]
-    for b, record in state.records.items():
-        parts += [record.topk_indices, record.dropped]
-        parts += [
-            cache.pre > 0.0 for cache in state.moe_caches[b].expert_caches
-            if cache is not None
-        ]
+    parts = []
+    for cache in state.caches:
+        if isinstance(cache, MoeForwardCache):
+            parts += [cache.record.topk_indices, cache.record.dropped]
+            parts += [c.pre > 0.0 for c in cache.expert_caches if c is not None]
+        else:
+            parts.append(cache.pre > 0.0)
     return b"".join(part.tobytes() for part in parts)
 
 
@@ -426,15 +422,15 @@ def train_step(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-    state_out: dict | None = None,
-) -> tuple[ToyModel, ModelTeacher | None, LossReport]:
-    """One plain gradient-descent step followed by the teacher EMA update."""
+) -> tuple[LossReport, ForwardState]:
+    """One plain gradient-descent step on ``model`` followed by the EMA update
+    of ``teacher``, both in place; returns the loss report and forward state."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    report, grads = total_loss(
+    report, grads, state = total_loss(
         model, teacher, inputs, labels,
         lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
-        capacity_factor=capacity_factor, state_out=state_out,
+        capacity_factor=capacity_factor,
     )
     if not math.isfinite(report.total):
         raise NonFiniteLoss(f"non-finite loss at report {report}", report=report)
@@ -442,7 +438,7 @@ def train_step(
         arr -= lr * grads[name]
     if teacher is not None:
         update_model_teacher(teacher, model)
-    return model, teacher, report
+    return report, state
 
 
 def run_training(
@@ -466,15 +462,13 @@ def run_training(
     reports = []
     for step in range(steps):
         idx = rng.choice(n, size=batch, replace=False)
-        state_out: dict = {}
-        model, teacher, report = train_step(
+        report, state = train_step(
             model, teacher, dataset.inputs[:, idx], dataset.labels[idx], lr,
             lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
-            capacity_factor=capacity_factor, state_out=state_out,
+            capacity_factor=capacity_factor,
         )
         reports.append(report)
         if log_fn is not None:
-            state: ForwardState = state_out["state"]
             record = {"step": step}
             record.update(report.to_dict())
             entropies = [routing_entropy(r.probs) for r in state.records.values()]
@@ -527,19 +521,26 @@ def grad_check(
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
     xm = as_matrix(inputs, "inputs")
-    state = model_forward(model, xm, capacity_factor)
-    frozen = _teacher_outputs(teacher, state, model.moe_sites)
-
-    _, grads = total_loss(
+    _, grads, state = total_loss(
         model, teacher, xm, labels,
-        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
-        capacity_factor=capacity_factor, frozen_teacher=frozen,
+        lambda_lb=lambda_lb, lambda_eesd=lambda_eesd, capacity_factor=capacity_factor,
     )
+    frozen = _teacher_outputs(teacher, state, model.moe_sites)
+    base_decisions = _decisions(state)
 
     def loss_value(forward: ForwardState) -> float:
         return _objective(model, forward, labels, frozen, lambda_lb, lambda_eesd)[0].total
 
-    base_decisions = _decisions(state)
+    def perturbed(arr: Array, flat_idx) -> tuple[ForwardState, ForwardState]:
+        """Forward states with one entry of ``arr`` at +eps and at -eps; the
+        entry is restored before returning."""
+        orig = arr.flat[flat_idx]
+        arr.flat[flat_idx] = orig + epsilon
+        state_plus = model_forward(model, xm, capacity_factor)
+        arr.flat[flat_idx] = orig - epsilon
+        state_minus = model_forward(model, xm, capacity_factor)
+        arr.flat[flat_idx] = orig
+        return state_plus, state_minus
 
     rng = np.random.default_rng(seed)
     per_tensor: dict[str, float] = {}
@@ -550,12 +551,7 @@ def grad_check(
         indices = rng.choice(arr.size, size=count, replace=False)
         tensor_err = 0.0
         for flat_idx in indices:
-            orig = arr.flat[flat_idx]
-            arr.flat[flat_idx] = orig + epsilon
-            state_plus = model_forward(model, xm, capacity_factor)
-            arr.flat[flat_idx] = orig - epsilon
-            state_minus = model_forward(model, xm, capacity_factor)
-            arr.flat[flat_idx] = orig
+            state_plus, state_minus = perturbed(arr, flat_idx)
             if not _decisions(state_plus) == _decisions(state_minus) == base_decisions:
                 skipped += 1
                 continue
@@ -578,12 +574,8 @@ def grad_check(
             count = min(samples_per_tensor, arr.size)
             indices = rng.choice(arr.size, size=count, replace=False)
             for flat_idx in indices:
-                orig = arr.flat[flat_idx]
-                arr.flat[flat_idx] = orig + epsilon
-                loss_plus = loss_value(model_forward(model, xm, capacity_factor))
-                arr.flat[flat_idx] = orig - epsilon
-                loss_minus = loss_value(model_forward(model, xm, capacity_factor))
-                arr.flat[flat_idx] = orig
+                state_plus, state_minus = perturbed(arr, flat_idx)
+                loss_plus, loss_minus = loss_value(state_plus), loss_value(state_minus)
                 quotient = abs(loss_plus - loss_minus) / (2.0 * epsilon)
                 teacher_max_quotient = max(teacher_max_quotient, quotient)
 

@@ -1,11 +1,13 @@
 """Tests for the manifest+blob checkpoint container."""
 
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from clusterup import checkpoint
 from clusterup.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -114,6 +116,34 @@ class TestContainer:
         path.write_bytes(raw[:-4])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.ones(4)}, config={}, seeds={})
+        before = path.read_bytes()
+
+        class DiskFull:
+            # Writes one byte of the first chunk, then fails like a full disk.
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:1])
+                raise OSError(28, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"a": np.zeros(4)}, config={}, seeds={})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.ckpt"]
 
 
 class TestModelSerialization:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -34,6 +35,28 @@ output_dir: {out}
 @pytest.fixture
 def workspace(tmp_path):
     out = tmp_path / "runs"
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(SMALL_CFG.format(out=out, tau=0.95))
+    return cfg_path, out
+
+
+@pytest.fixture(scope="module")
+def trained_artifacts(tmp_path_factory):
+    """dense, bank, cluster-upcycled and EESD-trained checkpoints, built once."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg_path = root / "cfg.yaml"
+    cfg_path.write_text(SMALL_CFG.format(out=root / "runs", tau=0.95))
+    for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster"),
+                 ("train-moe", "--method", "cluster", "--eesd")):
+        assert run("--config", cfg_path, *argv) == 0
+    return root / "runs"
+
+
+@pytest.fixture
+def trained_workspace(trained_artifacts, tmp_path):
+    """A private copy of ``trained_artifacts`` that a test may rewrite."""
+    out = tmp_path / "runs"
+    shutil.copytree(trained_artifacts, out)
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(SMALL_CFG.format(out=out, tau=0.95))
     return cfg_path, out
@@ -262,6 +285,40 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CheckpointError"
         assert "k must lie in [1, 4], got 9" in err["message"]
+
+    def test_oversized_yaml_integer_reports_json(self, tmp_path, capsys):
+        # Past Python's 4300-digit limit, PyYAML's int constructor raises ValueError.
+        cfg_path = tmp_path / "huge.yaml"
+        cfg_path.write_text("train: {lr: " + "1" * 5000 + "}\n")
+        assert run("--config", cfg_path, "train-dense") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("name,mutate,argv", [
+        ("moe_cluster_trained.ckpt",
+         lambda tensors, extra: extra["teacher"].pop("beta"), ("analyze",)),
+        ("moe_cluster_trained.ckpt",
+         lambda tensors, extra: extra["teacher"].update(step_counts=[0]), ("analyze",)),
+        ("moe_cluster.ckpt",
+         lambda tensors, extra: extra["model"].update(blocks=5), ("analyze",)),
+        ("bank.ckpt",
+         lambda tensors, extra: tensors.update({"siteX.activations": tensors.popitem()[1]}),
+         ("upcycle", "--method", "cluster")),
+    ], ids=["teacher-without-beta", "step-counts-list", "blocks-int", "bank-site-name"])
+    def test_malformed_metadata_reports_json(self, trained_workspace, capsys,
+                                             name, mutate, argv):
+        cfg_path, out = trained_workspace
+        path = out / name
+        ckpt = load_checkpoint(path)
+        mutate(ckpt.tensors, ckpt.extra)
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        if argv == ("analyze",):
+            argv += ("--checkpoint", path)
+        capsys.readouterr()
+        assert run("--config", cfg_path, *argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
 
     def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
         cfg_path, out = workspace

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterup.errors import ShapeMismatch
 from clusterup.moe import (
@@ -273,3 +274,51 @@ class TestLoadBalanceLoss:
             per_expert_mean_prob=np.array([0.6, 0.4]),
         )
         assert abs(load_balance_loss(record) - 0.55) < 1e-15
+
+
+@st.composite
+def routed_layers(draw):
+    """A random layer, its tokens and a capacity factor. Router rows come from
+    a pool of three (one all zero), so repeated rows make exact probability
+    ties common."""
+    n_e = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n_e))
+    d = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.vstack([np.zeros(d), rng.standard_normal((2, d))])
+    rows = draw(st.lists(st.integers(0, 2), min_size=n_e, max_size=n_e))
+    layer = MoeLayer(
+        experts=[random_ffn(rng, d, 3) for _ in range(n_e)],
+        router=pool[rows], k=k, capacity_factor=1.0,
+    )
+    capacity_factor = draw(st.floats(0.05, 4.0))
+    return layer, rng.standard_normal((d, t)), capacity_factor
+
+
+class TestRoutingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(routed_layers())
+    def test_routing_invariants(self, case):
+        layer, x, capacity_factor = case
+        _, record = moe_forward(layer, x, capacity_factor)
+        t, k, n_e = x.shape[1], layer.k, layer.n_experts
+        cap = expert_capacity(capacity_factor, t, k, n_e)
+        topk, dropped = record.topk_indices, record.dropped
+
+        kept = np.bincount(topk[~dropped], minlength=n_e)
+        assert (kept <= cap).all()
+
+        for row, probs in zip(topk, record.probs):
+            expected = sorted(range(n_e), key=lambda e: (-probs[e], e))[:k]
+            assert row.tolist() == expected
+
+        # Slots fill in token order, then slot order: for each expert the
+        # first ``cap`` of its slots are kept and the rest dropped.
+        flat, flat_dropped = topk.ravel(), dropped.ravel()
+        for e in range(n_e):
+            slots = np.nonzero(flat == e)[0]
+            assert flat_dropped[slots].tolist() == [i >= cap for i in range(slots.size)]
+
+        assert np.abs(record.gates.sum(axis=1) - 1.0).max() <= 1e-12
+        assert (record.gates >= 0.0).all()

@@ -7,7 +7,8 @@ import pytest
 
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible
-from clusterup.moe import DenseFfn
+from clusterup import train
+from clusterup.moe import DenseFfn, block_params
 from clusterup.train import (
     LossReport,
     ToyModel,
@@ -90,7 +91,7 @@ class TestTotalLoss:
     def test_zero_lambdas_reduce_to_task(self):
         model = make_dense_model(6, 8, 2, 3, seed=0)
         ds = make_synthetic_dataset(6, 3, 3, 40, 3.0, seed=1)
-        report, _ = total_loss(model, None, ds.inputs, ds.labels)
+        report, _, _ = total_loss(model, None, ds.inputs, ds.labels)
         assert report.total == report.task
         assert report.lb == 0.0 and report.eesd == 0.0
 
@@ -98,7 +99,7 @@ class TestTotalLoss:
         model = make_dense_model(6, 8, 2, 4, seed=2)
         model.head[...] = 0.0
         ds = make_synthetic_dataset(6, 4, 4, 30, 3.0, seed=3)
-        report, _ = total_loss(model, None, ds.inputs, ds.labels)
+        report, _, _ = total_loss(model, None, ds.inputs, ds.labels)
         assert abs(report.task - math.log(4)) < 1e-10
 
     def test_lb_included_for_moe(self):
@@ -106,7 +107,7 @@ class TestTotalLoss:
         moe, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
                                   capacity_factor=2.0, seed=5)
         ds = make_synthetic_dataset(6, 3, 3, 40, 3.0, seed=6)
-        report, _ = total_loss(moe, None, ds.inputs, ds.labels, lambda_lb=0.01)
+        report, _, _ = total_loss(moe, None, ds.inputs, ds.labels, lambda_lb=0.01)
         assert report.lb > 0.0
         assert abs(report.total - (report.task + 0.01 * report.lb)) < 1e-15
 
@@ -116,7 +117,7 @@ class TestTotalLoss:
                                   capacity_factor=1e9, seed=8)
         teacher = make_model_teacher(moe, beta=0.999)
         ds = make_synthetic_dataset(6, 3, 3, 30, 3.0, seed=9)
-        report, _ = total_loss(moe, teacher, ds.inputs, ds.labels, lambda_eesd=1.0)
+        report, _, _ = total_loss(moe, teacher, ds.inputs, ds.labels, lambda_eesd=1.0)
         assert report.eesd < 1e-10
 
 
@@ -128,8 +129,7 @@ class TestTrainStep:
         teacher = make_model_teacher(moe, beta=0.5)
         ds = make_synthetic_dataset(6, 3, 3, 20, 3.0, seed=12)
         before = {name: arr.copy() for name, arr in named_params(moe)}
-        _, teacher, _ = train_step(moe, teacher, ds.inputs, ds.labels, lr=0.0,
-                                   lambda_lb=0.01)
+        train_step(moe, teacher, ds.inputs, ds.labels, lr=0.0, lambda_lb=0.01)
         for name, arr in named_params(moe):
             assert np.array_equal(arr, before[name]), name
         assert all(t.step_count == 1 for t in teacher.sites.values())
@@ -143,7 +143,7 @@ class TestTrainStep:
         )
         x = np.array([[1.0]])
         labels = np.array([0])
-        report, grads = total_loss(model, None, x, labels)
+        report, grads, _ = total_loss(model, None, x, labels)
         p = np.exp(model.head @ x)
         p /= p.sum()
         expected_grad = np.array([[p[0, 0] - 1.0], [p[1, 0]]])
@@ -255,6 +255,30 @@ class TestGradCheck:
         result = grad_check(model, None, x, np.array([1]), samples_per_tensor=4)
         assert result["skipped"] == 2
         assert result["max_rel_error"] < 1e-5
+
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
+    def test_one_base_forward_pass(self, moe, monkeypatch):
+        # One base pass (inside total_loss), then a +-eps pair per sampled
+        # student entry, checked or skipped, and per sampled teacher entry.
+        model = make_dense_model(6, 10, 2, 3, seed=34)
+        teacher = None
+        if moe:
+            model, _, _ = upcycle_model(model, "sparse", n_experts=4, k=2,
+                                        capacity_factor=1.5, seed=35)
+            teacher = make_model_teacher(model, beta=0.999)
+        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=36)
+        calls = []
+        forward = train.model_forward
+        monkeypatch.setattr(train, "model_forward",
+                            lambda *a, **k: calls.append(1) or forward(*a, **k))
+        result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
+                            lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
+        teacher_samples = 0 if teacher is None else sum(
+            min(5, arr.size) for t in teacher.sites.values()
+            for _, arr in block_params(t.mirror)
+        )
+        expected = 1 + 2 * (result["checked"] + result["skipped"]) + 2 * teacher_samples
+        assert len(calls) == expected
 
     def test_epsilon_bounds(self):
         model = make_dense_model(4, 6, 1, 2, seed=38)
