@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import InsufficientTokens, ZeroWeights
 from .linalg import Array, as_matrix, pseudoinverse
 from .moe import MoeLayer, RoutingRecord, block_params
@@ -188,14 +189,14 @@ def analysis_csv_rows(report: AnalysisReport) -> list[tuple]:
 
 
 def write_analysis_csv(report: AnalysisReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ANALYSIS_CSV_COLUMNS)
         writer.writerows(analysis_csv_rows(report))
 
 
 def write_analysis_json(report: AnalysisReport, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -203,7 +204,7 @@ def write_analysis_json(report: AnalysisReport, path) -> None:
 def write_routing_csv(records: dict[int, RoutingRecord], path) -> None:
     from .moe import routing_summary
 
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUTING_CSV_COLUMNS)
         for b in sorted(records):

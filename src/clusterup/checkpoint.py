@@ -47,6 +47,22 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **open_kwargs):
+    """``open`` a temporary file in ``path``'s directory that replaces ``path``
+    when the block exits normally, so a write that fails leaves any previous
+    file at ``path`` intact and no temporary file behind."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(
     path,
     tensors: dict[str, np.ndarray],
@@ -58,9 +74,8 @@ def save_checkpoint(
     """Write tensors (cast to float32) with their manifest to ``path``.
 
     Tensor order follows the dict's insertion order and is preserved in the
-    manifest, so identical inputs always produce identical bytes. The bytes go
-    to a temporary file in the same directory that then replaces ``path``, so
-    a write that fails leaves any previous checkpoint there intact.
+    manifest, so identical inputs always produce identical bytes. The write
+    goes through ``atomic_open``.
     """
     entries = []
     blobs = []
@@ -83,19 +98,12 @@ def save_checkpoint(
         "extra": extra or {},
     }
     payload = _canonical_json(manifest)
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<Q", len(payload)))
+        fh.write(payload)
+        for blob in blobs:
+            fh.write(blob)
 
 
 def _check_tensor_table(entries, blob_bytes: int, path) -> None:

@@ -34,10 +34,10 @@ from .analysis import (
     write_analysis_json,
     write_routing_csv,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import INIT_METHODS, PipelineConfig
 from .distill import EmaTeacher
-from .errors import CheckpointError, ClusterUpError
+from .errors import CheckpointError, ClusterUpError, ShapeMismatch
 from .moe import block_from_tensors, block_params, block_structure
 from .seeding import derive_seed
 from . import train  # so run_analyze looks up train.model_forward at call time
@@ -103,6 +103,8 @@ def model_from_tensors(structure: dict, tensors: dict[str, np.ndarray]) -> ToyMo
         return ToyModel(input_dim=structure["input_dim"], blocks=blocks, head=tensors["head"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc}") from None
+    except ShapeMismatch as exc:
+        raise CheckpointError(f"inconsistent model shapes: {exc}") from None
     except TypeError as exc:  # e.g. ``blocks`` is not a list
         raise CheckpointError(f"invalid model structure: {exc}") from None
 
@@ -217,8 +219,7 @@ def upcycle(cfg: PipelineConfig, dense: ToyModel, method: str, bank: ActivationB
         n_experts=cfg.moe.n_experts, k=cfg.moe.k,
         capacity_factor=cfg.moe.capacity_train,
         seed=derive_seed(cfg.root_seed, f"upcycle:{method}"),
-        bank=bank, ratio=cfg.init.ratio, fraction=cfg.init.fraction,
-        tau=cfg.init.tau, router_scale=cfg.init.router_scale,
+        bank=bank, init=cfg.init,
     )
 
 
@@ -279,13 +280,13 @@ def _seeds_dict(cfg: PipelineConfig) -> dict:
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -407,8 +408,7 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
         dense_model, "sparse",
         n_experts=cfg.moe.n_experts, k=cfg.moe.k,
         capacity_factor=cfg.moe.capacity_train,
-        seed=derive_seed(cfg.root_seed, "gradcheck_upcycle"),
-        router_scale=cfg.init.router_scale,
+        seed=derive_seed(cfg.root_seed, "gradcheck_upcycle"), init=cfg.init,
     )
     teacher = make_model_teacher(moe_model, cfg.train.beta)
     # Give the teacher its own parameter values so the distillation term is live.
@@ -457,7 +457,7 @@ def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False) -> Path:
     for offset in range(n_seeds):
         rows += _compare_seed(cfg, cfg.root_seed + offset, INIT_METHODS, eesd)
     path = out_dir(cfg) / "compare.csv"
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)

@@ -53,7 +53,7 @@ class ToyModel:
                 raise ShapeMismatch(
                     f"block {b} operates on dim {block.d}, model dim is {self.input_dim}"
                 )
-        if self.head.shape[1] != self.input_dim:
+        if self.head.ndim != 2 or self.head.shape[1] != self.input_dim:
             raise ShapeMismatch(f"head shape {self.head.shape} != (*, {self.input_dim})")
 
     @property

@@ -2,7 +2,8 @@
 
 Four ways to turn one pretrained FFN into an MoE layer:
 
-* ``sparse_init``: every expert is a copy, router is random gaussian.
+* ``sparse_init``: every expert is a copy, router is random gaussian
+  (sparse upcycling, arXiv:2212.05055).
 * ``drop_init``: copies, then a random fraction of intermediate channels per
   expert is resampled from per-tensor gaussian statistics.
 * ``drop_svd_init``: copies, then the lowest-energy singular directions of the
@@ -11,20 +12,34 @@ Four ways to turn one pretrained FFN into an MoE layer:
   each expert's first linear layer is rebuilt from a whitened truncated SVD of
   its cluster, and the router rows are the cluster centroids.
 
+Every initializer has one signature,
+``init_fn(dense, n_experts, seed, init, bank_site=None)
+-> (experts, router, report, cluster_model | None)``: it reads its knobs from
+the ``InitConfig`` ``init``, only the cluster method reads the site's
+calibration activations ``bank_site``, and each builds its own ``InitReport``.
+``INITIALIZERS`` maps each ``config.INIT_METHODS`` name to
+``(init_fn, seed_stream)``. ``upcycle_model(dense, method, *, n_experts, k,
+capacity_factor, seed, bank=None, init=InitConfig())`` runs one loop over the
+sites: it seeds site ``b`` with
+``derive_seed(derive_seed(seed, f"site:{b}"), seed_stream)``, calls the table
+entry, and wraps the experts and router in an ``MoeLayer``.
+
 Only the first linear layer is ever reshaped; biases and the second linear
 layer are copied verbatim in every strategy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .clustering import ClusterModel, normalize_rows, spherical_kmeans
-from .config import INIT_METHODS
+from .config import InitConfig
 from .errors import EmptyCalibration, InsufficientData, NotPositiveDefinite
 from .linalg import (
     Array,
@@ -87,30 +102,10 @@ def capture_activations(
 # whitening
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Escalation schedule for regularizing rank-deficient Gram matrices.
-
-    Jitter values are ``scale * trace(gram) / d`` with scale stepping from
-    ``initial_scale`` by factors of ``growth`` up to ``max_scale``; plain
-    factorization (zero jitter) is always tried first.
-    """
-
-    initial_scale: float = 1e-8
-    growth: float = 10.0
-    max_scale: float = 1e-2
-
-    def jitters(self, gram: Array) -> list[float]:
-        d = gram.shape[0]
-        base = float(np.trace(gram)) / d
-        if base <= 0.0:
-            base = 1.0
-        out = [0.0]
-        scale = self.initial_scale
-        while scale <= self.max_scale * (1 + 1e-12):
-            out.append(scale * base)
-            scale *= self.growth
-        return out
+# Jitter scales tried after plain factorization, as fractions of trace(G)/d:
+# 1e-8 stepping by factors of 10 up to 1e-2. Built by repeated multiplication,
+# so each is the float that ``scale *= 10`` from 1e-8 produces.
+_JITTER_SCALES = tuple(itertools.accumulate([1e-8] + [10.0] * 6, operator.mul))
 
 
 @dataclass
@@ -121,22 +116,28 @@ class WhiteningFactor:
     jitter_used: float
 
 
-def whitening_matrix(x_cluster, jitter_policy: JitterPolicy | None = None) -> WhiteningFactor:
-    """Cholesky factor of a cluster's Gram matrix, with jitter escalation."""
+def whitening_matrix(x_cluster) -> WhiteningFactor:
+    """Cholesky factor of a cluster's Gram matrix G.
+
+    Tries zero jitter first, then ``scale * trace(G) / d`` for each of
+    ``_JITTER_SCALES`` (``trace(G) / d`` taken as 1 if not positive).
+    """
     x = as_matrix(x_cluster, "x_cluster")
     if x.shape[1] < 1:
         raise ValueError("cluster must contain at least one token")
-    policy = jitter_policy or JitterPolicy()
     gram = x @ x.T
     gram = 0.5 * (gram + gram.T)
+    base = float(np.trace(gram)) / x.shape[0]
+    if base <= 0.0:
+        base = 1.0
     last_exc = None
-    for jitter in policy.jitters(gram):
+    for jitter in [0.0] + [scale * base for scale in _JITTER_SCALES]:
         try:
             return WhiteningFactor(s=cholesky_lower(gram, jitter), jitter_used=jitter)
         except NotPositiveDefinite as exc:
             last_exc = exc
     raise NotPositiveDefinite(
-        f"Gram matrix not factorizable up to jitter scale {policy.max_scale:g}"
+        f"Gram matrix not factorizable up to jitter scale {_JITTER_SCALES[-1]:g}"
     ) from last_exc
 
 
@@ -174,48 +175,43 @@ class InitReport:
         }
 
 
+# What every initializer returns: (experts, router, report, cluster model or None).
+InitResult = tuple[list[DenseFfn], Array, InitReport, ClusterModel | None]
+
+
 def _random_router(n_experts: int, d: int, seed: int, scale: float) -> Array:
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, size=(n_experts, d))
 
 
-def _full_rank(ffn: DenseFfn) -> int:
-    return min(ffn.h, ffn.d)
+def _copy_report(method: str, dense: DenseFfn, n_experts: int) -> InitReport:
+    """Full rank and no truncation loss: the first layer is not truncated."""
+    return InitReport(
+        method=method,
+        per_expert_rank=[min(dense.h, dense.d)] * n_experts,
+        per_expert_truncation_loss=[0.0] * n_experts,
+        joint_objective=None,
+        gamma=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
 # baseline initializers
 # ---------------------------------------------------------------------------
 
-def sparse_init(
-    dense: DenseFfn,
-    n_experts: int,
-    router_seed: int,
-    router_scale: float = 0.02,
-    k: int = 1,
-    capacity_factor: float = 1.5,
-) -> MoeLayer:
-    """All experts are bit-identical copies; the router is random gaussian."""
-    if n_experts < 1:
-        raise ValueError(f"n_experts must be >= 1, got {n_experts}")
-    return MoeLayer(
-        experts=[dense.copy() for _ in range(n_experts)],
-        router=_random_router(n_experts, dense.d, router_seed, router_scale),
-        k=k,
-        capacity_factor=capacity_factor,
-    )
+def sparse_init(dense: DenseFfn, n_experts: int, seed: int, init: InitConfig,
+                bank_site=None) -> InitResult:
+    """All experts are bit-identical copies; the router is random gaussian
+    with std ``init.router_scale``, drawn from ``seed`` itself."""
+    experts = [dense.copy() for _ in range(n_experts)]
+    router = _random_router(n_experts, dense.d, seed, init.router_scale)
+    return experts, router, _copy_report("sparse", dense, n_experts), None
 
 
-def drop_init(
-    dense: DenseFfn,
-    n_experts: int,
-    ratio: float,
-    seed: int,
-    router_scale: float = 0.02,
-    k: int = 1,
-    capacity_factor: float = 1.5,
-) -> MoeLayer:
-    """Resample a random fraction of intermediate channels per expert.
+def drop_init(dense: DenseFfn, n_experts: int, seed: int, init: InitConfig,
+              bank_site=None) -> InitResult:
+    """Resample a random fraction ``init.ratio`` of intermediate channels per
+    expert.
 
     Each expert draws its own channel subset of size floor(ratio * h); the
     matching first-layer rows, first biases, and second-layer columns are
@@ -223,6 +219,7 @@ def drop_init(
     replace. The channel set is shared across the three tensors so the
     perturbation stays channel-coherent.
     """
+    ratio = init.ratio
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
     h = dense.h
@@ -242,12 +239,8 @@ def drop_init(
             expert.b1[channels] = rng.normal(*stats["b1"], size=n_drop)
             expert.w2[:, channels] = rng.normal(*stats["w2"], size=(dense.d, n_drop))
         experts.append(expert)
-    return MoeLayer(
-        experts=experts,
-        router=_random_router(n_experts, dense.d, derive_seed(seed, "router"), router_scale),
-        k=k,
-        capacity_factor=capacity_factor,
-    )
+    router = _random_router(n_experts, dense.d, derive_seed(seed, "router"), init.router_scale)
+    return experts, router, _copy_report("drop", dense, n_experts), None
 
 
 def _orthonormal_complement(
@@ -263,21 +256,17 @@ def _orthonormal_complement(
     return q * signs[None, :]
 
 
-def drop_svd_init(
-    dense: DenseFfn,
-    n_experts: int,
-    fraction: float,
-    seed: int,
-    router_scale: float = 0.02,
-    k: int = 1,
-    capacity_factor: float = 1.5,
-) -> MoeLayer:
+def drop_svd_init(dense: DenseFfn, n_experts: int, seed: int, init: InitConfig,
+                  bank_site=None) -> InitResult:
     """Replace the lowest-energy singular directions of w1 per expert.
 
-    The top ceil((1 - fraction) * r) singular triplets are kept; the remaining
-    directions are redrawn as random orthonormal vectors orthogonal to the
-    kept ones (fresh per expert), reusing the discarded singular values.
+    The top ceil((1 - init.fraction) * r) singular triplets are kept; the
+    remaining directions are redrawn as random orthonormal vectors orthogonal
+    to the kept ones (fresh per expert), reusing the discarded singular
+    values. The report's truncation loss is the discarded energy
+    ``sum(sigma[n_keep:] ** 2)``.
     """
+    fraction = init.fraction
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {fraction}")
     factors = svd_full(dense.w1)
@@ -298,12 +287,15 @@ def drop_svd_init(
         else:
             expert.w1 = (factors.u * factors.sigma) @ factors.v_t
         experts.append(expert)
-    return MoeLayer(
-        experts=experts,
-        router=_random_router(n_experts, dense.d, derive_seed(seed, "router"), router_scale),
-        k=k,
-        capacity_factor=capacity_factor,
+    router = _random_router(n_experts, dense.d, derive_seed(seed, "router"), init.router_scale)
+    report = InitReport(
+        method="drop_svd",
+        per_expert_rank=[n_keep] * n_experts,
+        per_expert_truncation_loss=[float(np.sum(factors.sigma[n_keep:] ** 2))] * n_experts,
+        joint_objective=None,
+        gamma=0.0,
     )
+    return experts, router, report, None
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +340,23 @@ def _recovered_centroids(
     return centroids
 
 
-def cluster_aware_init(
-    dense: DenseFfn,
-    bank_site,
-    n_experts: int,
-    tau: float = 0.95,
-    seed: int = 0,
-    k: int = 1,
-    capacity_factor: float = 1.5,
-    jitter_policy: JitterPolicy | None = None,
-    max_iters: int = 100,
-) -> tuple[MoeLayer, ClusterModel, InitReport]:
-    """Initialize experts from the activation clusters they will serve.
+def cluster_aware_init(dense: DenseFfn, n_experts: int, seed: int, init: InitConfig,
+                       bank_site=None) -> InitResult:
+    """Initialize experts from the calibration clusters ``bank_site`` (d x M)
+    they will serve.
 
     Pipeline per site: normalize the calibration columns, reduce to ceil(d/8)
     dimensions with PCA (at least 2), run spherical k-means there, then refine
     assignments in the original space so they are consistent with the
     recovered unit centroids. Per cluster i the first linear layer is rebuilt
     as ``T_r(svd(w1 @ S_i)) @ inv(S_i)`` where S_i is the Cholesky whitening
-    factor of the cluster Gram and r keeps a ``tau`` fraction of spectral
-    energy (with the half-rank floor). The router rows are the centroids.
+    factor of the cluster Gram and r keeps an ``init.tau`` fraction of
+    spectral energy (with the half-rank floor). The router rows are the
+    centroids.
     """
+    if bank_site is None:
+        raise ValueError("cluster-aware init needs the site's calibration activations")
+    tau = init.tau
     x = as_matrix(bank_site, "bank_site")
     d, n_tokens = x.shape
     if d != dense.d:
@@ -384,17 +372,15 @@ def cluster_aware_init(
     target_dim = min(d, max(2, math.ceil(d / 8)))
     projection, projected = pca_fit_transform(x_norm, target_dim)
     projected_norm = normalize_rows(projected.T)[0].T
-    reduced = spherical_kmeans(projected_norm, n_experts, max_iters, seed)
+    reduced = spherical_kmeans(projected_norm, n_experts, seed=seed)
     warm = _recovered_centroids(x_norm, reduced.assignments, n_experts)
-    refined = spherical_kmeans(
-        x_norm, n_experts, max_iters, seed, init_centroids=warm
-    )
+    refined = spherical_kmeans(x_norm, n_experts, seed=seed, init_centroids=warm)
     clusters_raw = [x[:, refined.assignments == i] for i in range(n_experts)]
 
     experts = []
     ranks, losses, jitters = [], [], []
     for i in range(n_experts):
-        factor = whitening_matrix(clusters_raw[i], jitter_policy)
+        factor = whitening_matrix(clusters_raw[i])
         whitened = dense.w1 @ factor.s
         svd = svd_full(whitened)
         profile = effective_rank(svd.sigma, tau, svd.sigma.size)
@@ -416,12 +402,6 @@ def cluster_aware_init(
     joint = joint_objective_eval(
         [e.w1 for e in experts], dense.w1, clusters_raw, gamma
     )
-    layer = MoeLayer(
-        experts=experts,
-        router=refined.centroids.copy(),
-        k=k,
-        capacity_factor=capacity_factor,
-    )
     model = ClusterModel(
         centroids=refined.centroids,
         assignments=refined.assignments,
@@ -437,12 +417,21 @@ def cluster_aware_init(
         gamma=gamma,
         per_expert_jitter=jitters,
     )
-    return layer, model, report
+    return experts, refined.centroids.copy(), report, model
 
 
 # ---------------------------------------------------------------------------
 # model-level upcycling
 # ---------------------------------------------------------------------------
+
+# method -> (initializer, seed stream under ``site:{b}``), in INIT_METHODS order.
+INITIALIZERS = {
+    "sparse": (sparse_init, "router"),
+    "drop": (drop_init, "drop"),
+    "drop_svd": (drop_svd_init, "drop_svd"),
+    "cluster": (cluster_aware_init, "clustering"),
+}
+
 
 def upcycle_model(
     dense_model: ToyModel,
@@ -453,10 +442,7 @@ def upcycle_model(
     capacity_factor: float,
     seed: int,
     bank: ActivationBank | None = None,
-    ratio: float = 0.5,
-    fraction: float = 0.25,
-    tau: float = 0.95,
-    router_scale: float = 0.02,
+    init: InitConfig = InitConfig(),
 ) -> tuple[ToyModel, dict[int, InitReport], dict[int, ClusterModel]]:
     """Replace every other FFN block (indices 1, 3, ...) with an MoE layer.
 
@@ -464,67 +450,24 @@ def upcycle_model(
     the new model plus per-site init reports and cluster models (the latter
     only for the cluster method).
     """
-    if method not in INIT_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {INIT_METHODS}")
-    sites = default_moe_sites(len(dense_model.blocks))
+    if method not in INITIALIZERS:
+        raise ValueError(f"unknown method {method!r}, expected one of {tuple(INITIALIZERS)}")
+    init_fn, stream = INITIALIZERS[method]
     model = dense_model.copy()
     reports: dict[int, InitReport] = {}
     cluster_models: dict[int, ClusterModel] = {}
-    for b in sites:
-        dense_ffn = model.blocks[b]
-        site_seed = derive_seed(seed, f"site:{b}")
-        if method == "sparse":
-            layer = sparse_init(
-                dense_ffn, n_experts, derive_seed(site_seed, "router"),
-                router_scale, k=k, capacity_factor=capacity_factor,
-            )
-            reports[b] = _copy_report("sparse", dense_ffn, n_experts)
-        elif method == "drop":
-            layer = drop_init(
-                dense_ffn, n_experts, ratio, derive_seed(site_seed, "drop"),
-                router_scale, k=k, capacity_factor=capacity_factor,
-            )
-            reports[b] = _copy_report("drop", dense_ffn, n_experts)
-        elif method == "drop_svd":
-            layer = drop_svd_init(
-                dense_ffn, n_experts, fraction, derive_seed(site_seed, "drop_svd"),
-                router_scale, k=k, capacity_factor=capacity_factor,
-            )
-            full = _full_rank(dense_ffn)
-            kept = int(math.ceil((1.0 - fraction) * full))
-            sigma = svd_full(dense_ffn.w1).sigma
-            reports[b] = InitReport(
-                method="drop_svd",
-                per_expert_rank=[kept] * n_experts,
-                per_expert_truncation_loss=[float(np.sum(sigma[kept:] ** 2))] * n_experts,
-                joint_objective=None,
-                gamma=0.0,
-            )
-        else:
-            if bank is None or b not in bank.per_site:
-                raise ValueError(f"cluster method needs calibration activations for site {b}")
-            layer, cluster_model, report = cluster_aware_init(
-                dense_ffn, bank.per_site[b], n_experts, tau,
-                derive_seed(site_seed, "clustering"),
-                k=k, capacity_factor=capacity_factor,
-            )
-            reports[b] = report
+    for b in default_moe_sites(len(model.blocks)):
+        bank_site = bank.per_site.get(b) if bank is not None else None
+        experts, router, reports[b], cluster_model = init_fn(
+            model.blocks[b], n_experts, derive_seed(derive_seed(seed, f"site:{b}"), stream),
+            init, bank_site,
+        )
+        if cluster_model is not None:
             cluster_models[b] = cluster_model
-        model.blocks[b] = layer
+        model.blocks[b] = MoeLayer(experts, router, k, capacity_factor)
     return model, reports, cluster_models
 
 
 def default_moe_sites(n_blocks: int) -> list[int]:
     """Every other block, starting from the second."""
     return list(range(1, n_blocks, 2))
-
-
-def _copy_report(method: str, dense: DenseFfn, n_experts: int) -> InitReport:
-    full = _full_rank(dense)
-    return InitReport(
-        method=method,
-        per_expert_rank=[full] * n_experts,
-        per_expert_truncation_loss=[0.0] * n_experts,
-        joint_objective=None,
-        gamma=0.0,
-    )

@@ -14,7 +14,7 @@ from clusterup.analysis import (
     routing_entropy,
 )
 from clusterup.clustering import spherical_kmeans
-from clusterup.config import PipelineConfig
+from clusterup.config import InitConfig, PipelineConfig
 from clusterup.distill import ema_update, make_teacher
 from clusterup.linalg import frobenius_sq
 from clusterup.moe import (
@@ -92,13 +92,13 @@ def test_criterion_1_truncation_identity():
         cols = [dirs[c][:, None] + 0.3 * rng.standard_normal((d, 2 * d + 3))
                 for c in range(n_clusters)]
         x = np.concatenate(cols, axis=1)
-        layer, cm, rep = cluster_aware_init(dense, x, n_clusters, tau=tau,
-                                            seed=trial)
+        experts, _, rep, cm = cluster_aware_init(dense, n_clusters, trial,
+                                                 InitConfig(tau=tau), x)
         for i in range(n_clusters):
             xi = x[:, cm.assignments == i]
             if xi.shape[1] == 0:
                 continue
-            lhs = frobenius_sq(dense.w1 @ xi - layer.experts[i].w1 @ xi)
+            lhs = frobenius_sq(dense.w1 @ xi - experts[i].w1 @ xi)
             rhs = rep.per_expert_truncation_loss[i]
             whitened_energy = frobenius_sq(dense.w1 @ xi) + rhs + 1e-12
             worst = max(worst, abs(lhs - rhs) / whitened_energy)
@@ -146,7 +146,7 @@ def test_criterion_3_symmetry_breaking():
                                  capacity_factor=1.5, seed=derive_seed(0, "u:s"))
     cluster, _, _ = upcycle_model(dense, "cluster", n_experts=8, k=2,
                                   capacity_factor=1.5, seed=derive_seed(0, "u:c"),
-                                  bank=bank, tau=cfg.init.tau)
+                                  bank=bank, init=cfg.init)
     sparse_sims = [mean_offdiagonal(expert_weight_similarity(sparse.blocks[b]))
                    for b in sparse.moe_sites]
     cluster_sims = [mean_offdiagonal(expert_weight_similarity(cluster.blocks[b]))
@@ -168,7 +168,7 @@ def test_criterion_4_routing_entropy_gap():
         _, dense, bank = pretrained_pipeline(seed, cfg)
         cluster, _, _ = upcycle_model(
             dense, "cluster", n_experts=8, k=2, capacity_factor=1.5,
-            seed=derive_seed(seed, "u:c"), bank=bank, tau=cfg.init.tau,
+            seed=derive_seed(seed, "u:c"), bank=bank, init=cfg.init,
         )
         rng = np.random.default_rng(derive_seed(seed, "gaussian_router"))
         ok = True

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from clusterup import checkpoint
+from clusterup import checkpoint, pipeline
 from clusterup.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -20,7 +20,7 @@ from clusterup.pipeline import (
     model_structure,
     save_model_checkpoint,
 )
-from clusterup.config import PipelineConfig
+from clusterup.config import PipelineConfig, config_from_dict
 from clusterup.train import make_dense_model, make_model_teacher, named_params
 from clusterup.upcycle import upcycle_model
 
@@ -33,6 +33,34 @@ def _container(manifest, blob=b""):
     """Raw checkpoint bytes around an arbitrary manifest and blob."""
     payload = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
     return b"CKP1" + struct.pack("<Q", len(payload)) + payload + blob
+
+
+class DiskFull:
+    """A file whose writes store one byte, then fail like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:1])
+        raise OSError(28, "No space left on device")
+
+
+def fill_disk(monkeypatch, prefix=""):
+    """Make writes to files whose names start with ``prefix`` fail."""
+    real_open = open
+
+    def fake_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return DiskFull(fh) if os.path.basename(file).startswith(prefix) else fh
+
+    monkeypatch.setattr(checkpoint, "open", fake_open, raising=False)
 
 
 def _manifest(tensors):
@@ -121,29 +149,38 @@ class TestContainer:
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, {"a": np.ones(4)}, config={}, seeds={})
         before = path.read_bytes()
-
-        class DiskFull:
-            # Writes one byte of the first chunk, then fails like a full disk.
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:1])
-                raise OSError(28, "No space left on device")
-
-        real_open = open
-        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(real_open(*a, **k)),
-                            raising=False)
+        fill_disk(monkeypatch)
         with pytest.raises(OSError):
             save_checkpoint(path, {"a": np.zeros(4)}, config={}, seeds={})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["c.ckpt"]
+
+    @pytest.mark.parametrize("name", ["init_report_sparse.json", "compare.csv"])
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch, name):
+        cfg = config_from_dict({
+            "model": {"d": 4, "h": 6, "blocks": 2, "n_classes": 2},
+            "data": {"n": 64, "n_eval": 32, "n_clusters": 2},
+            "moe": {"n_experts": 2, "k": 1},
+            "train": {"steps_dense": 2},
+            "output_dir": str(tmp_path),
+        })
+        if name == "compare.csv":
+            # Canned rows, one per root seed, stand in for the experiments.
+            monkeypatch.setattr(pipeline, "_compare_seed", lambda cfg, seed, methods, eesd:
+                                [dict.fromkeys(pipeline.COMPARE_COLUMNS, seed)])
+            write = lambda: pipeline.run_compare(cfg, n_seeds=2)
+        else:
+            pipeline.run_train_dense(cfg)
+            write = lambda: pipeline.run_upcycle(cfg, "sparse")
+        write()
+        path = tmp_path / name
+        before = path.read_bytes()
+        listing = sorted(os.listdir(tmp_path))
+        fill_disk(monkeypatch, prefix=name)
+        with pytest.raises(OSError):
+            write()
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
 
 
 class TestModelSerialization:

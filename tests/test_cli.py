@@ -304,7 +304,10 @@ class TestErrors:
         ("bank.ckpt",
          lambda tensors, extra: tensors.update({"siteX.activations": tensors.popitem()[1]}),
          ("upcycle", "--method", "cluster")),
-    ], ids=["teacher-without-beta", "step-counts-list", "blocks-int", "bank-site-name"])
+        ("moe_cluster_trained.ckpt",
+         lambda tensors, extra: tensors.update(head=tensors["head"][0]), ("analyze",)),
+    ], ids=["teacher-without-beta", "step-counts-list", "blocks-int", "bank-site-name",
+            "head-1d"])
     def test_malformed_metadata_reports_json(self, trained_workspace, capsys,
                                              name, mutate, argv):
         cfg_path, out = trained_workspace

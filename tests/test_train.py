@@ -223,7 +223,7 @@ class TestGradCheck:
     def test_moe_with_lb(self):
         dense = make_dense_model(6, 10, 2, 3, seed=30)
         moe, _, _ = upcycle_model(dense, "drop", n_experts=4, k=2,
-                                  capacity_factor=1.5, seed=31, ratio=0.5)
+                                  capacity_factor=1.5, seed=31)
         ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=32)
         result = grad_check(moe, None, ds.inputs, ds.labels,
                             lambda_lb=0.01, samples_per_tensor=30, seed=33)

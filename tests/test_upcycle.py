@@ -1,15 +1,22 @@
 """Tests for the four initialization strategies and calibration capture."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from clusterup import upcycle
 
 from clusterup.analysis import expert_weight_similarity, mean_offdiagonal
 from clusterup.clustering import assign_cluster
 from clusterup.errors import EmptyCalibration, InsufficientData
-from clusterup.linalg import frobenius_sq
-from clusterup.moe import DenseFfn, ffn_forward, moe_forward, router_probs
+from clusterup.linalg import frobenius_sq, svd_full
+from clusterup.config import INIT_METHODS, InitConfig
+from clusterup.moe import DenseFfn, MoeLayer, ffn_forward, moe_forward, router_probs
 from clusterup.train import make_dense_model, make_synthetic_dataset, model_forward
 from clusterup.upcycle import (
+    INITIALIZERS,
     capture_activations,
     cluster_aware_init,
     drop_init,
@@ -30,6 +37,11 @@ def random_ffn(rng, d=8, h=12):
     )
 
 
+def as_layer(experts, router, report, cluster_model, k=1, capacity_factor=1.5):
+    """An initializer's result as (MoE layer, cluster model, report)."""
+    return MoeLayer(experts, router, k, capacity_factor), cluster_model, report
+
+
 def clustered_columns(rng, d, n_clusters, per_cluster, spread=0.1):
     """Well-separated unit-direction bundles in d dimensions."""
     dirs = np.linalg.qr(rng.standard_normal((d, n_clusters)))[0].T
@@ -45,7 +57,7 @@ class TestSparseInit:
     def test_experts_are_exact_copies(self):
         rng = np.random.default_rng(0)
         dense = random_ffn(rng)
-        layer = sparse_init(dense, 8, router_seed=1, k=2, capacity_factor=2.0)
+        layer, _, _ = as_layer(*sparse_init(dense, 8, 1, InitConfig()), k=2, capacity_factor=2.0)
         sim = expert_weight_similarity(layer)
         assert (sim == 1.0).all()
         for e in layer.experts:
@@ -54,16 +66,16 @@ class TestSparseInit:
     def test_forward_matches_dense(self):
         rng = np.random.default_rng(1)
         dense = random_ffn(rng)
-        layer = sparse_init(dense, 4, router_seed=2, k=2, capacity_factor=1e9)
+        layer, _, _ = as_layer(*sparse_init(dense, 4, 2, InitConfig()), k=2, capacity_factor=1e9)
         x = rng.standard_normal((8, 50))
         y, _ = moe_forward(layer, x)
         np.testing.assert_allclose(y, ffn_forward(dense, x), atol=1e-6)
 
     def test_router_deterministic_per_seed(self):
         dense = random_ffn(np.random.default_rng(2))
-        a = sparse_init(dense, 4, router_seed=7)
-        b = sparse_init(dense, 4, router_seed=7)
-        c = sparse_init(dense, 4, router_seed=8)
+        a, _, _ = as_layer(*sparse_init(dense, 4, 7, InitConfig()))
+        b, _, _ = as_layer(*sparse_init(dense, 4, 7, InitConfig()))
+        c, _, _ = as_layer(*sparse_init(dense, 4, 8, InitConfig()))
         assert np.array_equal(a.router, b.router)
         assert not np.array_equal(a.router, c.router)
 
@@ -71,7 +83,7 @@ class TestSparseInit:
 class TestDropInit:
     def test_ratio_zero_equals_sparse(self):
         dense = random_ffn(np.random.default_rng(3))
-        layer = drop_init(dense, 4, ratio=0.0, seed=5)
+        layer, _, _ = as_layer(*drop_init(dense, 4, 5, InitConfig(ratio=0.0)))
         for e in layer.experts:
             assert np.array_equal(e.w1, dense.w1)
             assert np.array_equal(e.b1, dense.b1)
@@ -80,7 +92,7 @@ class TestDropInit:
     def test_half_ratio_counts_rows(self):
         rng = np.random.default_rng(4)
         dense = random_ffn(rng, d=16, h=64)
-        layer = drop_init(dense, 4, ratio=0.5, seed=6)
+        layer, _, _ = as_layer(*drop_init(dense, 4, 6, InitConfig(ratio=0.5)))
         for e in layer.experts:
             differing = int((~np.isclose(e.w1, dense.w1).all(axis=1)).sum())
             assert differing == 32
@@ -94,7 +106,7 @@ class TestDropInit:
     def test_full_ratio_matches_moments(self):
         rng = np.random.default_rng(5)
         dense = random_ffn(rng, d=64, h=64)  # 4096 resampled entries
-        layer = drop_init(dense, 1, ratio=1.0, seed=7)
+        layer, _, _ = as_layer(*drop_init(dense, 1, 7, InitConfig(ratio=1.0)))
         resampled = layer.experts[0].w1
         n = resampled.size
         mean, std = dense.w1.mean(), dense.w1.std()
@@ -103,7 +115,7 @@ class TestDropInit:
 
     def test_experts_differ_pairwise(self):
         dense = random_ffn(np.random.default_rng(6))
-        layer = drop_init(dense, 4, ratio=0.5, seed=8)
+        layer, _, _ = as_layer(*drop_init(dense, 4, 8, InitConfig(ratio=0.5)))
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(layer.experts[i].w1, layer.experts[j].w1)
@@ -112,14 +124,14 @@ class TestDropInit:
 class TestDropSvdInit:
     def test_fraction_zero_is_roundtrip(self):
         dense = random_ffn(np.random.default_rng(7))
-        layer = drop_svd_init(dense, 3, fraction=0.0, seed=9)
+        layer, _, _ = as_layer(*drop_svd_init(dense, 3, 9, InitConfig(fraction=0.0)))
         for e in layer.experts:
             assert np.abs(e.w1 - dense.w1).max() < 1e-6
 
     def test_kept_subspace_projection_preserved(self):
         rng = np.random.default_rng(8)
         dense = random_ffn(rng, d=12, h=16)
-        layer = drop_svd_init(dense, 2, fraction=0.25, seed=10)
+        layer, _, _ = as_layer(*drop_svd_init(dense, 2, 10, InitConfig(fraction=0.25)))
         u, s, vt = np.linalg.svd(dense.w1, full_matrices=False)
         n_keep = int(np.ceil(0.75 * s.size))
         proj = u[:, :n_keep] @ u[:, :n_keep].T
@@ -129,7 +141,7 @@ class TestDropSvdInit:
     def test_experts_differ_but_share_top_subspace(self):
         rng = np.random.default_rng(9)
         dense = random_ffn(rng, d=12, h=16)
-        layer = drop_svd_init(dense, 2, fraction=0.25, seed=11)
+        layer, _, _ = as_layer(*drop_svd_init(dense, 2, 11, InitConfig(fraction=0.25)))
         a, b = layer.experts[0].w1, layer.experts[1].w1
         assert np.linalg.norm(a - b) > 1e-6
 
@@ -137,7 +149,7 @@ class TestDropSvdInit:
         # Replacement directions reuse the discarded singular values.
         rng = np.random.default_rng(10)
         dense = random_ffn(rng, d=10, h=14)
-        layer = drop_svd_init(dense, 1, fraction=0.5, seed=12)
+        layer, _, _ = as_layer(*drop_svd_init(dense, 1, 12, InitConfig(fraction=0.5)))
         s_dense = np.linalg.svd(dense.w1, compute_uv=False)
         s_new = np.linalg.svd(layer.experts[0].w1, compute_uv=False)
         np.testing.assert_allclose(np.sort(s_new), np.sort(s_dense), atol=1e-8)
@@ -173,7 +185,7 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(13)
         dense = random_ffn(rng, d=8, h=6)
         x, _ = clustered_columns(rng, 8, 4, 12)
-        layer, cm, report = cluster_aware_init(dense, x, 4, tau=1.0, seed=1)
+        layer, cm, report = as_layer(*cluster_aware_init(dense, 4, 1, InitConfig(tau=1.0), x))
         for i in range(4):
             xi = x[:, cm.assignments == i]
             gap = np.abs(dense.w1 @ xi - layer.experts[i].w1 @ xi).max()
@@ -183,7 +195,7 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(14)
         dense = random_ffn(rng, d=8, h=6)
         x, _ = clustered_columns(rng, 8, 4, 12)
-        layer, cm, report = cluster_aware_init(dense, x, 4, tau=0.9, seed=2)
+        layer, cm, report = as_layer(*cluster_aware_init(dense, 4, 2, InitConfig(tau=0.9), x))
         for i in range(4):
             xi = x[:, cm.assignments == i]
             lhs = frobenius_sq(dense.w1 @ xi - layer.experts[i].w1 @ xi)
@@ -202,7 +214,8 @@ class TestClusterAwareInit:
             tau = float(rng.uniform(0.6, 1.0))
             dense = random_ffn(rng, d=d, h=h)
             x, _ = clustered_columns(rng, d, n_clusters, per_cluster=2 * d, spread=0.3)
-            layer, cm, report = cluster_aware_init(dense, x, n_clusters, tau=tau, seed=trial)
+            layer, cm, report = as_layer(
+                *cluster_aware_init(dense, n_clusters, trial, InitConfig(tau=tau), x))
             sigma_sq_total = 0.0
             for i in range(n_clusters):
                 xi = x[:, cm.assignments == i]
@@ -217,7 +230,7 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(16)
         dense = random_ffn(rng, d=8, h=6)
         x, _ = clustered_columns(rng, 8, 4, 10)
-        layer, cm, _ = cluster_aware_init(dense, x, 4, seed=3)
+        layer, cm, _ = as_layer(*cluster_aware_init(dense, 4, 3, InitConfig(), x))
         assert np.array_equal(layer.router, cm.centroids)
         norms = np.linalg.norm(layer.router, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-8)
@@ -226,7 +239,7 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(17)
         dense = random_ffn(rng, d=8, h=6)
         x, _ = clustered_columns(rng, 8, 4, 10)
-        layer, cm, _ = cluster_aware_init(dense, x, 4, seed=4)
+        layer, cm, _ = as_layer(*cluster_aware_init(dense, 4, 4, InitConfig(), x))
         token = cm.centroids[2][:, None]
         probs = router_probs(layer.router, token)
         assert int(np.argmax(probs[0])) == 2
@@ -236,7 +249,7 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(18)
         dense = random_ffn(rng, d=8, h=6)
         x, _ = clustered_columns(rng, 8, 3, 15)
-        layer, _, _ = cluster_aware_init(dense, x, 3, seed=5)
+        layer, _, _ = as_layer(*cluster_aware_init(dense, 3, 5, InitConfig(), x))
         sim = expert_weight_similarity(layer, w1_only=True)
         assert mean_offdiagonal(sim) < 1 - 1e-3
 
@@ -245,7 +258,7 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(19)
         dense = random_ffn(rng, d=10, h=8)
         x, _ = clustered_columns(rng, 10, 4, 25, spread=0.05)
-        layer, cm, _ = cluster_aware_init(dense, x, 4, tau=0.8, seed=6)
+        layer, cm, _ = as_layer(*cluster_aware_init(dense, 4, 6, InitConfig(tau=0.8), x))
         for i in range(4):
             xi = x[:, cm.assignments == i]
             own = frobenius_sq(dense.w1 @ xi - layer.experts[i].w1 @ xi)
@@ -258,14 +271,58 @@ class TestClusterAwareInit:
         rng = np.random.default_rng(20)
         dense = random_ffn(rng, d=16, h=10)
         x, _ = clustered_columns(rng, 16, 4, 20)
-        _, cm, _ = cluster_aware_init(dense, x, 4, seed=7)
+        _, cm, _ = as_layer(*cluster_aware_init(dense, 4, 7, InitConfig(), x))
         assert cm.pca_projection is not None
         assert cm.pca_projection.shape == (2, 16)  # ceil(16 / 8) = 2
 
     def test_insufficient_data(self):
         dense = random_ffn(np.random.default_rng(21))
         with pytest.raises(InsufficientData):
-            cluster_aware_init(dense, np.ones((8, 2)), 4, seed=0)
+            cluster_aware_init(dense, 4, 0, InitConfig(), np.ones((8, 2)))
+
+
+@st.composite
+def whitening_cases(draw):
+    """An FFN plus calibration columns whose clusters may hold fewer tokens
+    than dimensions or span fewer dimensions than they have tokens."""
+    d = draw(st.integers(2, 8))
+    h = draw(st.integers(2, 10))
+    n_clusters = draw(st.integers(2, 4))
+    tau = draw(st.floats(0.3, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(n_clusters):
+        n_tokens = draw(st.integers(1, 2 * d))
+        span = draw(st.integers(1, d))  # < d makes the cluster rank deficient
+        basis = rng.standard_normal((d, span))
+        center = 3.0 * rng.standard_normal((d, 1))
+        cols.append(center + basis @ rng.standard_normal((span, n_tokens)))
+    x = np.concatenate(cols, axis=1)
+    n_experts = min(n_clusters, x.shape[1])
+    return random_ffn(rng, d=d, h=h), x, n_experts, tau
+
+
+class TestWhitenedTruncation:
+    @settings(max_examples=100, deadline=None)
+    @given(whitening_cases())
+    def test_loss_is_whitened_discarded_energy(self, case):
+        dense, x, n_experts, tau = case
+        d = x.shape[0]
+        experts, _, report, cm = cluster_aware_init(dense, n_experts, 0, InitConfig(tau=tau), x)
+        for i, expert in enumerate(experts):
+            xi = x[:, cm.assignments == i]
+            factor = whitening_matrix(xi)
+            assert factor.jitter_used == report.per_expert_jitter[i]
+            gram = xi @ xi.T
+            schedule = [1e-8 * 10.0 ** j * np.trace(gram) / d for j in range(7)]
+            assert factor.jitter_used == 0.0 or any(
+                math.isclose(factor.jitter_used, value, rel_tol=1e-9) for value in schedule)
+            target = gram + factor.jitter_used * np.eye(d)
+            assert (np.linalg.norm(factor.s @ factor.s.T - target)
+                    <= 1e-9 * np.linalg.norm(target))
+            lhs = frobenius_sq((dense.w1 - expert.w1) @ factor.s)
+            rhs = report.per_expert_truncation_loss[i]
+            assert abs(lhs - rhs) <= 1e-6 * max(rhs, 1e-6 * frobenius_sq(dense.w1 @ factor.s))
 
 
 class TestJointObjective:
@@ -366,3 +423,46 @@ class TestUpcycleModel:
             assert len(reports[b].per_expert_rank) == 4
             assert reports[b].joint_objective is not None
             assert abs(reports[b].gamma - 1 / 3) < 1e-12
+
+
+class TestInitializerContract:
+    def test_table_follows_init_methods(self):
+        assert tuple(INITIALIZERS) == INIT_METHODS
+
+    @pytest.mark.parametrize("method", ["sparse", "drop"])
+    def test_copy_methods_report_full_rank(self, method):
+        model = make_dense_model(8, 10, 4, 3, seed=14)
+        _, reports, cms = upcycle_model(
+            model, method, n_experts=4, k=2, capacity_factor=1.5, seed=15
+        )
+        assert cms == {}
+        for report in reports.values():
+            assert report.method == method
+            assert report.per_expert_rank == [8] * 4
+            assert report.per_expert_truncation_loss == [0.0] * 4
+
+    def test_drop_svd_reports_discarded_energy(self):
+        model = make_dense_model(8, 10, 4, 3, seed=16)
+        init = InitConfig(fraction=0.4)
+        _, reports, _ = upcycle_model(
+            model, "drop_svd", n_experts=4, k=2, capacity_factor=1.5, seed=17, init=init
+        )
+        for b, report in reports.items():
+            sigma = svd_full(model.blocks[b].w1).sigma
+            n_keep = math.ceil((1 - init.fraction) * sigma.size)
+            assert report.per_expert_rank == [n_keep] * 4
+            assert report.per_expert_truncation_loss == [float(np.sum(sigma[n_keep:] ** 2))] * 4
+
+    def test_drop_svd_decomposes_once_per_site(self, monkeypatch):
+        calls = []
+
+        def counting_svd(w):
+            calls.append(w.shape)
+            return svd_full(w)
+
+        monkeypatch.setattr(upcycle, "svd_full", counting_svd)
+        model = make_dense_model(8, 10, 4, 3, seed=18)
+        moe, _, _ = upcycle_model(
+            model, "drop_svd", n_experts=4, k=2, capacity_factor=1.5, seed=19
+        )
+        assert len(calls) == len(moe.moe_sites)
