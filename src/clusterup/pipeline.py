@@ -332,7 +332,11 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
     dense, _, _ = load_model_checkpoint(_require_artifact(dense_path(cfg), "train-dense"))
     bank = None
     if method == "cluster":
-        bank = load_bank(_require_artifact(bank_path(cfg), "capture"))
+        source = _require_artifact(bank_path(cfg), "capture")
+        bank = load_bank(source)
+        for b in default_moe_sites(len(dense.blocks)):
+            if b not in bank.per_site:
+                raise CheckpointError(f"{source} holds no activations for MoE site {b}")
     moe_model, reports, cluster_models = upcycle(cfg, dense, method, bank)
     cluster_tensors = {
         f"cluster.site{b}.{name}": np.asarray(getattr(cm, name), dtype=np.float64)

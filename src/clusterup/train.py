@@ -89,9 +89,18 @@ def make_dense_model(d: int, h: int, n_blocks: int, n_classes: int, seed: int) -
 
 def named_params(model: ToyModel):
     """Deterministic (name, array) walk over every trainable tensor."""
-    yield "head", model.head
+    for _, name, arr in _staged_params(model):
+        yield name, arr
+
+
+def _staged_params(model: ToyModel):
+    """``named_params`` with each tensor's first block: the index of the
+    first block whose output the tensor changes, ``len(model.blocks)`` for
+    the head, which no block reads."""
+    yield len(model.blocks), "head", model.head
     for b, block in enumerate(model.blocks):
-        yield from block_params(block, f"block{b}.")
+        for name, arr in block_params(block, f"block{b}."):
+            yield b, name, arr
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +278,34 @@ class ForwardState:
         }
 
 
-def model_forward(model: ToyModel, x, capacity_factor: float | None = None) -> ForwardState:
-    """Forward pass keeping every intermediate needed for backward."""
-    xm = as_matrix(x, "x")
-    if xm.shape[0] != model.input_dim:
-        raise ShapeMismatch(f"x has {xm.shape[0]} rows, model expects {model.input_dim}")
-    block_inputs, caches = [], []
-    cur = xm
-    for block in model.blocks:
+def model_forward(
+    model: ToyModel,
+    x,
+    capacity_factor: float | None = None,
+    *,
+    base: ForwardState | None = None,
+    start: int = 0,
+) -> ForwardState:
+    """Forward pass keeping every intermediate needed for backward.
+
+    With ``base``, a state of the same model on the same ``x``, the pass
+    resumes at block ``start``: blocks before it keep ``base``'s inputs and
+    caches, and blocks ``start``… run from ``base.block_inputs[start]`` (from
+    ``base.final`` when ``start`` is ``len(model.blocks)``, which recomputes
+    only the logits). When no tensor before block ``start`` changed since
+    ``base`` was computed, the result equals a full pass bit for bit.
+    """
+    if base is None:
+        if start:
+            raise ValueError("a pass can resume only from a base state")
+        xm = as_matrix(x, "x")
+        if xm.shape[0] != model.input_dim:
+            raise ShapeMismatch(f"x has {xm.shape[0]} rows, model expects {model.input_dim}")
+        block_inputs, caches, cur = [], [], xm
+    else:
+        block_inputs, caches = base.block_inputs[:start], base.caches[:start]
+        cur = base.block_inputs[start] if start < len(model.blocks) else base.final
+    for block in model.blocks[start:]:
         block_inputs.append(cur)
         if isinstance(block, MoeLayer):
             y, _, cache = moe_forward_cached(block, cur, capacity_factor)
@@ -512,11 +541,17 @@ def grad_check(
 
     Samples parameters per tensor and skips any whose perturbation flips a
     top-k selection, capacity decision or ReLU sign at either evaluation
-    point, since the objective is only piecewise smooth there. Teacher
-    predictions are frozen at their base values for every evaluation, matching
-    the stop-gradient semantics of the distillation term, so teacher-parameter
-    quotients are exactly zero. Returns a dict with max_rel_error, per_tensor
-    errors, checked/skipped counts, and teacher_max_quotient.
+    point, since the objective is only piecewise smooth there. Each +-eps
+    pass resumes from the base forward pass at the first block the perturbed
+    tensor feeds (``model_forward``'s ``base``/``start``), so a head entry
+    recomputes only the logits; the states equal full passes bit for bit.
+    Teacher predictions are frozen at their base values for every evaluation,
+    matching the stop-gradient semantics of the distillation term; no student
+    block reads a teacher tensor, so a teacher pair resumes past the last
+    block and its quotient is zero by construction, and the objective is
+    still evaluated for every teacher sample. Returns a dict with
+    max_rel_error, per_tensor errors, checked/skipped counts, and
+    teacher_max_quotient.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
@@ -531,14 +566,15 @@ def grad_check(
     def loss_value(forward: ForwardState) -> float:
         return _objective(model, forward, labels, frozen, lambda_lb, lambda_eesd)[0].total
 
-    def perturbed(arr: Array, flat_idx) -> tuple[ForwardState, ForwardState]:
-        """Forward states with one entry of ``arr`` at +eps and at -eps; the
-        entry is restored before returning."""
+    def perturbed(arr: Array, flat_idx, start: int) -> tuple[ForwardState, ForwardState]:
+        """Forward states with one entry of ``arr``, read first by block
+        ``start``, at +eps and at -eps; the entry is restored before
+        returning."""
         orig = arr.flat[flat_idx]
         arr.flat[flat_idx] = orig + epsilon
-        state_plus = model_forward(model, xm, capacity_factor)
+        state_plus = model_forward(model, xm, capacity_factor, base=state, start=start)
         arr.flat[flat_idx] = orig - epsilon
-        state_minus = model_forward(model, xm, capacity_factor)
+        state_minus = model_forward(model, xm, capacity_factor, base=state, start=start)
         arr.flat[flat_idx] = orig
         return state_plus, state_minus
 
@@ -546,12 +582,12 @@ def grad_check(
     per_tensor: dict[str, float] = {}
     max_rel = 0.0
     checked = skipped = 0
-    for name, arr in named_params(model):
+    for start, name, arr in _staged_params(model):
         count = min(samples_per_tensor, arr.size)
         indices = rng.choice(arr.size, size=count, replace=False)
         tensor_err = 0.0
         for flat_idx in indices:
-            state_plus, state_minus = perturbed(arr, flat_idx)
+            state_plus, state_minus = perturbed(arr, flat_idx, start)
             if not _decisions(state_plus) == _decisions(state_minus) == base_decisions:
                 skipped += 1
                 continue
@@ -574,7 +610,7 @@ def grad_check(
             count = min(samples_per_tensor, arr.size)
             indices = rng.choice(arr.size, size=count, replace=False)
             for flat_idx in indices:
-                state_plus, state_minus = perturbed(arr, flat_idx)
+                state_plus, state_minus = perturbed(arr, flat_idx, len(model.blocks))
                 loss_plus, loss_minus = loss_value(state_plus), loss_value(state_minus)
                 quotient = abs(loss_plus - loss_minus) / (2.0 * epsilon)
                 teacher_max_quotient = max(teacher_max_quotient, quotient)

@@ -323,6 +323,19 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CheckpointError"
 
+    def test_bank_without_moe_site_reports_json(self, trained_workspace, capsys):
+        cfg_path, out = trained_workspace
+        path = out / "bank.ckpt"
+        ckpt = load_checkpoint(path)
+        ckpt.tensors["site5.activations"] = ckpt.tensors.pop("site3.activations")
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, "upcycle", "--method", "cluster") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert "no activations for MoE site 3" in err["message"]
+
     def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
         cfg_path, out = workspace
         other = tmp_path / "elsewhere"

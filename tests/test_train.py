@@ -280,11 +280,139 @@ class TestGradCheck:
         expected = 1 + 2 * (result["checked"] + result["skipped"]) + 2 * teacher_samples
         assert len(calls) == expected
 
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
+    def test_passes_resume_at_perturbed_block(self, moe, monkeypatch):
+        # The base pass evaluates every block; a +-eps pair for an entry of
+        # block b evaluates blocks b.. twice, and one for a head or teacher
+        # entry evaluates none.
+        model = make_dense_model(6, 10, 4, 3, seed=34)
+        teacher = None
+        if moe:
+            model, _, _ = upcycle_model(model, "sparse", n_experts=4, k=2,
+                                        capacity_factor=1.5, seed=35)
+            teacher = make_model_teacher(model, beta=0.999)
+        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=36)
+        calls = []
+        for name in ("ffn_forward_cached", "moe_forward_cached"):
+            block_forward = getattr(train, name)
+            monkeypatch.setattr(train, name, lambda *a, f=block_forward, **k:
+                                calls.append(1) or f(*a, **k))
+        grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
+                   lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
+        n_blocks = len(model.blocks)
+        expected = n_blocks + sum(
+            2 * min(5, arr.size) * (n_blocks - b)
+            for b, block in enumerate(model.blocks) for _, arr in block_params(block)
+        )
+        assert len(calls) == expected
+
     def test_epsilon_bounds(self):
         model = make_dense_model(4, 6, 1, 2, seed=38)
         ds = make_synthetic_dataset(4, 2, 2, 10, 3.0, seed=39)
         with pytest.raises(ValueError):
             grad_check(model, None, ds.inputs, ds.labels, epsilon=1e-2)
+
+
+class TestResumedForward:
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-drops"])
+    def test_resumed_pass_equals_full_pass(self, moe):
+        model = make_dense_model(6, 10, 4, 3, seed=50)
+        if moe:
+            model, _, _ = upcycle_model(model, "drop", n_experts=4, k=2,
+                                        capacity_factor=1.0, seed=51)
+        x = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=52).inputs
+        base = model_forward(model, x, 1.0)
+        if moe:
+            assert any(r.dropped.any() for r in base.records.values())
+        stages = [(len(model.blocks), "head", model.head)] + [
+            (b, name, arr) for b, block in enumerate(model.blocks)
+            for name, arr in block_params(block, f"block{b}.")
+        ]
+        changed = 0
+        for start, name, arr in stages:
+            orig = arr.flat[0]
+            arr.flat[0] = orig + 0.3
+            resumed = model_forward(model, x, 1.0, base=base, start=start)
+            full = model_forward(model, x, 1.0)
+            arr.flat[0] = orig
+            assert np.array_equal(resumed.logits, full.logits), name
+            assert np.array_equal(resumed.final, full.final), name
+            assert train._decisions(resumed) == train._decisions(full), name
+            changed += not np.array_equal(resumed.logits, base.logits)
+        # An entry of an expert that receives no token changes nothing.
+        assert changed > len(stages) // 2
+
+    def test_resume_needs_base_state(self):
+        model = make_dense_model(4, 6, 2, 2, seed=53)
+        with pytest.raises(ValueError):
+            model_forward(model, np.zeros((4, 3)), start=1)
+
+
+class TestStopGradient:
+    @staticmethod
+    def _model_and_teacher():
+        dense = make_dense_model(6, 10, 4, 3, seed=54)
+        moe, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
+                                  capacity_factor=1.5, seed=55)
+        teacher = make_model_teacher(moe, beta=0.999)
+        for t in teacher.sites.values():
+            t.mirror.router += 0.05
+            t.mirror.experts[0].w1 += 0.01
+        return moe, teacher, make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=56)
+
+    def test_no_teacher_gradients(self):
+        moe, teacher, ds = self._model_and_teacher()
+        _, grads, _ = total_loss(moe, teacher, ds.inputs, ds.labels,
+                                 lambda_lb=0.001, lambda_eesd=1.0)
+        assert not [name for name in grads if name.startswith("teacher.")]
+        assert sorted(grads) == sorted(name for name, _ in named_params(moe))
+
+    def test_eesd_term_matches_finite_difference_in_student_output(self, monkeypatch):
+        # Each block's backward passes zero upstream, so at every MoE site
+        # dy = head.T @ dlogits + the site's EESD term; that term must equal
+        # the derivative of the objective wrt the site's output y with the
+        # teacher outputs held fixed.
+        moe, teacher, ds = self._model_and_teacher()
+        lambda_lb, lambda_eesd, eps = 0.001, 0.7, 1e-5
+        site_dy = {}
+
+        def moe_backward(layer, cache, dy, dprobs_extra, f=train.moe_backward):
+            site_dy[id(cache)] = dy.copy()
+            dxi, grads = f(layer, cache, dy, dprobs_extra)
+            return np.zeros_like(dxi), grads
+
+        def ffn_backward(ffn, cache, dy, f=train.ffn_backward):
+            dxi, grads = f(ffn, cache, dy)
+            return np.zeros_like(dxi), grads
+
+        monkeypatch.setattr(train, "moe_backward", moe_backward)
+        monkeypatch.setattr(train, "ffn_backward", ffn_backward)
+        _, _, state = total_loss(moe, teacher, ds.inputs, ds.labels,
+                                 lambda_lb=lambda_lb, lambda_eesd=lambda_eesd)
+        frozen = train._teacher_outputs(teacher, state, moe.moe_sites)
+
+        def objective():
+            return train._objective(moe, state, ds.labels, frozen,
+                                    lambda_lb, lambda_eesd)[0].total
+
+        dlogits = train._objective(moe, state, ds.labels, frozen,
+                                   lambda_lb, lambda_eesd)[1]
+        upstream = moe.head.T @ dlogits
+        assert len(site_dy) == len(moe.moe_sites) == 2
+        for b in moe.moe_sites:
+            y = state.caches[b].y
+            numeric = np.empty_like(y)
+            for i in range(y.size):
+                orig = y.flat[i]
+                y.flat[i] = orig + eps
+                plus = objective()
+                y.flat[i] = orig - eps
+                minus = objective()
+                y.flat[i] = orig
+                numeric.flat[i] = (plus - minus) / (2.0 * eps)
+            term = site_dy[id(state.caches[b])] - upstream
+            assert np.abs(term).max() > 1e-4
+            np.testing.assert_allclose(term, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestTeacherPlumbing:
