@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import atomic_open
 from .errors import InsufficientTokens, ZeroWeights
 from .linalg import Array, as_matrix, pseudoinverse
-from .moe import MoeLayer, RoutingRecord, block_params
+from .moe import MoeLayer, RoutingRecord
 
 
 def relative_compactness(expert_outputs) -> float | None:
@@ -60,8 +60,7 @@ def expert_weight_similarity(layer: MoeLayer, w1_only: bool = False) -> Array:
     if layer.n_experts < 2:
         raise ValueError("need at least two experts")
     vectors = [
-        e.w1.ravel() if w1_only
-        else np.concatenate([arr.ravel() for _, arr in block_params(e)])
+        e.w1.ravel() if w1_only else e.params
         for e in layer.experts
     ]
     norms = [float(np.linalg.norm(v)) for v in vectors]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AllMasked, ShapeMismatch
 from .linalg import Array, as_matrix
-from .moe import MoeLayer, block_params, dense_ensemble_forward
+from .moe import MoeLayer, dense_ensemble_forward
 
 
 @dataclass
@@ -39,26 +39,23 @@ def make_teacher(student: MoeLayer, beta: float) -> EmaTeacher:
 
 
 def ema_update(teacher: EmaTeacher, student: MoeLayer) -> EmaTeacher:
-    """In-place EMA step over every mirrored tensor, including the router.
+    """In-place EMA step over the mirror's whole parameter buffer, router
+    included.
 
     ``beta = 1`` leaves the teacher bitwise unchanged; ``beta = 0`` copies the
     student. Returns the mutated teacher.
     """
-    if teacher.mirror.n_experts != student.n_experts:
+    t, s = teacher.mirror, student
+    if t.n_experts != s.n_experts:
         raise ShapeMismatch("teacher and student expert counts differ")
+    if (t.d, t.h) != (s.d, s.h):
+        raise ShapeMismatch(f"teacher experts (d, h) = {(t.d, t.h)}, student {(s.d, s.h)}")
     beta = teacher.beta
-    for (_, t_param), (_, s_param) in zip(block_params(teacher.mirror), block_params(student)):
-        if t_param.shape != s_param.shape:
-            raise ShapeMismatch(
-                f"teacher tensor {t_param.shape} != student tensor {s_param.shape}"
-            )
-        if beta == 1.0:
-            continue
-        if beta == 0.0:
-            t_param[...] = s_param
-        else:
-            t_param *= beta
-            t_param += (1.0 - beta) * s_param
+    if beta == 0.0:
+        t.params[...] = s.params
+    elif beta != 1.0:
+        t.params *= beta
+        t.params += (1.0 - beta) * s.params
     teacher.step_count += 1
     return teacher
 

@@ -9,6 +9,9 @@ is the teacher-side computation for self-distillation.
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +24,25 @@ ACTIVATIONS = ("relu",)
 FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 
+@functools.cache
+def _ffn_layout(h: int, d: int) -> tuple:
+    """(attribute, slice of ``params``, shape) of each FFN tensor, in
+    ``FFN_PARAMS`` order."""
+    shapes = [(h, d), (h,), (d, h), (d,)]
+    stops = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return tuple(
+        (key, slice(stop - math.prod(shape), stop), shape)
+        for key, shape, stop in zip(FFN_PARAMS, shapes, stops)
+    )
+
+
 @dataclass
 class DenseFfn:
-    """Two-layer feed-forward block ``w2 @ act(w1 @ x + b1) + b2``."""
+    """Two-layer feed-forward block ``w2 @ act(w1 @ x + b1) + b2``.
+
+    Construction copies the four tensors into one float64 buffer ``params``,
+    in ``FFN_PARAMS`` order, and makes each attribute a view of it.
+    """
 
     w1: Array  # (h, d)
     b1: Array  # (h,)
@@ -32,19 +51,22 @@ class DenseFfn:
     activation: str = "relu"
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        h, d = self.w1.shape
-        if self.w2.shape != (d, h):
-            raise ShapeMismatch(f"w2 shape {self.w2.shape} != ({d}, {h})")
-        if self.b1.shape != (h,):
-            raise ShapeMismatch(f"b1 shape {self.b1.shape} != ({h},)")
-        if self.b2.shape != (d,):
-            raise ShapeMismatch(f"b2 shape {self.b2.shape} != ({d},)")
+        h, d = np.shape(self.w1)
+        layout = _ffn_layout(h, d)
+        for key, _, shape in layout:
+            if np.shape(getattr(self, key)) != shape:
+                raise ShapeMismatch(f"{key} shape {np.shape(getattr(self, key))} != {shape}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
+        self._bind(np.empty(layout[-1][1].stop))
+
+    def _bind(self, buf: Array) -> None:
+        """Copy the four tensors into ``buf`` and rebind each to its view there."""
+        for key, part, shape in _ffn_layout(self.h, self.d):
+            view = buf[part].reshape(shape)
+            view[...] = getattr(self, key)
+            setattr(self, key, view)
+        self.params = buf
 
     @property
     def d(self) -> int:
@@ -55,15 +77,17 @@ class DenseFfn:
         return self.w1.shape[0]
 
     def copy(self) -> "DenseFfn":
-        return DenseFfn(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-            activation=self.activation,
-        )
+        return DenseFfn(self.w1, self.b1, self.w2, self.b2, activation=self.activation)
 
 
 @dataclass
 class MoeLayer:
-    """``n_experts`` FFNs plus a bias-free router (n_experts x d)."""
+    """``n_experts`` FFNs plus a bias-free router (n_experts x d).
+
+    Construction copies the router and the experts into one float64 buffer
+    ``params``, in ``block_params`` order, binding copies of the expert
+    objects: each one's ``params`` is its contiguous slice of the buffer.
+    """
 
     experts: list[DenseFfn]
     router: Array
@@ -71,21 +95,28 @@ class MoeLayer:
     capacity_factor: float
 
     def __post_init__(self):
-        self.router = np.asarray(self.router, dtype=np.float64)
+        router = np.asarray(self.router, dtype=np.float64)
         if not self.experts:
             raise ValueError("MoeLayer needs at least one expert")
         d, h = self.experts[0].d, self.experts[0].h
         for i, e in enumerate(self.experts):
             if (e.d, e.h) != (d, h):
                 raise ShapeMismatch(f"expert {i} has shape ({e.h}, {e.d}), expected ({h}, {d})")
-        if self.router.shape != (len(self.experts), d):
-            raise ShapeMismatch(
-                f"router shape {self.router.shape} != ({len(self.experts)}, {d})"
-            )
-        if not 1 <= self.k <= len(self.experts):
-            raise ValueError(f"k must lie in [1, {len(self.experts)}], got {self.k}")
+        n_e = len(self.experts)
+        if router.shape != (n_e, d):
+            raise ShapeMismatch(f"router shape {router.shape} != ({n_e}, {d})")
+        if not 1 <= self.k <= n_e:
+            raise ValueError(f"k must lie in [1, {n_e}], got {self.k}")
         if self.capacity_factor <= 0:
             raise ValueError(f"capacity_factor must be > 0, got {self.capacity_factor}")
+        size = self.experts[0].params.size
+        self.params = np.empty(n_e * (d + size))
+        self.router = self.params[:n_e * d].reshape(n_e, d)
+        self.router[...] = router
+        self.experts = [copy.copy(e) for e in self.experts]
+        for i, e in enumerate(self.experts):
+            start = n_e * d + i * size
+            e._bind(self.params[start:start + size])
 
     @property
     def n_experts(self) -> int:
@@ -100,10 +131,7 @@ class MoeLayer:
         return self.experts[0].h
 
     def copy(self) -> "MoeLayer":
-        return MoeLayer(
-            [e.copy() for e in self.experts], self.router.copy(),
-            self.k, self.capacity_factor,
-        )
+        return MoeLayer(self.experts, self.router, self.k, self.capacity_factor)
 
 
 def block_params(block: DenseFfn | MoeLayer, prefix: str = ""):
@@ -112,7 +140,7 @@ def block_params(block: DenseFfn | MoeLayer, prefix: str = ""):
     A ``DenseFfn`` yields ``w1, b1, w2, b2``; a ``MoeLayer`` yields ``router``
     and then each expert's walk under ``expert{i}.``. Every name is prefixed
     with ``prefix``. This order is the one SGD, EMA, checkpoints and the
-    gradient check all share.
+    gradient check all share, and the layout of the block's ``params``.
     """
     if isinstance(block, MoeLayer):
         yield prefix + "router", block.router
@@ -122,6 +150,25 @@ def block_params(block: DenseFfn | MoeLayer, prefix: str = ""):
     for ffn_prefix, ffn in ffns:
         for key in FFN_PARAMS:
             yield ffn_prefix + key, getattr(ffn, key)
+
+
+def buffer_views(block: DenseFfn | MoeLayer, buf: Array, prefix: str = ""):
+    """``block_params``'s walk with each array replaced by its view of ``buf``,
+    a 1-D buffer laid out like ``block.params`` (a gradient buffer, say)."""
+    offset = 0
+    for name, arr in block_params(block, prefix):
+        yield name, buf[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+
+
+def check_views(block: DenseFfn | MoeLayer, prefix: str = "") -> None:
+    """Raise ``ValueError`` unless every ``block_params`` tensor is still the
+    view of ``block.params`` at its walk offset. A tensor rebound since
+    construction would be missed by whole-buffer SGD and EMA updates."""
+    walk = zip(block_params(block, prefix), buffer_views(block, block.params, prefix))
+    for (name, arr), (_, view) in walk:
+        if arr.__array_interface__ != view.__array_interface__:
+            raise ValueError(f"{name} is not a view of its block's parameter buffer")
 
 
 def block_structure(block: DenseFfn | MoeLayer) -> dict:
@@ -177,13 +224,15 @@ class RoutingRecord:
 
 @dataclass
 class MoeForwardCache:
-    """Intermediates retained for the backward pass."""
+    """Intermediates retained for the backward pass; ``expert_cols``,
+    ``expert_slots`` and ``expert_gates`` are ``_route``'s dispatch plan."""
 
     x: Array
     record: RoutingRecord
-    denom: Array                 # (T,)
+    denom: Array                    # (T,)
     expert_cols: list[np.ndarray]   # token indices routed to each expert (kept slots)
     expert_slots: list[np.ndarray]  # matching slot position within the top-k row
+    expert_gates: list[Array]       # matching gates
     expert_caches: list["FfnCache | None"]
     expert_outputs: list[Array | None]
     y: Array
@@ -210,25 +259,30 @@ def ffn_forward_cached(ffn: DenseFfn, x) -> tuple[Array, FfnCache]:
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != ffn.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, FFN expects {ffn.d}")
-    pre = ffn.w1 @ xm + ffn.b1[:, None]
+    pre = ffn.w1 @ xm
+    pre += ffn.b1[:, None]
     act = relu(pre)
-    y = ffn.w2 @ act + ffn.b2[:, None]
+    y = ffn.w2 @ act
+    y += ffn.b2[:, None]
     return y, FfnCache(x=xm, pre=pre, act=act)
 
 
-def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array):
+def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array, out: Array | None = None):
     """Gradients of a cached forward pass.
 
-    Returns (dx, grads) with grads keyed 'w1', 'b1', 'w2', 'b2'.
+    Returns (dx, grads): ``grads`` is ``out``, or a new buffer when it is
+    None, laid out like ``ffn.params`` and filled with the gradients.
     """
-    d_act = ffn.w2.T @ dy
-    d_pre = d_act * (cache.pre > 0.0)
-    grads = {
-        "w2": dy @ cache.act.T,
-        "b2": dy.sum(axis=1),
-        "w1": d_pre @ cache.x.T,
-        "b1": d_pre.sum(axis=1),
-    }
+    grads = np.empty_like(ffn.params) if out is None else out
+    g_w1, g_b1, g_w2, g_b2 = [
+        grads[part].reshape(shape) for _, part, shape in _ffn_layout(ffn.h, ffn.d)
+    ]
+    d_pre = ffn.w2.T @ dy
+    d_pre *= cache.pre > 0.0
+    np.matmul(dy, cache.act.T, out=g_w2)
+    np.add.reduce(dy, axis=1, out=g_b2)
+    np.matmul(d_pre, cache.x.T, out=g_w1)
+    np.add.reduce(d_pre, axis=1, out=g_b1)
     dx = ffn.w1.T @ d_pre
     return dx, grads
 
@@ -271,36 +325,49 @@ def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int)
 
 
 def _route(layer: MoeLayer, x: Array, capacity_factor: float):
+    """The routing record, the gate denominators and the dispatch plan: per
+    expert, its kept slots' tokens, top-k positions and gates, in token order."""
     t_tokens = x.shape[1]
     n_e, k = layer.n_experts, layer.k
     probs = router_probs(layer.router, x)
     topk = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    sel_probs = np.take_along_axis(probs, topk, axis=1)
+    sel_probs = probs[np.arange(t_tokens)[:, None], topk]
     denom = sel_probs.sum(axis=1)
     gates = sel_probs / denom[:, None]
 
     cap = expert_capacity(capacity_factor, t_tokens, k, n_e)
-    # Capacity fills in token order, then slot order within a token; raveling
-    # the (T, k) index matrix row-major reproduces exactly that order.
+    # Capacity fills in token order, then slot order within a token: the
+    # row-major ravel of the (T, k) index matrix. A stable sort groups the
+    # slots by expert and keeps that order within each group, so each
+    # expert's first ``cap`` slots are kept and the rest dropped. The ids are
+    # sorted in the smallest integer type that holds them, which numpy sorts
+    # by radix.
     flat = topk.ravel()
+    order = np.argsort(flat.astype(np.min_scalar_type(n_e)), kind="stable")
+    counts = np.bincount(flat, minlength=n_e)
+    rows, slots = np.divmod(order, k)
+    sorted_gates = gates.ravel()[order]
     dropped_flat = np.zeros(flat.size, dtype=bool)
-    counts = np.zeros(n_e, dtype=np.int64)
-    for e in range(n_e):
-        slots_for_e = np.nonzero(flat == e)[0]
-        counts[e] = slots_for_e.size
-        if slots_for_e.size > cap:
-            dropped_flat[slots_for_e[cap:]] = True
-    dropped = dropped_flat.reshape(t_tokens, k)
+    expert_rows, expert_slots, expert_gates = [], [], []
+    start = 0
+    for stop in itertools.accumulate(counts.tolist()):
+        kept_stop = min(stop, start + cap)
+        if kept_stop < stop:
+            dropped_flat[order[kept_stop:stop]] = True
+        expert_rows.append(rows[start:kept_stop])
+        expert_slots.append(slots[start:kept_stop])
+        expert_gates.append(sorted_gates[start:kept_stop])
+        start = stop
 
     record = RoutingRecord(
         probs=probs,
         topk_indices=topk,
         gates=gates,
-        dropped=dropped,
+        dropped=dropped_flat.reshape(t_tokens, k),
         per_expert_fraction=counts.astype(np.float64) / (t_tokens * k),
         per_expert_mean_prob=probs.mean(axis=0),
     )
-    return record, denom
+    return record, denom, (expert_rows, expert_slots, expert_gates)
 
 
 def moe_forward_cached(
@@ -310,30 +377,24 @@ def moe_forward_cached(
     if xm.shape[0] != layer.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
     cf = layer.capacity_factor if capacity_factor is None else capacity_factor
-    record, denom = _route(layer, xm, cf)
+    record, denom, (expert_cols, expert_slots, expert_gates) = _route(layer, xm, cf)
 
     y = np.zeros_like(xm)
-    expert_cols: list[np.ndarray] = []
-    expert_slots: list[np.ndarray] = []
     expert_caches: list[FfnCache | None] = []
     expert_outputs: list[Array | None] = []
-    kept = ~record.dropped
-    for i, expert in enumerate(layer.experts):
-        rows, slots = np.nonzero((record.topk_indices == i) & kept)
-        expert_cols.append(rows)
-        expert_slots.append(slots)
+    for expert, rows, g in zip(layer.experts, expert_cols, expert_gates):
         if rows.size == 0:
             expert_caches.append(None)
             expert_outputs.append(None)
             continue
         out, cache = ffn_forward_cached(expert, xm[:, rows])
-        y[:, rows] += out * record.gates[rows, slots][None, :]
+        y[:, rows] += out * g[None, :]
         expert_caches.append(cache)
         expert_outputs.append(out)
 
     cache = MoeForwardCache(
         x=xm, record=record, denom=denom,
-        expert_cols=expert_cols, expert_slots=expert_slots,
+        expert_cols=expert_cols, expert_slots=expert_slots, expert_gates=expert_gates,
         expert_caches=expert_caches, expert_outputs=expert_outputs, y=y,
     )
     return y, record, cache
@@ -363,30 +424,29 @@ def moe_backward(
     Treats the top-k selection and the drop pattern as constants; gradients
     flow through the gates via the softmax. ``dprobs_extra`` adds a direct
     gradient on the routing probabilities (the load-balancing term).
-    Returns (dx, grads) with grads keyed 'router' and 'expert{i}.w1' etc.
+    Returns (dx, grads) with ``grads`` a new buffer laid out like
+    ``layer.params``.
     """
     record = cache.record
     t_tokens, k = record.gates.shape
-    grads: dict[str, Array] = {}
+    grads = np.empty_like(layer.params)
     dx = np.zeros_like(cache.x)
     dgates = np.zeros((t_tokens, k))
 
+    n_router, size = layer.router.size, layer.experts[0].params.size
     for i, expert in enumerate(layer.experts):
         rows = cache.expert_cols[i]
-        prefix = f"expert{i}."
+        expert_grads = grads[n_router + i * size:n_router + (i + 1) * size]
         if rows.size == 0:
-            for key in FFN_PARAMS:
-                grads[prefix + key] = np.zeros_like(getattr(expert, key))
+            expert_grads[...] = 0.0
             continue
-        slots = cache.expert_slots[i]
-        g = record.gates[rows, slots]
-        out = cache.expert_outputs[i]
-        d_out = dy[:, rows] * g[None, :]
-        dgates[rows, slots] = np.einsum("dt,dt->t", dy[:, rows], out)
-        dxi, egrads = ffn_backward(expert, cache.expert_caches[i], d_out)
+        dy_rows = dy[:, rows]
+        d_out = dy_rows * cache.expert_gates[i][None, :]
+        dgates[rows, cache.expert_slots[i]] = np.einsum(
+            "dt,dt->t", dy_rows, cache.expert_outputs[i]
+        )
+        dxi, _ = ffn_backward(expert, cache.expert_caches[i], d_out, expert_grads)
         dx[:, rows] += dxi
-        for key, val in egrads.items():
-            grads[prefix + key] = val
 
     # gates = sel_probs / denom; dropped slots received zero gate gradient.
     vdotg = np.einsum("tk,tk->t", dgates, record.gates)
@@ -399,7 +459,7 @@ def moe_backward(
     # softmax backward, rowwise
     dot = np.einsum("te,te->t", dprobs, record.probs)
     dlogits = record.probs * (dprobs - dot[:, None])  # (T, n_experts)
-    grads["router"] = dlogits.T @ cache.x.T
+    np.matmul(dlogits.T, cache.x.T, out=grads[:n_router].reshape(layer.router.shape))
     dx += layer.router.T @ dlogits.T
     return dx, grads
 
@@ -412,7 +472,9 @@ def dense_ensemble_forward(layer: MoeLayer, x) -> Array:
     probs = router_probs(layer.router, xm)
     y = np.zeros_like(xm)
     for i, expert in enumerate(layer.experts):
-        y += ffn_forward(expert, xm) * probs[:, i][None, :]
+        out = ffn_forward(expert, xm)
+        out *= probs[:, i]
+        y += out
     return y
 
 

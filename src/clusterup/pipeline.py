@@ -337,6 +337,12 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
         for b in default_moe_sites(len(dense.blocks)):
             if b not in bank.per_site:
                 raise CheckpointError(f"{source} holds no activations for MoE site {b}")
+            shape = bank.per_site[b].shape
+            if len(shape) != 2 or shape[0] != dense.input_dim:
+                raise CheckpointError(
+                    f"{source}: MoE site {b} activations have shape {shape}, "
+                    f"expected {dense.input_dim} rows"
+                )
     moe_model, reports, cluster_models = upcycle(cfg, dense, method, bank)
     cluster_tensors = {
         f"cluster.site{b}.{name}": np.asarray(getattr(cm, name), dtype=np.float64)

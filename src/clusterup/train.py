@@ -12,7 +12,9 @@ differences.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .moe import (
     MoeLayer,
     RoutingRecord,
     block_params,
+    buffer_views,
+    check_views,
     ffn_backward,
     ffn_forward_cached,
     load_balance_loss,
@@ -91,6 +95,12 @@ def named_params(model: ToyModel):
     """Deterministic (name, array) walk over every trainable tensor."""
     for _, name, arr in _staged_params(model):
         yield name, arr
+
+
+def param_buffers(model: ToyModel) -> list[Array]:
+    """``head``, then each block's ``params``: every trainable tensor, in
+    ``named_params`` order, as arrays SGD updates whole."""
+    return [model.head] + [block.params for block in model.blocks]
 
 
 def _staged_params(model: ToyModel):
@@ -335,6 +345,31 @@ def _cross_entropy(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
     return loss, dlogits
 
 
+class Gradients(Mapping):
+    """Gradients keyed by ``named_params`` name, each a view of ``buffers``
+    (one per ``param_buffers`` entry). The views are made at the first
+    lookup, so SGD, which reads only ``buffers``, never pays for them."""
+
+    def __init__(self, model: ToyModel, buffers: list[Array]):
+        self.model, self.buffers = model, buffers
+
+    @cached_property
+    def _named(self) -> dict[str, Array]:
+        named = {"head": self.buffers[0]}
+        for b, (block, buf) in enumerate(zip(self.model.blocks, self.buffers[1:])):
+            named.update(buffer_views(block, buf, f"block{b}."))
+        return named
+
+    def __getitem__(self, name: str) -> Array:
+        return self._named[name]
+
+    def __iter__(self):
+        return iter(self._named)
+
+    def __len__(self) -> int:
+        return len(self._named)
+
+
 def _teacher_outputs(
     teacher: ModelTeacher | None, state: ForwardState, sites: list[int]
 ) -> dict[int, Array] | None:
@@ -382,7 +417,7 @@ def total_loss(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-) -> tuple[LossReport, dict[str, Array], ForwardState]:
+) -> tuple[LossReport, Gradients, ForwardState]:
     """Combined objective (see ``_objective``), its gradients for every
     trainable tensor, and the forward state they were computed from.
 
@@ -397,11 +432,10 @@ def total_loss(
         model, state, labels, teacher_ys, lambda_lb, lambda_eesd
     )
 
-    grads: dict[str, Array] = {"head": dlogits @ state.final.T}
+    buffers = [dlogits @ state.final.T] + [None] * len(model.blocks)
     dx = model.head.T @ dlogits
     for b in reversed(range(len(model.blocks))):
         block, cache = model.blocks[b], state.caches[b]
-        prefix = f"block{b}."
         if isinstance(block, MoeLayer):
             dy = dx
             if b in residuals and lambda_eesd != 0.0:
@@ -410,13 +444,11 @@ def total_loss(
             if lambda_lb != 0.0:
                 fraction = cache.record.per_expert_fraction
                 dprobs_extra = lambda_lb * fraction / t_tokens
-            dxi, block_grads = moe_backward(block, cache, dy, dprobs_extra)
+            dxi, buffers[b + 1] = moe_backward(block, cache, dy, dprobs_extra)
         else:
-            dxi, block_grads = ffn_backward(block, cache, dx)
-        for key, val in block_grads.items():
-            grads[prefix + key] = val
+            dxi, buffers[b + 1] = ffn_backward(block, cache, dx)
         dx = dx + dxi
-    return report, grads, state
+    return report, Gradients(model, buffers), state
 
 
 def _decisions(state: ForwardState) -> bytes:
@@ -453,7 +485,8 @@ def train_step(
     capacity_factor: float | None = None,
 ) -> tuple[LossReport, ForwardState]:
     """One plain gradient-descent step on ``model`` followed by the EMA update
-    of ``teacher``, both in place; returns the loss report and forward state."""
+    of ``teacher``, both in place and whole-buffer; returns the loss report
+    and forward state."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     report, grads, state = total_loss(
@@ -463,8 +496,8 @@ def train_step(
     )
     if not math.isfinite(report.total):
         raise NonFiniteLoss(f"non-finite loss at report {report}", report=report)
-    for name, arr in named_params(model):
-        arr -= lr * grads[name]
+    for arr, grad in zip(param_buffers(model), grads.buffers):
+        arr -= lr * grad
     if teacher is not None:
         update_model_teacher(teacher, model)
     return report, state
@@ -484,7 +517,15 @@ def run_training(
     seed: int = 0,
     log_fn=None,
 ) -> list[LossReport]:
-    """SGD over randomly drawn batches; one log record per step via log_fn."""
+    """SGD over randomly drawn batches; one log record per step via log_fn.
+
+    Raises ``ValueError`` first if a tensor of ``model`` or of a teacher
+    mirror was rebound away from its block's parameter buffer.
+    """
+    for b, block in enumerate(model.blocks):
+        check_views(block, f"block{b}.")
+    for b, site_teacher in (teacher.sites.items() if teacher else ()):
+        check_views(site_teacher.mirror, f"teacher.block{b}.")
     rng = np.random.default_rng(seed)
     n = dataset.n
     batch = min(batch_size, n)

@@ -283,9 +283,9 @@ def drop_svd_init(dense: DenseFfn, n_experts: int, seed: int, init: InitConfig,
             v_new = _orthonormal_complement(v_keep, r - n_keep, dense.d, rng)
             kept = (u_keep * factors.sigma[:n_keep]) @ factors.v_t[:n_keep, :]
             fresh = (u_new * factors.sigma[n_keep:]) @ v_new.T
-            expert.w1 = kept + fresh
+            expert.w1[...] = kept + fresh
         else:
-            expert.w1 = (factors.u * factors.sigma) @ factors.v_t
+            expert.w1[...] = (factors.u * factors.sigma) @ factors.v_t
         experts.append(expert)
     router = _random_router(n_experts, dense.d, derive_seed(seed, "router"), init.router_scale)
     report = InitReport(
@@ -392,7 +392,7 @@ def cluster_aware_init(dense: DenseFfn, n_experts: int, seed: int, init: InitCon
             factor.s, truncated.T, lower=True, trans="T"
         ).T
         expert = dense.copy()
-        expert.w1 = w1_i
+        expert.w1[...] = w1_i
         experts.append(expert)
         ranks.append(r)
         losses.append(float(np.sum(svd.sigma[r:] ** 2)))

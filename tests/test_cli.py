@@ -336,6 +336,20 @@ class TestErrors:
         assert err["error"] == "CheckpointError"
         assert "no activations for MoE site 3" in err["message"]
 
+    def test_bank_with_wrong_row_count_reports_json(self, trained_workspace, capsys):
+        cfg_path, out = trained_workspace
+        path = out / "bank.ckpt"
+        ckpt = load_checkpoint(path)
+        ckpt.tensors["site3.activations"] = ckpt.tensors["site3.activations"][:5]
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, "upcycle", "--method", "cluster") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert "site 3" in err["message"]
+        assert "(5, " in err["message"] and "expected 8 rows" in err["message"]
+
     def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
         cfg_path, out = workspace
         other = tmp_path / "elsewhere"

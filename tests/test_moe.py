@@ -15,6 +15,7 @@ from clusterup.moe import (
     ffn_forward,
     load_balance_loss,
     moe_forward,
+    moe_forward_cached,
     router_probs,
     top_k_gates,
 )
@@ -301,7 +302,7 @@ class TestRoutingProperties:
     @given(routed_layers())
     def test_routing_invariants(self, case):
         layer, x, capacity_factor = case
-        _, record = moe_forward(layer, x, capacity_factor)
+        _, record, cache = moe_forward_cached(layer, x, capacity_factor)
         t, k, n_e = x.shape[1], layer.k, layer.n_experts
         cap = expert_capacity(capacity_factor, t, k, n_e)
         topk, dropped = record.topk_indices, record.dropped
@@ -322,3 +323,11 @@ class TestRoutingProperties:
 
         assert np.abs(record.gates.sum(axis=1) - 1.0).max() <= 1e-12
         assert (record.gates >= 0.0).all()
+
+        # The dispatch plan holds each expert's kept slots in token-then-slot
+        # order, with their gates.
+        for e in range(n_e):
+            rows, slots = np.nonzero((topk == e) & ~dropped)
+            assert np.array_equal(cache.expert_cols[e], rows)
+            assert np.array_equal(cache.expert_slots[e], slots)
+            assert np.array_equal(cache.expert_gates[e], record.gates[rows, slots])

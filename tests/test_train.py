@@ -8,7 +8,9 @@ import pytest
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible
 from clusterup import train
-from clusterup.moe import DenseFfn, block_params
+from clusterup.config import INIT_METHODS, PipelineConfig
+from clusterup.moe import DenseFfn, MoeLayer, block_params
+from clusterup.pipeline import load_model_checkpoint, save_model_checkpoint
 from clusterup.train import (
     LossReport,
     ToyModel,
@@ -24,7 +26,7 @@ from clusterup.train import (
     train_step,
     update_model_teacher,
 )
-from clusterup.upcycle import upcycle_model
+from clusterup.upcycle import capture_activations, upcycle_model
 from scipy.optimize import linear_sum_assignment
 
 
@@ -437,3 +439,110 @@ class TestTeacherPlumbing:
         run_training(model, None, ds, steps=150, batch_size=128, lr=0.05, seed=44)
         _, _, acc = evaluate(model, ds.inputs, ds.labels)
         assert acc > 0.95
+
+
+def _address(arr) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def assert_buffer_views(block):
+    """Every ``block_params`` tensor is a C-contiguous view of ``block.params``
+    at its walk offset, and each expert's ``params`` is its slice."""
+    base, offset = _address(block.params), 0
+    assert block.params.ndim == 1 and block.params.dtype == np.float64
+    for name, arr in block_params(block):
+        assert arr.flags.c_contiguous, name
+        assert np.shares_memory(arr, block.params), name
+        assert _address(arr) == base + 8 * offset, name
+        offset += arr.size
+    assert offset == block.params.size
+    if isinstance(block, MoeLayer):
+        offset = block.router.size
+        for expert in block.experts:
+            assert _address(expert.params) == base + 8 * offset
+            assert_buffer_views(expert)
+            offset += expert.params.size
+
+
+def _moe_and_teacher(beta=0.999):
+    dense = make_dense_model(6, 8, 4, 3, seed=60)
+    moe, _, _ = upcycle_model(dense, "drop", n_experts=3, k=2,
+                              capacity_factor=1.5, seed=61)
+    teacher = make_model_teacher(moe, beta)
+    for site_teacher in teacher.sites.values():
+        site_teacher.mirror.params += 0.01
+    return moe, teacher, make_synthetic_dataset(6, 3, 4, 40, 3.0, seed=62)
+
+
+class TestParameterBuffers:
+    def test_construction_and_copy(self):
+        rng = np.random.default_rng(63)
+        ffn = DenseFfn(rng.standard_normal((5, 3)), np.zeros(5),
+                       rng.standard_normal((3, 5)), np.ones(3))
+        experts = [ffn.copy() for _ in range(3)]
+        before = [e.params.copy() for e in experts]
+        layer = MoeLayer(experts, rng.standard_normal((3, 3)), k=2, capacity_factor=1.0)
+        for block in (ffn, ffn.copy(), layer, layer.copy()):
+            assert_buffer_views(block)
+        # The layer copies the experts it is given and leaves them as they were.
+        for expert, old in zip(experts, before):
+            assert not np.shares_memory(expert.params, layer.params)
+            assert np.array_equal(expert.params, old)
+        assert not np.shares_memory(layer.copy().params, layer.params)
+        for (_, a), (_, b) in zip(block_params(layer.copy()), block_params(layer)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("method", INIT_METHODS)
+    def test_upcycled_and_loaded_blocks(self, method, tmp_path):
+        dense = make_dense_model(6, 8, 4, 3, seed=64)
+        ds = make_synthetic_dataset(6, 3, 4, 200, 3.0, seed=65)
+        bank = capture_activations(dense, ds.inputs, [1, 3], token_cap=200, seed=66)
+        moe, _, _ = upcycle_model(dense, method, n_experts=3, k=2,
+                                  capacity_factor=1.5, seed=67, bank=bank)
+        teacher = make_model_teacher(moe, beta=0.9)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, moe, PipelineConfig(), {"root": 0}, teacher=teacher)
+        loaded, loaded_teacher, _ = load_model_checkpoint(path)
+        for model, site_teachers in ((moe, teacher), (loaded, loaded_teacher)):
+            for block in model.blocks:
+                assert_buffer_views(block)
+            for site_teacher in site_teachers.sites.values():
+                assert_buffer_views(site_teacher.mirror)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.999, 1.0])
+    def test_step_equals_per_tensor_update(self, beta):
+        moe, teacher, ds = _moe_and_teacher(beta)
+        ref, ref_teacher = moe.copy(), make_model_teacher(moe, beta)
+        for b, site_teacher in teacher.sites.items():
+            ref_teacher.sites[b].mirror.params[...] = site_teacher.mirror.params
+        lr, kwargs = 0.05, dict(lambda_lb=0.001, lambda_eesd=1.0, capacity_factor=1.5)
+
+        _, grads, _ = total_loss(ref, ref_teacher, ds.inputs, ds.labels, **kwargs)
+        for name, arr in named_params(ref):
+            arr -= lr * grads[name]
+        for b, site_teacher in ref_teacher.sites.items():
+            walk = zip(block_params(site_teacher.mirror), block_params(ref.blocks[b]))
+            for (_, t_param), (_, s_param) in walk:
+                if beta == 0.0:
+                    t_param[...] = s_param
+                elif beta != 1.0:
+                    t_param *= beta
+                    t_param += (1.0 - beta) * s_param
+
+        train_step(moe, teacher, ds.inputs, ds.labels, lr, **kwargs)
+        for (name, a), (_, b) in zip(named_params(moe), named_params(ref)):
+            assert np.array_equal(a, b), name
+        for b, site_teacher in teacher.sites.items():
+            walk = zip(block_params(site_teacher.mirror),
+                       block_params(ref_teacher.sites[b].mirror))
+            for (name, t_a), (_, t_b) in walk:
+                assert np.array_equal(t_a, t_b), name
+
+    @pytest.mark.parametrize("in_teacher", [False, True])
+    def test_rebound_tensor_is_refused(self, in_teacher):
+        moe, teacher, ds = _moe_and_teacher()
+        layer = teacher.sites[3].mirror if in_teacher else moe.blocks[3]
+        layer.experts[1].b1 = layer.experts[1].b1.copy()
+        name = ("teacher." if in_teacher else "") + "block3.expert1.b1"
+        with pytest.raises(ValueError, match=name):
+            run_training(moe, teacher, ds, steps=1, batch_size=16, lr=0.05, seed=0)
