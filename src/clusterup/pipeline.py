@@ -173,13 +173,25 @@ def _require_artifact(path: Path, hint: str) -> Path:
 # stages: in memory, no file I/O
 # ---------------------------------------------------------------------------
 
+def _seeds_dict(cfg: PipelineConfig, method: str | None = None, trained: bool = False) -> dict:
+    """The root seed and, by stream name, each ``derive_seed(root, stream)``
+    seed the stages draw: data, model init, dense batches and calibration,
+    plus ``upcycle:<method>`` given a method and ``moe_batches:<method>`` once
+    trained. The stages read their seeds from here, so the seeds a checkpoint
+    records are the seeds they drew."""
+    streams = ["data", "model_init", "dense_batches", "calibration"]
+    if method is not None:
+        streams += [f"upcycle:{method}"] + ([f"moe_batches:{method}"] if trained else [])
+    return {"root": cfg.root_seed, **{s: derive_seed(cfg.root_seed, s) for s in streams}}
+
+
 def _datasets(cfg: PipelineConfig):
     """Train and held-out eval splits drawn from one generating distribution."""
     full = make_synthetic_dataset(
         d=cfg.model.d, n_classes=cfg.model.n_classes,
         n_clusters=cfg.data.n_clusters, n=cfg.data.n + cfg.data.n_eval,
         separation=cfg.data.separation,
-        seed=derive_seed(cfg.root_seed, "data"),
+        seed=_seeds_dict(cfg)["data"],
     )
     return full.slice(0, cfg.data.n), full.slice(cfg.data.n, full.n)
 
@@ -187,14 +199,15 @@ def _datasets(cfg: PipelineConfig):
 def train_dense(cfg: PipelineConfig, log_fn=None) -> ToyModel:
     """Pretrain a freshly initialized dense model; ``log_fn`` gets each step's record."""
     dataset, _ = _datasets(cfg)
+    seeds = _seeds_dict(cfg)
     model = make_dense_model(
         cfg.model.d, cfg.model.h, cfg.model.blocks, cfg.model.n_classes,
-        seed=derive_seed(cfg.root_seed, "model_init"),
+        seed=seeds["model_init"],
     )
     run_training(
         model, None, dataset,
         steps=cfg.train.steps_dense, batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr, seed=derive_seed(cfg.root_seed, "dense_batches"),
+        lr=cfg.train.lr, seed=seeds["dense_batches"],
         log_fn=log_fn,
     )
     return model
@@ -207,7 +220,7 @@ def capture(cfg: PipelineConfig, dense: ToyModel) -> ActivationBank:
     dataset, _ = _datasets(cfg)
     return capture_activations(
         dense, dataset.inputs, default_moe_sites(cfg.model.blocks),
-        cfg.calibration.token_cap, seed=derive_seed(cfg.root_seed, "calibration"),
+        cfg.calibration.token_cap, seed=_seeds_dict(cfg)["calibration"],
     )
 
 
@@ -218,7 +231,7 @@ def upcycle(cfg: PipelineConfig, dense: ToyModel, method: str, bank: ActivationB
         dense, method,
         n_experts=cfg.moe.n_experts, k=cfg.moe.k,
         capacity_factor=cfg.moe.capacity_train,
-        seed=derive_seed(cfg.root_seed, f"upcycle:{method}"),
+        seed=_seeds_dict(cfg, method)[f"upcycle:{method}"],
         bank=bank, init=cfg.init,
     )
 
@@ -236,7 +249,7 @@ def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
         lambda_lb=cfg.train.lambda_lb,
         lambda_eesd=cfg.train.lambda_eesd if eesd else 0.0,
         capacity_factor=cfg.moe.capacity_train,
-        seed=derive_seed(cfg.root_seed, f"moe_batches:{method}"),
+        seed=_seeds_dict(cfg, method, trained=True)[f"moe_batches:{method}"],
         log_fn=log_fn,
     )
     return teacher
@@ -273,11 +286,6 @@ def compare_row(cfg: PipelineConfig, model: ToyModel, method: str) -> dict:
 # ---------------------------------------------------------------------------
 # CLI stages: load inputs, run one stage, save outputs
 # ---------------------------------------------------------------------------
-
-def _seeds_dict(cfg: PipelineConfig) -> dict:
-    streams = ("data", "router", "drop", "clustering", "calibration")
-    return {"root": cfg.root_seed, **{s: derive_seed(cfg.root_seed, s) for s in streams}}
-
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     with atomic_open(path) as fh:
@@ -352,7 +360,7 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
     cluster_meta = {str(b): {"seed": cm.seed} for b, cm in sorted(cluster_models.items())}
     path = moe_path(cfg, method)
     save_model_checkpoint(
-        path, moe_model, cfg, _seeds_dict(cfg),
+        path, moe_model, cfg, _seeds_dict(cfg, method),
         extra={"init_method": method, "cluster_meta": cluster_meta},
         cluster_tensors=cluster_tensors,
     )
@@ -370,7 +378,7 @@ def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = F
     teacher = train_moe(cfg, model, method, eesd, log.append)
     path = moe_path(cfg, method, trained=True)
     save_model_checkpoint(
-        path, model, cfg, _seeds_dict(cfg),
+        path, model, cfg, _seeds_dict(cfg, method, trained=True),
         extra={"init_method": method, "eesd": eesd}, teacher=teacher,
     )
     _write_jsonl(out_dir(cfg) / f"train_log_{method}.jsonl", log)

@@ -9,7 +9,7 @@ import pytest
 
 from clusterup.cli import main
 from clusterup.checkpoint import load_checkpoint, save_checkpoint
-from clusterup import train
+from clusterup import pipeline, train, upcycle
 from clusterup.pipeline import (
     compare_row,
     compare_run,
@@ -216,6 +216,39 @@ class TestCommands:
         calls.clear()
         run_analyze(cfg, moe_path(cfg, "cluster"))
         assert len(calls) == 1
+
+
+class TestSeedProvenance:
+    def test_recorded_seeds_are_the_seeds_drawn(self, workspace, monkeypatch):
+        cfg_path, out = workspace
+        drawn: dict[str, set] = {}
+
+        def spy(module, attr, stream_of):
+            original = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                drawn.setdefault(stream_of(*args), set()).add(kwargs["seed"])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        spy(pipeline, "make_synthetic_dataset", lambda *a: "data")
+        spy(pipeline, "make_dense_model", lambda *a: "model_init")
+        spy(pipeline, "run_training",
+            lambda model, *a: "moe_batches:cluster" if model.moe_sites else "dense_batches")
+        spy(upcycle, "capture_activations", lambda *a: "calibration")
+        spy(pipeline, "upcycle_model", lambda dense, method, *a: f"upcycle:{method}")
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster"),
+                     ("train-moe", "--method", "cluster", "--eesd")):
+            assert run("--config", cfg_path, *argv) == 0
+
+        assert all(len(seeds) == 1 for seeds in drawn.values()), drawn
+        for name in ("dense.ckpt", "bank.ckpt", "moe_cluster.ckpt", "moe_cluster_trained.ckpt"):
+            recorded = dict(load_checkpoint(out / name).seeds)
+            assert recorded.pop("root") == 3
+            for stream, seed in recorded.items():
+                assert drawn.get(stream) == {seed}, (name, stream)
+        assert set(recorded) == set(drawn)
 
 
 class TestErrors:
