@@ -54,8 +54,9 @@ class DenseFfn:
         h, d = np.shape(self.w1)
         layout = _ffn_layout(h, d)
         for key, _, shape in layout:
-            if np.shape(getattr(self, key)) != shape:
-                raise ShapeMismatch(f"{key} shape {np.shape(getattr(self, key))} != {shape}")
+            actual = np.shape(getattr(self, key))
+            if actual != shape:
+                raise ShapeMismatch(f"{key} shape {actual} != {shape}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
         self._bind(np.empty(layout[-1][1].stop))
