@@ -50,12 +50,12 @@ def ema_update(teacher: EmaTeacher, student: MoeLayer) -> EmaTeacher:
         raise ShapeMismatch("teacher and student expert counts differ")
     if (t.d, t.h) != (s.d, s.h):
         raise ShapeMismatch(f"teacher experts (d, h) = {(t.d, t.h)}, student {(s.d, s.h)}")
-    beta = teacher.beta
+    beta, buf = teacher.beta, t.params
     if beta == 0.0:
-        t.params[...] = s.params
+        buf[...] = s.params
     elif beta != 1.0:
-        t.params *= beta
-        t.params += (1.0 - beta) * s.params
+        buf *= beta
+        buf += (1.0 - beta) * s.params
     teacher.step_count += 1
     return teacher
 
@@ -65,23 +65,16 @@ def teacher_forward(teacher: EmaTeacher, x) -> Array:
     return dense_ensemble_forward(teacher.mirror, x)
 
 
-def eesd_terms(student_y: Array, teacher_y: Array, mask=None) -> tuple[float, Array]:
+def eesd_terms(student_y: Array, teacher_y: Array) -> tuple[float, Array]:
     """EESD value and the residual ``student_y - teacher_y`` its gradient needs.
 
-    The value is the squared residual summed over the valid tokens and divided
-    by their count. ``mask`` marks valid tokens; with a mask, the residual
-    holds the valid tokens' columns only. Inputs are not scanned for NaN/Inf,
-    so a diverged student yields a non-finite value for the caller's loss
-    check to report.
+    The value is the squared residual summed over the tokens (columns) and
+    divided by their count. Inputs are not scanned for NaN/Inf, so a diverged
+    student yields a non-finite value for the caller's loss check to report.
     """
     if student_y.shape != teacher_y.shape:
         raise ShapeMismatch(f"student {student_y.shape} vs teacher {teacher_y.shape}")
     residual = student_y - teacher_y
-    if mask is not None:
-        valid = np.asarray(mask, dtype=bool).reshape(-1)
-        if valid.size != residual.shape[1]:
-            raise ShapeMismatch(f"mask length {valid.size} != {residual.shape[1]} tokens")
-        residual = residual[:, valid]
     n_valid = residual.shape[1]
     if n_valid == 0:
         raise AllMasked("every token is masked")
@@ -99,6 +92,10 @@ def eesd_loss(student_y, teacher_y, mask=None) -> float:
     s = as_matrix(student_y, "student_y")
     t = as_matrix(teacher_y, "teacher_y")
     if mask is None:
-        # Selecting every column sums in column order, as this value always has.
+        # Selecting every column sums in column order, as a full mask does,
+        # so no mask and a full mask give the same bits.
         mask = np.ones(s.shape[1], dtype=bool)
-    return eesd_terms(s, t, mask)[0]
+    valid = np.asarray(mask, dtype=bool).reshape(-1)
+    if not valid.shape == s.shape[1:] == t.shape[1:]:
+        raise ShapeMismatch(f"mask length {valid.size}, student {s.shape}, teacher {t.shape}")
+    return eesd_terms(s[:, valid], t[:, valid])[0]

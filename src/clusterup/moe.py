@@ -9,7 +9,6 @@ is the teacher-side computation for self-distillation.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -20,156 +19,126 @@ import numpy as np
 from .errors import CheckpointError, ShapeMismatch
 from .linalg import Array, as_matrix
 
-ACTIVATIONS = ("relu",)
 FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 
 @functools.cache
-def _ffn_layout(h: int, d: int) -> tuple:
-    """(attribute, slice of ``params``, shape) of each FFN tensor, in
-    ``FFN_PARAMS`` order."""
-    shapes = [(h, d), (h,), (d, h), (d,)]
-    stops = itertools.accumulate(math.prod(shape) for shape in shapes)
+def _layout(n_experts: int, h: int, d: int) -> tuple:
+    """(name, slice of ``params``, shape) of each tensor of a block, in walk
+    order: a ``DenseFfn``'s (``n_experts == 0``) ``FFN_PARAMS``, or an
+    ``MoeLayer``'s ``router`` and then each expert's under ``expert{i}.``."""
+    ffn = [("w1", (h, d)), ("b1", (h,)), ("w2", (d, h)), ("b2", (d,))]
+    named = ffn if n_experts == 0 else [("router", (n_experts, d))] + [
+        (f"expert{i}.{key}", shape) for i in range(n_experts) for key, shape in ffn
+    ]
+    stops = itertools.accumulate(math.prod(shape) for _, shape in named)
     return tuple(
-        (key, slice(stop - math.prod(shape), stop), shape)
-        for key, shape, stop in zip(FFN_PARAMS, shapes, stops)
+        (name, slice(stop - math.prod(shape), stop), shape)
+        for (name, shape), stop in zip(named, stops)
     )
 
 
-@dataclass
-class DenseFfn:
-    """Two-layer feed-forward block ``w2 @ act(w1 @ x + b1) + b2``.
+class _Tensor:
+    """A block attribute that is a view of the block's buffer, kept in the
+    instance ``__dict__``. Only ``__set__`` is defined, so reading is a plain
+    attribute lookup, while assignment copies into the view after a shape
+    check: the attribute never leaves the buffer."""
 
-    Construction copies the four tensors into one float64 buffer ``params``,
-    in ``FFN_PARAMS`` order, and makes each attribute a view of it.
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __set__(self, block, value):
+        view = block.__dict__[self.name]
+        if np.shape(value) != view.shape:
+            raise ShapeMismatch(f"{self.name} shape {np.shape(value)} != {view.shape}")
+        view[...] = value
+
+
+class DenseFfn:
+    """Two-layer feed-forward block ``w2 @ relu(w1 @ x + b1) + b2``.
+
+    ``w1`` (h, d), ``b1`` (h,), ``w2`` (d, h) and ``b2`` (d,) are views of
+    one float64 buffer ``params``, in ``block_params`` order. Construction
+    copies the tensors into a new buffer.
     """
 
-    w1: Array  # (h, d)
-    b1: Array  # (h,)
-    w2: Array  # (d, h)
-    b2: Array  # (d,)
-    activation: str = "relu"
+    w1 = _Tensor()
+    b1 = _Tensor()
+    w2 = _Tensor()
+    b2 = _Tensor()
+    params = _Tensor()
 
-    def __post_init__(self):
-        h, d = np.shape(self.w1)
-        layout = _ffn_layout(h, d)
-        for key, _, shape in layout:
-            actual = np.shape(getattr(self, key))
-            if actual != shape:
-                raise ShapeMismatch(f"{key} shape {actual} != {shape}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        self._bind(np.empty(layout[-1][1].stop))
+    def __init__(self, w1, b1, w2, b2):
+        h, d = np.shape(w1)
+        self._view(np.empty(_layout(0, h, d)[-1][1].stop), h, d)
+        for key, value in zip(FFN_PARAMS, (w1, b1, w2, b2)):
+            setattr(self, key, value)
 
-    def _bind(self, buf: Array) -> None:
-        """Copy the four tensors into ``buf`` and rebind each to its view there."""
-        for key, part, shape in _ffn_layout(self.h, self.d):
-            view = buf[part].reshape(shape)
-            view[...] = getattr(self, key)
-            setattr(self, key, view)
-        self.params = buf
-
-    @property
-    def d(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def h(self) -> int:
-        return self.w1.shape[0]
+    def _view(self, buf: Array, h: int, d: int) -> "DenseFfn":
+        """Make ``buf`` this block's buffer, without copying."""
+        self.h, self.d = h, d
+        self.__dict__.update(block_params(self, buf=buf), params=buf)
+        return self
 
     def copy(self) -> "DenseFfn":
-        return DenseFfn(self.w1, self.b1, self.w2, self.b2, activation=self.activation)
+        return DenseFfn(self.w1, self.b1, self.w2, self.b2)
 
 
-@dataclass
 class MoeLayer:
     """``n_experts`` FFNs plus a bias-free router (n_experts x d).
 
-    Construction copies the router and the experts into one float64 buffer
-    ``params``, in ``block_params`` order, binding copies of the expert
-    objects: each one's ``params`` is its contiguous slice of the buffer.
+    Construction copies the router and the experts' tensors into one float64
+    buffer ``params``, in ``block_params`` order. ``experts`` is a tuple of
+    new ``DenseFfn`` objects whose buffers are contiguous slices of it.
     """
 
-    experts: list[DenseFfn]
-    router: Array
-    k: int
-    capacity_factor: float
+    router = _Tensor()
+    params = _Tensor()
 
-    def __post_init__(self):
-        router = np.asarray(self.router, dtype=np.float64)
-        if not self.experts:
+    def __init__(self, experts, router, k: int, capacity_factor: float):
+        if not experts:
             raise ValueError("MoeLayer needs at least one expert")
-        d, h = self.experts[0].d, self.experts[0].h
-        for i, e in enumerate(self.experts):
+        n_e, d, h = len(experts), experts[0].d, experts[0].h
+        for i, e in enumerate(experts):
             if (e.d, e.h) != (d, h):
                 raise ShapeMismatch(f"expert {i} has shape ({e.h}, {e.d}), expected ({h}, {d})")
-        n_e = len(self.experts)
-        if router.shape != (n_e, d):
-            raise ShapeMismatch(f"router shape {router.shape} != ({n_e}, {d})")
-        if not 1 <= self.k <= n_e:
-            raise ValueError(f"k must lie in [1, {n_e}], got {self.k}")
-        if self.capacity_factor <= 0:
-            raise ValueError(f"capacity_factor must be > 0, got {self.capacity_factor}")
-        size = self.experts[0].params.size
-        self.params = np.empty(n_e * (d + size))
-        self.router = self.params[:n_e * d].reshape(n_e, d)
-        self.router[...] = router
-        self.experts = [copy.copy(e) for e in self.experts]
-        for i, e in enumerate(self.experts):
-            start = n_e * d + i * size
-            e._bind(self.params[start:start + size])
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.experts)
-
-    @property
-    def d(self) -> int:
-        return self.experts[0].d
-
-    @property
-    def h(self) -> int:
-        return self.experts[0].h
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"k must be an integer, got {k!r}")
+        if not 1 <= k <= n_e:
+            raise ValueError(f"k must lie in [1, {n_e}], got {k}")
+        if not 0 < capacity_factor < math.inf:
+            raise ValueError(f"capacity_factor must be finite and > 0, got {capacity_factor}")
+        self.k, self.capacity_factor = k, capacity_factor
+        self.n_experts, self.d, self.h = n_e, d, h
+        size = experts[0].params.size
+        buf = np.empty(n_e * (d + size))
+        self.__dict__.update(router=buf[:n_e * d].reshape(n_e, d), params=buf)
+        self.router = router
+        self.experts = tuple(
+            DenseFfn.__new__(DenseFfn)._view(buf[start:start + size], h, d)
+            for start in range(n_e * d, buf.size, size)
+        )
+        for mine, given in zip(self.experts, experts):
+            mine.params = given.params
 
     def copy(self) -> "MoeLayer":
         return MoeLayer(self.experts, self.router, self.k, self.capacity_factor)
 
 
-def block_params(block: DenseFfn | MoeLayer, prefix: str = ""):
-    """The (name, array) walk over one block's trainable tensors.
+def block_params(block: DenseFfn | MoeLayer, prefix: str = "", buf: Array | None = None):
+    """The (name, array) walk over one block's trainable tensors, each a view
+    of ``buf``, a 1-D buffer laid out like ``block.params`` (by default
+    ``block.params`` itself; a gradient buffer, say).
 
     A ``DenseFfn`` yields ``w1, b1, w2, b2``; a ``MoeLayer`` yields ``router``
     and then each expert's walk under ``expert{i}.``. Every name is prefixed
     with ``prefix``. This order is the one SGD, EMA, checkpoints and the
     gradient check all share, and the layout of the block's ``params``.
     """
-    if isinstance(block, MoeLayer):
-        yield prefix + "router", block.router
-        ffns = [(f"{prefix}expert{i}.", e) for i, e in enumerate(block.experts)]
-    else:
-        ffns = [(prefix, block)]
-    for ffn_prefix, ffn in ffns:
-        for key in FFN_PARAMS:
-            yield ffn_prefix + key, getattr(ffn, key)
-
-
-def buffer_views(block: DenseFfn | MoeLayer, buf: Array, prefix: str = ""):
-    """``block_params``'s walk with each array replaced by its view of ``buf``,
-    a 1-D buffer laid out like ``block.params`` (a gradient buffer, say)."""
-    offset = 0
-    for name, arr in block_params(block, prefix):
-        yield name, buf[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-
-
-def check_views(block: DenseFfn | MoeLayer, prefix: str = "") -> None:
-    """Raise ``ValueError`` unless every ``block_params`` tensor is still the
-    view of ``block.params`` at its walk offset. A tensor rebound since
-    construction would be missed by whole-buffer SGD and EMA updates."""
-    walk = zip(block_params(block, prefix), buffer_views(block, block.params, prefix))
-    for (name, arr), (_, view) in walk:
-        if arr.__array_interface__ != view.__array_interface__:
-            raise ValueError(f"{name} is not a view of its block's parameter buffer")
+    buf = block.params if buf is None else buf
+    n_e = block.n_experts if isinstance(block, MoeLayer) else 0
+    for name, part, shape in _layout(n_e, block.h, block.d):
+        yield prefix + name, buf[part].reshape(shape)
 
 
 def block_structure(block: DenseFfn | MoeLayer) -> dict:
@@ -202,7 +171,7 @@ def block_from_tensors(entry: dict, tensors: dict, prefix: str = "") -> DenseFfn
         return DenseFfn(*(tensors[prefix + key] for key in FFN_PARAMS))
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc} for block {prefix!r}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ShapeMismatch) as exc:
         raise CheckpointError(f"invalid structure for block {prefix!r}: {exc}") from None
 
 
@@ -275,9 +244,7 @@ def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array, out: Array | None = 
     None, laid out like ``ffn.params`` and filled with the gradients.
     """
     grads = np.empty_like(ffn.params) if out is None else out
-    g_w1, g_b1, g_w2, g_b2 = [
-        grads[part].reshape(shape) for _, part, shape in _ffn_layout(ffn.h, ffn.d)
-    ]
+    g_w1, g_b1, g_w2, g_b2 = [g for _, g in block_params(ffn, buf=grads)]
     d_pre = ffn.w2.T @ dy
     d_pre *= cache.pre > 0.0
     np.matmul(dy, cache.act.T, out=g_w2)
@@ -313,12 +280,13 @@ def top_k_gates(probs_row, k: int) -> tuple[np.ndarray, Array]:
 
 
 def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int) -> int:
-    """Slot budget per expert: ceil(capacity_factor * tokens * k / n_experts).
+    """Slot budget per expert: ceil(capacity_factor * tokens * k / n_experts),
+    at most ``tokens``, since a token selects an expert at most once.
 
     Quotients within 1e-9 of an integer snap to it first, so exact ratios never
     round up from floating-point noise.
     """
-    q = capacity_factor * tokens * k / n_experts
+    q = min(capacity_factor * tokens * k / n_experts, tokens)
     nearest = round(q)
     if abs(q - nearest) < 1e-9:
         return int(nearest)

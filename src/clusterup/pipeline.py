@@ -37,7 +37,7 @@ from .analysis import (
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import INIT_METHODS, PipelineConfig
 from .distill import EmaTeacher
-from .errors import CheckpointError, ClusterUpError, ShapeMismatch
+from .errors import CheckpointError, ClusterUpError, ConfigError, ShapeMismatch
 from .moe import block_from_tensors, block_params, block_structure
 from .seeding import derive_seed
 from . import train  # so run_analyze looks up train.model_forward at call time
@@ -471,6 +471,8 @@ def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) ->
 
 
 def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False) -> Path:
+    if n_seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
     rows = []
     for offset in range(n_seeds):
         rows += _compare_seed(cfg, cfg.root_seed + offset, INIT_METHODS, eesd)

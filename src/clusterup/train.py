@@ -12,9 +12,7 @@ differences.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +26,6 @@ from .moe import (
     MoeLayer,
     RoutingRecord,
     block_params,
-    buffer_views,
-    check_views,
     ffn_backward,
     ffn_forward_cached,
     load_balance_loss,
@@ -91,9 +87,11 @@ def make_dense_model(d: int, h: int, n_blocks: int, n_classes: int, seed: int) -
     return ToyModel(input_dim=d, blocks=blocks, head=head)
 
 
-def named_params(model: ToyModel):
-    """Deterministic (name, array) walk over every trainable tensor."""
-    for _, name, arr in _staged_params(model):
+def named_params(model: ToyModel, buffers: list[Array] | None = None):
+    """Deterministic (name, array) walk over every trainable tensor, each a
+    view of ``buffers``, laid out like ``param_buffers(model)`` (by default
+    those buffers themselves; gradients, say)."""
+    for _, name, arr in _staged_params(model, buffers):
         yield name, arr
 
 
@@ -103,13 +101,14 @@ def param_buffers(model: ToyModel) -> list[Array]:
     return [model.head] + [block.params for block in model.blocks]
 
 
-def _staged_params(model: ToyModel):
+def _staged_params(model: ToyModel, buffers: list[Array] | None = None):
     """``named_params`` with each tensor's first block: the index of the
     first block whose output the tensor changes, ``len(model.blocks)`` for
     the head, which no block reads."""
-    yield len(model.blocks), "head", model.head
-    for b, block in enumerate(model.blocks):
-        for name, arr in block_params(block, f"block{b}."):
+    head, *blocks = param_buffers(model) if buffers is None else buffers
+    yield len(model.blocks), "head", head
+    for b, (block, buf) in enumerate(zip(model.blocks, blocks)):
+        for name, arr in block_params(block, f"block{b}.", buf):
             yield b, name, arr
 
 
@@ -345,31 +344,6 @@ def _cross_entropy(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
     return loss, dlogits
 
 
-class Gradients(Mapping):
-    """Gradients keyed by ``named_params`` name, each a view of ``buffers``
-    (one per ``param_buffers`` entry). The views are made at the first
-    lookup, so SGD, which reads only ``buffers``, never pays for them."""
-
-    def __init__(self, model: ToyModel, buffers: list[Array]):
-        self.model, self.buffers = model, buffers
-
-    @cached_property
-    def _named(self) -> dict[str, Array]:
-        named = {"head": self.buffers[0]}
-        for b, (block, buf) in enumerate(zip(self.model.blocks, self.buffers[1:])):
-            named.update(buffer_views(block, buf, f"block{b}."))
-        return named
-
-    def __getitem__(self, name: str) -> Array:
-        return self._named[name]
-
-    def __iter__(self):
-        return iter(self._named)
-
-    def __len__(self) -> int:
-        return len(self._named)
-
-
 def _teacher_outputs(
     teacher: ModelTeacher | None, state: ForwardState, sites: list[int]
 ) -> dict[int, Array] | None:
@@ -417,9 +391,10 @@ def total_loss(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-) -> tuple[LossReport, Gradients, ForwardState]:
-    """Combined objective (see ``_objective``), its gradients for every
-    trainable tensor, and the forward state they were computed from.
+) -> tuple[LossReport, list[Array], ForwardState]:
+    """Combined objective (see ``_objective``), its gradients as buffers laid
+    out like ``param_buffers(model)`` (``named_params(model, grads)`` names
+    them), and the forward state they were computed from.
 
     Teacher predictions are constants under differentiation.
     """
@@ -448,7 +423,7 @@ def total_loss(
         else:
             dxi, buffers[b + 1] = ffn_backward(block, cache, dx)
         dx = dx + dxi
-    return report, Gradients(model, buffers), state
+    return report, buffers, state
 
 
 def _decisions(state: ForwardState) -> bytes:
@@ -496,7 +471,7 @@ def train_step(
     )
     if not math.isfinite(report.total):
         raise NonFiniteLoss(f"non-finite loss at report {report}", report=report)
-    for arr, grad in zip(param_buffers(model), grads.buffers):
+    for arr, grad in zip(param_buffers(model), grads):
         arr -= lr * grad
     if teacher is not None:
         update_model_teacher(teacher, model)
@@ -517,15 +492,7 @@ def run_training(
     seed: int = 0,
     log_fn=None,
 ) -> list[LossReport]:
-    """SGD over randomly drawn batches; one log record per step via log_fn.
-
-    Raises ``ValueError`` first if a tensor of ``model`` or of a teacher
-    mirror was rebound away from its block's parameter buffer.
-    """
-    for b, block in enumerate(model.blocks):
-        check_views(block, f"block{b}.")
-    for b, site_teacher in (teacher.sites.items() if teacher else ()):
-        check_views(site_teacher.mirror, f"teacher.block{b}.")
+    """SGD over randomly drawn batches; one log record per step via log_fn."""
     rng = np.random.default_rng(seed)
     n = dataset.n
     batch = min(batch_size, n)
@@ -601,6 +568,7 @@ def grad_check(
         model, teacher, xm, labels,
         lambda_lb=lambda_lb, lambda_eesd=lambda_eesd, capacity_factor=capacity_factor,
     )
+    named_grads = dict(named_params(model, grads))
     frozen = _teacher_outputs(teacher, state, model.moe_sites)
     base_decisions = _decisions(state)
 
@@ -633,7 +601,7 @@ def grad_check(
                 skipped += 1
                 continue
             numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
-            analytic = float(grads[name].flat[flat_idx])
+            analytic = float(named_grads[name].flat[flat_idx])
             rel = abs(analytic - numeric) / max(1.0, abs(numeric))
             tensor_err = max(tensor_err, rel)
             checked += 1

@@ -249,7 +249,9 @@ class TestModelSerialization:
             model_from_tensors(structure, dict(named_params(moe)))
 
     @pytest.mark.parametrize("key,value", [
-        ("k", 9), ("k", "2"), ("n_experts", 0), ("capacity_factor", -1.0),
+        ("k", 9), ("k", "2"), ("k", 1.5), ("k", True), ("n_experts", 0),
+        ("capacity_factor", -1.0), ("capacity_factor", float("inf")),
+        ("capacity_factor", float("nan")),
     ])
     def test_invalid_structure_raises_checkpoint_error(self, key, value):
         moe, _, _ = upcycle_model(make_dense_model(5, 7, 2, 3, seed=5), "sparse",

@@ -1,14 +1,18 @@
 """End-to-end CLI tests on a miniature configuration."""
 
 import csv
+import functools
 import json
+import operator
 import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterup.cli import main
-from clusterup.checkpoint import load_checkpoint, save_checkpoint
+from clusterup.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from clusterup import pipeline, train, upcycle
 from clusterup.pipeline import (
     compare_row,
@@ -339,8 +343,11 @@ class TestErrors:
          ("upcycle", "--method", "cluster")),
         ("moe_cluster_trained.ckpt",
          lambda tensors, extra: tensors.update(head=tensors["head"][0]), ("analyze",)),
+        ("moe_cluster_trained.ckpt",
+         lambda tensors, extra: tensors.update({
+             "teacher.block1.router": tensors["teacher.block1.router"].T}), ("analyze",)),
     ], ids=["teacher-without-beta", "step-counts-list", "blocks-int", "bank-site-name",
-            "head-1d"])
+            "head-1d", "teacher-router-transposed"])
     def test_malformed_metadata_reports_json(self, trained_workspace, capsys,
                                              name, mutate, argv):
         cfg_path, out = trained_workspace
@@ -383,6 +390,37 @@ class TestErrors:
         assert "site 3" in err["message"]
         assert "(5, " in err["message"] and "expected 8 rows" in err["message"]
 
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_compare_without_seeds_reports_json(self, workspace, capsys, seeds):
+        cfg_path, out = workspace
+        assert run("--config", cfg_path, "compare", "--seeds", seeds) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "message": f"--seeds must be >= 1, got {seeds}"}
+        assert not (out / "compare.csv").exists()
+
+    @pytest.mark.parametrize("edits,argvs,error", [
+        ({"model: {d: 8, h: 12, blocks: 4,": "model: {d: 2, h: 4, blocks: 2,",
+          "n_clusters: 4, separation: 3.0": "n_clusters: 8, separation: 100.0"},
+         [("train-dense",)], "SeparationInfeasible"),
+        ({"token_cap: 256": "token_cap: 4", "n_experts: 4": "n_experts: 8"},
+         [("train-dense",), ("capture",), ("upcycle", "--method", "cluster")],
+         "InsufficientData"),
+    ], ids=["separation-infeasible", "insufficient-data"])
+    def test_error_class_reports_json(self, tmp_path, capsys, edits, argvs, error):
+        text = SMALL_CFG.format(out=tmp_path / "runs", tau=0.95)
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        *setup, failing = argvs
+        for argv in setup:
+            assert run("--config", cfg_path, *argv) == 0
+        capsys.readouterr()
+        assert run("--config", cfg_path, *failing) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == error
+
     def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
         cfg_path, out = workspace
         other = tmp_path / "elsewhere"
@@ -390,3 +428,53 @@ class TestErrors:
         run("--config", cfg_path, "train-dense")
         assert (other / "dense.ckpt").exists()
         assert not (out / "dense.ckpt").exists()
+
+
+def _json_paths(node, path=()):
+    """The path (keys and indices) to every value below the root of a JSON tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+               | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=3))
+
+
+class TestManifestFuzz:
+    """Replacing or deleting one manifest value of a real checkpoint either
+    loads or raises ``CheckpointError``; a model that loads also runs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_loads_or_raises_checkpoint_error(self, trained_artifacts, data):
+        name = data.draw(st.sampled_from(["moe_cluster_trained.ckpt", "bank.ckpt"]))
+        raw = (trained_artifacts / name).read_bytes()
+        (length,) = struct.unpack("<Q", raw[4:12])
+        manifest, blob = json.loads(raw[12:12 + length]), raw[12 + length:]
+        paths = list(_json_paths(manifest))
+        metadata = [path for path in paths if path[0] == "extra"]
+        *parents, key = data.draw(st.sampled_from(metadata) | st.sampled_from(paths))
+        node = functools.reduce(operator.getitem, parents, manifest)
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        payload = json.dumps(manifest).encode()
+        path = trained_artifacts.parent / "mutated.ckpt"
+        path.write_bytes(raw[:4] + struct.pack("<Q", len(payload)) + payload + blob)
+        try:
+            if name == "bank.ckpt":
+                pipeline.load_bank(path)
+                return
+            model, _, _ = load_model_checkpoint(path)
+        except CheckpointError:
+            return
+        train.model_forward(model, np.ones((model.input_dim, 5)))

@@ -121,6 +121,10 @@ class TestCapacity:
     def test_rounds_up(self):
         assert expert_capacity(1.0, 5, 1, 2) == 3
 
+    def test_at_most_one_slot_per_token(self):
+        assert expert_capacity(3.0, 5, 2, 2) == 5
+        assert expert_capacity(1e308, 5, 2, 4) == 5  # the product overflows to inf
+
 
 class TestMoeForward:
     def test_identical_experts_equal_dense(self):

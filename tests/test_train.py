@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clusterup.clustering import spherical_kmeans
-from clusterup.errors import NonFiniteLoss, SeparationInfeasible
+from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from clusterup import train
 from clusterup.config import INIT_METHODS, PipelineConfig
 from clusterup.moe import DenseFfn, MoeLayer, block_params
@@ -21,6 +21,7 @@ from clusterup.train import (
     make_synthetic_dataset,
     model_forward,
     named_params,
+    param_buffers,
     run_training,
     total_loss,
     train_step,
@@ -149,7 +150,8 @@ class TestTrainStep:
         p = np.exp(model.head @ x)
         p /= p.sum()
         expected_grad = np.array([[p[0, 0] - 1.0], [p[1, 0]]])
-        np.testing.assert_allclose(grads["head"], expected_grad, atol=1e-12)
+        np.testing.assert_allclose(dict(named_params(model, grads))["head"],
+                                   expected_grad, atol=1e-12)
         w0 = model.head.copy()
         train_step(model, None, x, labels, lr=0.1)
         np.testing.assert_allclose(model.head, w0 - 0.1 * expected_grad, atol=1e-12)
@@ -366,8 +368,8 @@ class TestStopGradient:
         moe, teacher, ds = self._model_and_teacher()
         _, grads, _ = total_loss(moe, teacher, ds.inputs, ds.labels,
                                  lambda_lb=0.001, lambda_eesd=1.0)
-        assert not [name for name in grads if name.startswith("teacher.")]
-        assert sorted(grads) == sorted(name for name, _ in named_params(moe))
+        # One buffer per student buffer, so no slot for a teacher gradient.
+        assert [g.shape for g in grads] == [p.shape for p in param_buffers(moe)]
 
     def test_eesd_term_matches_finite_difference_in_student_output(self, monkeypatch):
         # Each block's backward passes zero upstream, so at every MoE site
@@ -518,8 +520,8 @@ class TestParameterBuffers:
         lr, kwargs = 0.05, dict(lambda_lb=0.001, lambda_eesd=1.0, capacity_factor=1.5)
 
         _, grads, _ = total_loss(ref, ref_teacher, ds.inputs, ds.labels, **kwargs)
-        for name, arr in named_params(ref):
-            arr -= lr * grads[name]
+        for (_, arr), (_, grad) in zip(named_params(ref), named_params(ref, grads)):
+            arr -= lr * grad
         for b, site_teacher in ref_teacher.sites.items():
             walk = zip(block_params(site_teacher.mirror), block_params(ref.blocks[b]))
             for (_, t_param), (_, s_param) in walk:
@@ -539,10 +541,33 @@ class TestParameterBuffers:
                 assert np.array_equal(t_a, t_b), name
 
     @pytest.mark.parametrize("in_teacher", [False, True])
-    def test_rebound_tensor_is_refused(self, in_teacher):
-        moe, teacher, ds = _moe_and_teacher()
+    def test_assignment_copies_into_buffer(self, in_teacher):
+        moe, teacher, _ = _moe_and_teacher()
         layer = teacher.sites[3].mirror if in_teacher else moe.blocks[3]
-        layer.experts[1].b1 = layer.experts[1].b1.copy()
-        name = ("teacher." if in_teacher else "") + "block3.expert1.b1"
-        with pytest.raises(ValueError, match=name):
-            run_training(moe, teacher, ds, steps=1, batch_size=16, lr=0.05, seed=0)
+        expert, rng = layer.experts[1], np.random.default_rng(68)
+        targets = [(f"expert1.{key}", expert, key) for key in ("w1", "b1", "w2", "b2")]
+        for name, owner, key in targets + [("router", layer, "router")]:
+            new = rng.standard_normal(getattr(owner, key).shape)
+            setattr(owner, key, new)
+            assert_buffer_views(layer)
+            assert np.array_equal(dict(block_params(layer))[name], new), name
+            assert np.array_equal(getattr(owner, key), new), name
+        w1 = expert.w1.copy()
+        expert.w1 += 1.0
+        assert np.array_equal(dict(block_params(layer))["expert1.w1"], w1 + 1.0)
+        new = rng.standard_normal(layer.params.shape)
+        layer.params = new
+        assert_buffer_views(layer)
+        assert np.array_equal(layer.params, new)
+        start = layer.router.size + expert.params.size
+        assert np.array_equal(expert.params, new[start:start + expert.params.size])
+
+        before = layer.params.copy()
+        wrong = [(expert, "w1", expert.w1.T), (expert, "b1", np.zeros(expert.h + 1)),
+                 (layer, "router", np.zeros(layer.router.size)),
+                 (expert, "params", layer.params), (layer, "params", expert.params)]
+        for owner, key, value in wrong:
+            with pytest.raises(ShapeMismatch, match=key):
+                setattr(owner, key, value)
+        assert_buffer_views(layer)
+        assert np.array_equal(layer.params, before)
