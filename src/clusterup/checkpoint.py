@@ -107,15 +107,19 @@ def save_checkpoint(
 
 
 def _check_tensor_table(entries, blob_bytes: int, path) -> None:
-    """Every entry is well formed, and the entries tile the blob in order."""
+    """Every entry is well formed with its own name, and the entries tile
+    the blob in order."""
     if not isinstance(entries, list):
         raise CheckpointError(f"manifest tensor table in {path} is not a list")
-    offset = 0
+    offset, names = 0, set()
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
                 and all(type(n) is int and n >= 0 for n in entry["shape"])):
             raise CheckpointError(f"malformed tensor entry {entry!r} in {path}")
+        if entry["name"] in names:
+            raise CheckpointError(f"duplicate tensor name {entry['name']!r} in {path}")
+        names.add(entry["name"])
         if type(entry.get("offset")) is not int or entry["offset"] != offset:
             raise CheckpointError(
                 f"tensor {entry['name']!r} at offset {entry.get('offset')!r}, expected {offset}"
@@ -144,7 +148,8 @@ def load_checkpoint(path) -> Checkpoint:
         blob = fh.read()
     try:
         manifest = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError, JSONDecodeError, or nesting past the recursion limit.
         raise CheckpointError(f"unreadable manifest in {path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError(f"manifest in {path} is not a JSON object")

@@ -194,9 +194,10 @@ def load_config(path) -> PipelineConfig:
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # PyYAML raises ValueError for an integer literal past Python's
-        # integer-to-string digit limit.
+        # integer-to-string digit limit, and RecursionError for nesting a
+        # few hundred levels deep.
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if raw is None:
         raw = {}

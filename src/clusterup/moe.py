@@ -83,6 +83,11 @@ class DenseFfn:
     def copy(self) -> "DenseFfn":
         return DenseFfn(self.w1, self.b1, self.w2, self.b2)
 
+    def __reduce__(self):
+        # Pickle rebuilds the block, so its tensors are views of one buffer
+        # again rather than separate copies of each view.
+        return DenseFfn, (self.w1, self.b1, self.w2, self.b2)
+
 
 class MoeLayer:
     """``n_experts`` FFNs plus a bias-free router (n_experts x d).
@@ -123,6 +128,9 @@ class MoeLayer:
 
     def copy(self) -> "MoeLayer":
         return MoeLayer(self.experts, self.router, self.k, self.capacity_factor)
+
+    def __reduce__(self):
+        return MoeLayer, (self.experts, self.router, self.k, self.capacity_factor)
 
 
 def block_params(block: DenseFfn | MoeLayer, prefix: str = "", buf: Array | None = None):

@@ -13,7 +13,8 @@ output directory:
 * ``gradcheck``     gradcheck.json
 * ``compare``       compare.csv
 
-``compare`` pretrains and captures once per seed for all four methods.
+``compare`` pretrains and captures once per seed for all four methods and
+runs its (seed, method) cells in worker processes.
 
 All randomness is derived from the config's root seed through named streams,
 so reruns with identical inputs are byte-identical.
@@ -22,7 +23,9 @@ so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -451,31 +454,71 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
 # compare
 # ---------------------------------------------------------------------------
 
-def _compare_seed(cfg: PipelineConfig, root_seed: int, methods, eesd: bool) -> list[dict]:
-    # Every method upcycles the same dense model, so it is pretrained and
-    # captured once; upcycling copies it and capture only reads it.
-    cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
-    dense = train_dense(cfg)
-    bank = capture(cfg, dense)
-    rows = []
-    for method in methods:
-        model, _, _ = upcycle(cfg, dense, method, bank)
-        train_moe(cfg, model, method, eesd)
-        rows.append(compare_row(cfg, model, method))
-    return rows
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the cap on ``compare``'s workers."""
+    return len(os.sched_getaffinity(0))
+
+
+def _compare_cells(cfg: PipelineConfig, root_seeds, methods, eesd: bool):
+    """``_compare_cell``'s arguments for every (seed, method) cell, in that
+    order. Every method upcycles the same dense model, so each seed is
+    pretrained and captured once, when its first cell is drawn; upcycling
+    copies the model and capture only reads it."""
+    for root_seed in root_seeds:
+        seed_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
+        dense = train_dense(seed_cfg)
+        bank = capture(seed_cfg, dense)
+        for method in methods:
+            yield seed_cfg, dense, bank, method, eesd
+
+
+def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
+                  method: str, eesd: bool) -> dict:
+    """One compare cell: upcycle ``dense``, train it, and evaluate it."""
+    model, _, _ = upcycle(cfg, dense, method, bank)
+    train_moe(cfg, model, method, eesd)
+    return compare_row(cfg, model, method)
+
+
+def _compare_rows(cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> list[dict]:
+    """Every cell's ``compare.csv`` row, in (seed, method) order.
+
+    The cells run in a pool of min(cells, usable CPUs) forked worker
+    processes, while the parent pretrains the next seed. A cell's row does
+    not depend on the process that computes it, so the rows have the same
+    values for any worker count; with one worker the cells run in process.
+    """
+    cells = _compare_cells(cfg, root_seeds, methods, eesd)
+    workers = min(len(root_seeds) * len(methods), _usable_cpus())
+    if workers == 1:
+        return list(itertools.starmap(_compare_cell, cells))
+    # Imported here, so the other commands do not pay for importing them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers start in milliseconds with the package already imported,
+    # and each inherits the parent's BLAS thread setting.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            futures = [pool.submit(_compare_cell, *cell) for cell in cells]
+            return [future.result() for future in futures]
+        except BaseException:
+            # Drop the cells not yet started; leaving the block joins the workers.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) -> dict:
     """One compare cell from scratch in memory; returns its ``compare.csv`` row."""
-    return _compare_seed(cfg, root_seed, (method,), eesd)[0]
+    return _compare_rows(cfg, (root_seed,), (method,), eesd)[0]
 
 
 def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False) -> Path:
     if n_seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
-    rows = []
-    for offset in range(n_seeds):
-        rows += _compare_seed(cfg, cfg.root_seed + offset, INIT_METHODS, eesd)
+    root_seeds = range(cfg.root_seed, cfg.root_seed + n_seeds)
+    rows = _compare_rows(cfg, root_seeds, INIT_METHODS, eesd)
     path = out_dir(cfg) / "compare.csv"
     with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)

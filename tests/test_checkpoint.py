@@ -86,6 +86,9 @@ MALFORMED = {
         _manifest([{**ONE_TENSOR[0], "offset": 64}]), bytes(8)),
     "overlapping_offsets": _container(
         _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "name": "b"}]), bytes(16)),
+    # Two entries named "a" that tile the blob: loading kept only the second.
+    "duplicate_name": _container(
+        _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "offset": 8}]), bytes(16)),
 }
 
 
@@ -166,8 +169,8 @@ class TestContainer:
         })
         if name == "compare.csv":
             # Canned rows, one per root seed, stand in for the experiments.
-            monkeypatch.setattr(pipeline, "_compare_seed", lambda cfg, seed, methods, eesd:
-                                [dict.fromkeys(pipeline.COMPARE_COLUMNS, seed)])
+            monkeypatch.setattr(pipeline, "_compare_rows", lambda cfg, seeds, methods, eesd:
+                                [dict.fromkeys(pipeline.COMPARE_COLUMNS, s) for s in seeds])
             write = lambda: pipeline.run_compare(cfg, n_seeds=2)
         else:
             pipeline.run_train_dense(cfg)

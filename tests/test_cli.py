@@ -3,7 +3,9 @@
 import csv
 import functools
 import json
+import multiprocessing
 import operator
+import os
 import shutil
 import struct
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterup.cli import main
 from clusterup.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from clusterup.errors import NonFiniteLoss
 from clusterup import pipeline, train, upcycle
 from clusterup.pipeline import (
     compare_row,
@@ -390,6 +393,24 @@ class TestErrors:
         assert "site 3" in err["message"]
         assert "(5, " in err["message"] and "expected 8 rows" in err["message"]
 
+    @pytest.mark.parametrize("target", ["config", "checkpoint"])
+    def test_deeply_nested_input_reports_json(self, workspace, capsys, target):
+        # The YAML and JSON parsers raise RecursionError on deep nesting.
+        cfg_path, out = workspace
+        if target == "config":
+            cfg_path.write_text("train: " + "[" * 5000 + "]" * 5000 + "\n")
+            argv, error = ("train-dense",), "ConfigError"
+        else:
+            out.mkdir()
+            payload = b"[" * 100000 + b"]" * 100000
+            (out / "dense.ckpt").write_bytes(
+                b"CKP1" + struct.pack("<Q", len(payload)) + payload)
+            argv, error = ("capture",), "CheckpointError"
+        assert run("--config", cfg_path, *argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == error
+        assert "recursion" in err["message"]
+
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_compare_without_seeds_reports_json(self, workspace, capsys, seeds):
         cfg_path, out = workspace
@@ -428,6 +449,42 @@ class TestErrors:
         run("--config", cfg_path, "train-dense")
         assert (other / "dense.ckpt").exists()
         assert not (out / "dense.ckpt").exists()
+
+
+class TestComparePool:
+    """``compare`` runs its cells in worker processes, one per usable CPU."""
+
+    @pytest.mark.parametrize("eesd", [(), ("--eesd",)], ids=["plain", "eesd"])
+    def test_rows_independent_of_worker_count(self, workspace, monkeypatch, capsys, eesd):
+        cfg_path, out = workspace
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            target = out / f"workers{workers}"
+            assert run("--config", cfg_path, "--out-dir", target,
+                       "compare", "--seeds", "2", *eesd) == 0
+            written.append((target / "compare.csv").read_bytes())
+            assert not multiprocessing.active_children()
+        assert written[0] == written[1]
+
+    def test_worker_error_reports_json(self, workspace, monkeypatch, capsys):
+        # The forked workers inherit the patched train_moe; it raises only
+        # outside the parent, so exit 2 shows the cell ran in a worker.
+        cfg_path, out = workspace
+        parent, train_moe = os.getpid(), pipeline.train_moe
+
+        def diverge(cfg, model, method, eesd, log_fn=None):
+            if os.getpid() != parent and method == "drop_svd":
+                raise NonFiniteLoss(f"seed {cfg.root_seed}: {method} diverged")
+            return train_moe(cfg, model, method, eesd, log_fn)
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "train_moe", diverge)
+        assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
+        assert not (out / "compare.csv").exists()
+        assert not multiprocessing.active_children()
 
 
 def _json_paths(node, path=()):

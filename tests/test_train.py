@@ -1,6 +1,7 @@
 """Tests for the toy model, synthetic data, losses, SGD, and grad checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -484,8 +485,13 @@ class TestParameterBuffers:
         experts = [ffn.copy() for _ in range(3)]
         before = [e.params.copy() for e in experts]
         layer = MoeLayer(experts, rng.standard_normal((3, 3)), k=2, capacity_factor=1.0)
-        for block in (ffn, ffn.copy(), layer, layer.copy()):
+        # Pickling (compare sends the dense model to its workers) rebuilds
+        # each block around one buffer, with equal values.
+        pickled = [pickle.loads(pickle.dumps(block)) for block in (ffn, layer)]
+        for block in (ffn, ffn.copy(), layer, layer.copy(), *pickled):
             assert_buffer_views(block)
+        for original, copy in zip((ffn, layer), pickled):
+            assert np.array_equal(copy.params, original.params)
         # The layer copies the experts it is given and leaves them as they were.
         for expert, old in zip(experts, before):
             assert not np.shares_memory(expert.params, layer.params)
