@@ -23,7 +23,6 @@ so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 from dataclasses import replace
@@ -456,20 +455,19 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: the cap on ``compare``'s workers."""
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _compare_cells(cfg: PipelineConfig, root_seeds, methods, eesd: bool):
-    """``_compare_cell``'s arguments for every (seed, method) cell, in that
-    order. Every method upcycles the same dense model, so each seed is
-    pretrained and captured once, when its first cell is drawn; upcycling
-    copies the model and capture only reads it."""
-    for root_seed in root_seeds:
-        seed_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
-        dense = train_dense(seed_cfg)
-        bank = capture(seed_cfg, dense)
-        for method in methods:
-            yield seed_cfg, dense, bank, method, eesd
+def _seed_cells(cfg: PipelineConfig, root_seed: int, methods, eesd: bool) -> list[tuple]:
+    """``_compare_cell``'s arguments for one seed's cells, in method order.
+    Every method upcycles the same dense model, so the seed is pretrained and
+    captured once; upcycling copies the model and capture only reads it."""
+    seed_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
+    dense = train_dense(seed_cfg)
+    bank = capture(seed_cfg, dense)
+    return [(seed_cfg, dense, bank, method, eesd) for method in methods]
 
 
 def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
@@ -480,33 +478,62 @@ def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
     return compare_row(cfg, model, method)
 
 
+def _results(futures) -> list[dict]:
+    """The futures' results in order; raises the first failure in that order."""
+    return [future.result() for future in futures]
+
+
+def _pooled_rows(pool, cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> list[dict]:
+    """``_compare_rows`` with the cells run in ``pool``.
+
+    The parent pretrains seed s+1 while seed s's cells run, and no further
+    ahead: seed s-1's cells finish first, so at most two seeds' dense models
+    and banks are held for pending cells. Failures surface in (seed, method)
+    order, as in one process: a failed cell stops the run before the next
+    seed is pretrained, and a failure in the parent's own work waits for the
+    cells submitted before it.
+    """
+    futures = []
+    for root_seed in root_seeds:
+        if any(future.done() and future.exception() for future in futures):
+            _results(futures)
+        _results(futures[:-len(methods)])  # seed s-1's cells
+        try:
+            cells = _seed_cells(cfg, root_seed, methods, eesd)
+        except Exception:
+            _results(futures)  # an earlier cell's failure comes first
+            raise
+        futures += [pool.submit(_compare_cell, *cell) for cell in cells]
+    return _results(futures)
+
+
 def _compare_rows(cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> list[dict]:
     """Every cell's ``compare.csv`` row, in (seed, method) order.
 
     The cells run in a pool of min(cells, usable CPUs) forked worker
-    processes, while the parent pretrains the next seed. A cell's row does
-    not depend on the process that computes it, so the rows have the same
-    values for any worker count; with one worker the cells run in process.
+    processes. A cell's row does not depend on the process that computes it,
+    so the rows have the same values for any worker count. With one worker,
+    or where ``fork`` is missing (Windows), the cells run in process.
     """
-    cells = _compare_cells(cfg, root_seeds, methods, eesd)
     workers = min(len(root_seeds) * len(methods), _usable_cpus())
-    if workers == 1:
-        return list(itertools.starmap(_compare_cell, cells))
-    # Imported here, so the other commands do not pay for importing them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:
+        # Imported here, so the other commands do not pay for importing them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # fork: workers start in milliseconds with the package already imported,
-    # and each inherits the parent's BLAS thread setting.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        try:
-            futures = [pool.submit(_compare_cell, *cell) for cell in cells]
-            return [future.result() for future in futures]
-        except BaseException:
-            # Drop the cells not yet started; leaving the block joins the workers.
-            pool.shutdown(cancel_futures=True)
-            raise
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork: workers start in milliseconds with the package already
+            # imported, and each inherits the parent's BLAS thread setting.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                try:
+                    return _pooled_rows(pool, cfg, root_seeds, methods, eesd)
+                except BaseException:
+                    # Drop the cells not yet started; leaving the block joins the workers.
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    return [_compare_cell(*cell) for root_seed in root_seeds
+            for cell in _seed_cells(cfg, root_seed, methods, eesd)]
 
 
 def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) -> dict:

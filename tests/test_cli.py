@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterup.cli import main
 from clusterup.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from clusterup.errors import NonFiniteLoss
+from clusterup.errors import NonFiniteLoss, SeparationInfeasible
 from clusterup import pipeline, train, upcycle
 from clusterup.pipeline import (
     compare_row,
@@ -485,6 +485,74 @@ class TestComparePool:
         assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
         assert not (out / "compare.csv").exists()
         assert not multiprocessing.active_children()
+
+    def _fail_seed3_cell(self, monkeypatch):
+        """Make seed 3's drop_svd cell diverge in its worker; returns the
+        root seeds the parent pretrains, in order."""
+        parent, train_moe, train_dense = os.getpid(), pipeline.train_moe, pipeline.train_dense
+        pretrained = []
+
+        def diverge(cfg, model, method, eesd, log_fn=None):
+            if os.getpid() != parent and (cfg.root_seed, method) == (3, "drop_svd"):
+                raise NonFiniteLoss(f"seed 3: {method} diverged")
+            return train_moe(cfg, model, method, eesd, log_fn)
+
+        def pretrain(cfg, log_fn=None):
+            pretrained.append(cfg.root_seed)
+            return train_dense(cfg, log_fn)
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "train_moe", diverge)
+        monkeypatch.setattr(pipeline, "train_dense", pretrain)
+        return pretrained
+
+    def test_failed_cell_stops_pretraining(self, workspace, monkeypatch, capsys):
+        # The parent runs at most one seed ahead of the cells, so seed 3's
+        # failure surfaces before seed 5 is pretrained.
+        cfg_path, _ = workspace
+        pretrained = self._fail_seed3_cell(monkeypatch)
+        assert run("--config", cfg_path, "compare", "--seeds", "3") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
+        assert 5 not in pretrained
+        assert not multiprocessing.active_children()
+
+    def test_earlier_cell_failure_wins_over_parent_failure(self, workspace, monkeypatch, capsys):
+        # Seed 4's pretraining fails in the parent while seed 3's cells run;
+        # as in one process, seed 3's failed cell is the error reported.
+        cfg_path, _ = workspace
+        self._fail_seed3_cell(monkeypatch)
+        pretrain = pipeline.train_dense
+
+        def pretrain_fails_at_4(cfg, log_fn=None):
+            if cfg.root_seed == 4:
+                raise SeparationInfeasible("seed 4: pretraining failed")
+            return pretrain(cfg, log_fn)
+
+        monkeypatch.setattr(pipeline, "train_dense", pretrain_fails_at_4)
+        assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
+        assert not multiprocessing.active_children()
+
+    def test_cells_run_in_process_without_fork(self, workspace, monkeypatch, capsys):
+        # Without sched_getaffinity (macOS, Windows) the CPU count caps the
+        # workers; without fork (Windows) every cell runs in the parent.
+        cfg_path, out = workspace
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert pipeline._usable_cpus() == 2
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        train_moe, pids = pipeline.train_moe, []
+
+        def record_pid(cfg, model, method, eesd, log_fn=None):
+            pids.append(os.getpid())
+            return train_moe(cfg, model, method, eesd, log_fn)
+
+        monkeypatch.setattr(pipeline, "train_moe", record_pid)
+        assert run("--config", cfg_path, "compare", "--seeds", "1") == 0
+        assert pids == [os.getpid()] * 4
+        assert (out / "compare.csv").exists()
 
 
 def _json_paths(node, path=()):
