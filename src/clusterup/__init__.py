@@ -11,7 +11,6 @@ and the specialization diagnostics used to compare them.
 from .analysis import (
     AnalysisReport,
     analyze_model,
-    expert_utilization,
     expert_weight_similarity,
     relative_compactness,
     routing_entropy,

@@ -96,13 +96,6 @@ def routing_entropy(probs) -> float:
     return float(-terms.sum(axis=1).mean())
 
 
-def expert_utilization(routing: RoutingRecord) -> Array:
-    """Fraction of top-k slots selecting each expert, dropped slots included."""
-    n_e = routing.probs.shape[1]
-    counts = np.bincount(routing.topk_indices.ravel(), minlength=n_e)
-    return counts.astype(np.float64) / routing.topk_indices.size
-
-
 @dataclass
 class SiteAnalysis:
     rc: float | None
@@ -156,7 +149,7 @@ def analyze_model(model, state) -> AnalysisReport:
             mean_pairwise_similarity_w1=mean_offdiagonal(sim_w1),
             similarity_matrix=sim,
             mean_routing_entropy=routing_entropy(cache.record.probs),
-            utilization=expert_utilization(cache.record),
+            utilization=cache.record.per_expert_fraction,
         )
     return AnalysisReport(per_site=per_site)
 

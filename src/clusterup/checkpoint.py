@@ -132,7 +132,8 @@ def _check_tensor_table(entries, blob_bytes: int, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; tensors come back as float64 for computation.
 
-    Any malformed or truncated file raises ``CheckpointError``.
+    Any malformed or truncated file, or a NaN or Inf value, raises
+    ``CheckpointError``.
     """
     with open(path, "rb") as fh:
         header = fh.read(HEADER_BYTES)
@@ -168,5 +169,7 @@ def load_checkpoint(path) -> Checkpoint:
         size = int(np.prod(entry["shape"], dtype=np.int64))
         start = entry["offset"]
         raw = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
+        if not np.isfinite(raw).all():
+            raise CheckpointError(f"tensor {entry['name']!r} in {path} is not finite")
         tensors[entry["name"]] = raw.reshape(entry["shape"]).astype(np.float64)
     return Checkpoint(manifest=manifest, tensors=tensors)

@@ -126,13 +126,13 @@ def cholesky_lower(gram, jitter: float = 0.0) -> Array:
     return low
 
 
-def effective_rank(sigma, tau: float, full_rank: int) -> SpectralProfile:
+def effective_rank(sigma, tau: float) -> SpectralProfile:
     """Pick the rank retaining a ``tau`` fraction of squared spectral energy.
 
     The energy rank is the smallest r with ``sum(sigma[:r]**2) >= tau * total``;
-    it is then raised to the floor ``full_rank // 2 + 1`` if smaller. ``tau = 1``
-    always keeps the full rank. Raises AllZeroSpectrum when the spectrum has no
-    energy at all (callers keep the full rank in that case).
+    it is then raised to the floor ``len(sigma) // 2 + 1`` if smaller. ``tau = 1``
+    always keeps the full rank. Raises AllZeroSpectrum, which reaches the
+    caller, when the spectrum has no energy at all.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size < 1:
@@ -143,8 +143,7 @@ def effective_rank(sigma, tau: float, full_rank: int) -> SpectralProfile:
         raise ValueError("sigma must be non-increasing")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    if full_rank != s.size:
-        raise ValueError(f"full_rank {full_rank} != len(sigma) {s.size}")
+    full_rank = s.size
 
     energy = s * s
     cumulative = np.cumsum(energy)

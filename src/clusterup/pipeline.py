@@ -14,7 +14,7 @@ output directory:
 * ``compare``       compare.csv
 
 ``compare`` pretrains and captures once per seed for all four methods and
-runs its (seed, method) cells in worker processes.
+runs its (seed, method, eesd) cells in worker processes.
 
 All randomness is derived from the config's root seed through named streams,
 so reruns with identical inputs are byte-identical.
@@ -460,14 +460,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _seed_cells(cfg: PipelineConfig, root_seed: int, methods, eesd: bool) -> list[tuple]:
-    """``_compare_cell``'s arguments for one seed's cells, in method order.
-    Every method upcycles the same dense model, so the seed is pretrained and
-    captured once; upcycling copies the model and capture only reads it."""
+def _seed_cells(cfg: PipelineConfig, root_seed: int, cells) -> list[tuple]:
+    """``_compare_cell``'s arguments for one seed's ``(method, eesd)`` cells,
+    in order. Every cell upcycles the same dense model, so the seed is
+    pretrained and captured once; upcycling copies the model and capture only
+    reads it."""
     seed_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
     dense = train_dense(seed_cfg)
     bank = capture(seed_cfg, dense)
-    return [(seed_cfg, dense, bank, method, eesd) for method in methods]
+    return [(seed_cfg, dense, bank, method, eesd) for method, eesd in cells]
 
 
 def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
@@ -483,12 +484,12 @@ def _results(futures) -> list[dict]:
     return [future.result() for future in futures]
 
 
-def _pooled_rows(pool, cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> list[dict]:
+def _pooled_rows(pool, cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
     """``_compare_rows`` with the cells run in ``pool``.
 
     The parent pretrains seed s+1 while seed s's cells run, and no further
     ahead: seed s-1's cells finish first, so at most two seeds' dense models
-    and banks are held for pending cells. Failures surface in (seed, method)
+    and banks are held for pending cells. Failures surface in (seed, cell)
     order, as in one process: a failed cell stops the run before the next
     seed is pretrained, and a failure in the parent's own work waits for the
     cells submitted before it.
@@ -497,25 +498,26 @@ def _pooled_rows(pool, cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> 
     for root_seed in root_seeds:
         if any(future.done() and future.exception() for future in futures):
             _results(futures)
-        _results(futures[:-len(methods)])  # seed s-1's cells
+        _results(futures[:-len(cells)])  # seed s-1's cells
         try:
-            cells = _seed_cells(cfg, root_seed, methods, eesd)
+            args = _seed_cells(cfg, root_seed, cells)
         except Exception:
             _results(futures)  # an earlier cell's failure comes first
             raise
-        futures += [pool.submit(_compare_cell, *cell) for cell in cells]
+        futures += [pool.submit(_compare_cell, *cell) for cell in args]
     return _results(futures)
 
 
-def _compare_rows(cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> list[dict]:
-    """Every cell's ``compare.csv`` row, in (seed, method) order.
+def _compare_rows(cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
+    """Every (seed, cell) row, in seed order and then ``cells``' order; a cell
+    is a ``(method, eesd)`` pair.
 
     The cells run in a pool of min(cells, usable CPUs) forked worker
     processes. A cell's row does not depend on the process that computes it,
     so the rows have the same values for any worker count. With one worker,
     or where ``fork`` is missing (Windows), the cells run in process.
     """
-    workers = min(len(root_seeds) * len(methods), _usable_cpus())
+    workers = min(len(root_seeds) * len(cells), _usable_cpus())
     if workers > 1:
         # Imported here, so the other commands do not pay for importing them.
         import multiprocessing
@@ -527,25 +529,26 @@ def _compare_rows(cfg: PipelineConfig, root_seeds, methods, eesd: bool) -> list[
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 try:
-                    return _pooled_rows(pool, cfg, root_seeds, methods, eesd)
+                    return _pooled_rows(pool, cfg, root_seeds, cells)
                 except BaseException:
                     # Drop the cells not yet started; leaving the block joins the workers.
                     pool.shutdown(cancel_futures=True)
                     raise
     return [_compare_cell(*cell) for root_seed in root_seeds
-            for cell in _seed_cells(cfg, root_seed, methods, eesd)]
+            for cell in _seed_cells(cfg, root_seed, cells)]
 
 
 def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) -> dict:
-    """One compare cell from scratch in memory; returns its ``compare.csv`` row."""
-    return _compare_rows(cfg, (root_seed,), (method,), eesd)[0]
+    """One cell from scratch; kept only as the trace point that
+    ``perfbench/spans.py`` names and ``tests/test_trace_points.py`` checks."""
+    return _compare_rows(cfg, (root_seed,), ((method, eesd),))[0]
 
 
 def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False) -> Path:
     if n_seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
     root_seeds = range(cfg.root_seed, cfg.root_seed + n_seeds)
-    rows = _compare_rows(cfg, root_seeds, INIT_METHODS, eesd)
+    rows = _compare_rows(cfg, root_seeds, [(m, eesd) for m in INIT_METHODS])
     path = out_dir(cfg) / "compare.csv"
     with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)

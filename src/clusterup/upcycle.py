@@ -383,7 +383,7 @@ def cluster_aware_init(dense: DenseFfn, n_experts: int, seed: int, init: InitCon
         factor = whitening_matrix(clusters_raw[i])
         whitened = dense.w1 @ factor.s
         svd = svd_full(whitened)
-        profile = effective_rank(svd.sigma, tau, svd.sigma.size)
+        profile = effective_rank(svd.sigma, tau)
         r = profile.chosen_rank
         truncated = (svd.u[:, :r] * svd.sigma[:r]) @ svd.v_t[:r, :]
         # w1_i = truncated @ inv(S): solve S.T @ w1_i.T = truncated.T instead

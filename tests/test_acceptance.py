@@ -24,7 +24,7 @@ from clusterup.moe import (
     load_balance_loss,
     router_probs,
 )
-from clusterup.pipeline import compare_run
+from clusterup.pipeline import _compare_rows
 from clusterup.seeding import derive_seed
 from clusterup.train import (
     grad_check,
@@ -263,9 +263,10 @@ def test_criterion_7_directional_end_to_end():
     wins = 0
     util_ok = True
     lines = []
+    rows = _compare_rows(cfg, range(5), [("sparse", False), ("cluster", True)])
     for seed in range(5):
-        sparse = compare_run(cfg, seed, "sparse", eesd=False)
-        cluster = compare_run(cfg, seed, "cluster", eesd=True)
+        sparse, cluster = rows[2 * seed:2 * seed + 2]
+        assert (sparse["method"], cluster["method"]) == ("sparse", "cluster")
         win = cluster["task_loss"] <= sparse["task_loss"]
         wins += win
         util_ok = util_ok and (0.05 <= cluster["utilization_min"]

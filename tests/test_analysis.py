@@ -8,14 +8,13 @@ import pytest
 from clusterup.analysis import (
     analysis_csv_rows,
     analyze_model,
-    expert_utilization,
     expert_weight_similarity,
     mean_offdiagonal,
     relative_compactness,
     routing_entropy,
 )
 from clusterup.errors import InsufficientTokens, ZeroWeights
-from clusterup.moe import DenseFfn, MoeLayer, RoutingRecord
+from clusterup.moe import DenseFfn, MoeLayer, moe_forward
 from clusterup.train import (
     make_dense_model,
     make_synthetic_dataset,
@@ -25,19 +24,13 @@ from clusterup.train import (
 from clusterup.upcycle import capture_activations, upcycle_model
 
 
-def record_from_probs(probs, topk, dropped=None):
-    t, k = topk.shape
-    n_e = probs.shape[1]
-    if dropped is None:
-        dropped = np.zeros((t, k), dtype=bool)
-    counts = np.bincount(topk.ravel(), minlength=n_e)
-    sel = np.take_along_axis(probs, topk, axis=1)
-    gates = sel / sel.sum(axis=1, keepdims=True)
-    return RoutingRecord(
-        probs=probs, topk_indices=topk, gates=gates, dropped=dropped,
-        per_expert_fraction=counts / (t * k),
-        per_expert_mean_prob=probs.mean(axis=0),
-    )
+def routed(router, x, k, capacity_factor=2.0):
+    """``moe_forward``'s routing record for tokens ``x`` (columns) under
+    ``router``, with zero experts: only the routing matters here."""
+    n_e, d = router.shape
+    experts = [DenseFfn(np.zeros((1, d)), np.zeros(1), np.zeros((d, 1)), np.zeros(d))
+               for _ in range(n_e)]
+    return moe_forward(MoeLayer(experts, router, k, capacity_factor), x)[1]
 
 
 class TestRelativeCompactness:
@@ -162,30 +155,33 @@ class TestRoutingEntropy:
 
 
 class TestExpertUtilization:
+    """``RoutingRecord.per_expert_fraction``, which ``analyze_model`` reports."""
+
     def test_concentrated(self):
-        probs = np.full((6, 4), 0.25)
-        topk = np.zeros((6, 1), dtype=int)
-        util = expert_utilization(record_from_probs(probs, topk))
-        np.testing.assert_allclose(util, [1.0, 0.0, 0.0, 0.0])
+        record = routed(np.array([[1.0], [0.0], [0.0], [0.0]]), np.ones((1, 6)), k=1)
+        np.testing.assert_array_equal(record.topk_indices, np.zeros((6, 1)))
+        np.testing.assert_allclose(record.per_expert_fraction, [1.0, 0.0, 0.0, 0.0])
 
     def test_balanced_top2(self):
-        probs = np.full((8, 8), 1 / 8)
-        topk = np.stack([np.arange(8), (np.arange(8) + 1) % 8], axis=1)
-        util = expert_utilization(record_from_probs(probs, topk))
-        np.testing.assert_allclose(util, np.full(8, 0.125))
+        # Token i scores 2 on expert i and 1 on expert i+1 (mod 8).
+        router = 2 * np.eye(8) + np.roll(np.eye(8), 1, axis=0)
+        record = routed(router, np.eye(8), k=2)
+        assert [set(row) for row in record.topk_indices] == \
+            [{i, (i + 1) % 8} for i in range(8)]
+        np.testing.assert_allclose(record.per_expert_fraction, np.full(8, 0.125))
 
     def test_hand_counted_slots(self):
-        probs = np.full((4, 4), 0.25)
-        topk = np.array([[0, 1], [0, 1], [2, 3], [2, 3]])
-        util = expert_utilization(record_from_probs(probs, topk))
-        np.testing.assert_allclose(util, [0.25, 0.25, 0.25, 0.25])
+        router = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
+        x = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        record = routed(router, x, k=2)
+        np.testing.assert_array_equal(record.topk_indices, [[0, 1], [0, 1], [2, 3], [2, 3]])
+        np.testing.assert_allclose(record.per_expert_fraction, [0.25, 0.25, 0.25, 0.25])
 
     def test_includes_dropped_slots(self):
-        probs = np.full((4, 2), 0.5)
-        topk = np.zeros((4, 1), dtype=int)
-        dropped = np.array([[False], [True], [True], [True]])
-        util = expert_utilization(record_from_probs(probs, topk, dropped))
-        np.testing.assert_allclose(util, [1.0, 0.0])
+        # Capacity 0.5 gives expert 0 one slot for its four tokens.
+        record = routed(np.array([[1.0], [0.0]]), np.ones((1, 4)), k=1, capacity_factor=0.5)
+        np.testing.assert_array_equal(record.dropped.ravel(), [False, True, True, True])
+        np.testing.assert_allclose(record.per_expert_fraction, [1.0, 0.0])
 
 
 class TestAnalyzeModel:

@@ -169,7 +169,7 @@ class TestContainer:
         })
         if name == "compare.csv":
             # Canned rows, one per root seed, stand in for the experiments.
-            monkeypatch.setattr(pipeline, "_compare_rows", lambda cfg, seeds, methods, eesd:
+            monkeypatch.setattr(pipeline, "_compare_rows", lambda cfg, seeds, cells:
                                 [dict.fromkeys(pipeline.COMPARE_COLUMNS, s) for s in seeds])
             write = lambda: pipeline.run_compare(cfg, n_seeds=2)
         else:

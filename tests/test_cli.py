@@ -18,6 +18,7 @@ from clusterup.checkpoint import CheckpointError, load_checkpoint, save_checkpoi
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible
 from clusterup import pipeline, train, upcycle
 from clusterup.pipeline import (
+    _compare_rows,
     compare_row,
     compare_run,
     load_model_checkpoint,
@@ -25,7 +26,7 @@ from clusterup.pipeline import (
     run_analyze,
     run_compare,
 )
-from clusterup.config import load_config
+from clusterup.config import INIT_METHODS, load_config
 
 
 SMALL_CFG = """\
@@ -191,18 +192,24 @@ class TestCommands:
         assert (tmp_path / "a" / "dense.ckpt").read_bytes() == \
             (tmp_path / "b" / "dense.ckpt").read_bytes()
 
-    @pytest.mark.parametrize("eesd", [False, True])
+    @pytest.mark.parametrize("eesd", [False, True, pytest.param(None, id="mixed")])
     def test_compare_rows_match_single_cells(self, workspace, eesd):
-        # compare pretrains and captures once per seed for all methods; each
-        # row must equal the same cell run alone from scratch.
+        # compare pretrains and captures once per seed for all its cells; each
+        # row must equal the same cell run alone from scratch. The mixed case
+        # is one _compare_rows call over a plain and an EESD cell.
         cfg_path, out = workspace
         cfg = load_config(cfg_path)
-        with open(run_compare(cfg, 2, eesd=eesd), newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 8
-        for row in rows:
-            alone = compare_run(cfg, int(row["seed"]), row["method"], eesd)
-            assert row == {k: str(v) for k, v in alone.items()}
+        if eesd is None:
+            cells = [("sparse", False), ("cluster", True)]
+            rows = _compare_rows(cfg, range(cfg.root_seed, cfg.root_seed + 2), cells)
+        else:
+            cells = [(method, eesd) for method in INIT_METHODS]
+            with open(run_compare(cfg, 2, eesd=eesd), newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(cells)
+        for row, (method, cell_eesd) in zip(rows, cells * 2):
+            alone = compare_run(cfg, int(row["seed"]), method, cell_eesd)
+            assert row == (alone if eesd is None else {k: str(v) for k, v in alone.items()})
 
     def test_one_forward_pass_per_evaluation(self, workspace, monkeypatch, capsys):
         cfg_path, _ = workspace
@@ -392,6 +399,36 @@ class TestErrors:
         assert err["error"] == "CheckpointError"
         assert "site 3" in err["message"]
         assert "(5, " in err["message"] and "expected 8 rows" in err["message"]
+
+    @pytest.mark.parametrize("name,tensor,where,value,argv,error,message", [
+        ("bank.ckpt", "site1.activations", (0, 0), np.nan, ("upcycle", "--method", "cluster"),
+         "CheckpointError", "'site1.activations'"),
+        ("dense.ckpt", "block1.w1", (0, 0), np.inf, ("upcycle", "--method", "drop-svd"),
+         "CheckpointError", "'block1.w1'"),
+        ("dense.ckpt", "block1.w1", (0, 0), np.inf, ("upcycle", "--method", "cluster"),
+         "CheckpointError", "'block1.w1'"),
+        ("dense.ckpt", "block1.w1", (0, 0), np.inf, ("upcycle", "--method", "sparse"),
+         "CheckpointError", "'block1.w1'"),
+        ("dense.ckpt", "block1.w1", (0, 0), np.inf, ("capture",),
+         "CheckpointError", "'block1.w1'"),
+        # A zero w1 whitens to a zero matrix, whose spectrum has no energy.
+        ("dense.ckpt", "block1.w1", ..., 0.0, ("upcycle", "--method", "cluster"),
+         "AllZeroSpectrum", "all singular values are zero"),
+    ], ids=["bank-nan-cluster", "dense-inf-drop-svd", "dense-inf-cluster",
+            "dense-inf-sparse", "dense-inf-capture", "dense-zero-cluster"])
+    def test_bad_tensor_values_report_json(self, trained_workspace, capsys, name, tensor,
+                                           where, value, argv, error, message):
+        cfg_path, out = trained_workspace
+        path = out / name
+        ckpt = load_checkpoint(path)
+        ckpt.tensors[tensor][where] = value
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, *argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == error
+        assert message in err["message"]
 
     @pytest.mark.parametrize("target", ["config", "checkpoint"])
     def test_deeply_nested_input_reports_json(self, workspace, capsys, target):

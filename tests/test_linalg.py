@@ -126,21 +126,21 @@ class TestSvd:
 
 class TestEffectiveRank:
     def test_hand_cumulative_energy(self):
-        prof = effective_rank([2.0, 1.0, 1.0], 0.95, 3)
+        prof = effective_rank([2.0, 1.0, 1.0], 0.95)
         assert prof.chosen_rank == 3
         assert prof.retained_energy == 1.0
 
     def test_floor_rule(self):
-        prof = effective_rank([1.0, 0.0, 0.0, 0.0], 0.95, 4)
+        prof = effective_rank([1.0, 0.0, 0.0, 0.0], 0.95)
         assert prof.chosen_rank == 3  # energy rank 1 raised to 4//2 + 1
 
     def test_tau_one_keeps_full_rank(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             s = np.sort(np.abs(rng.standard_normal(6)))[::-1]
-            prof = effective_rank(s, 1.0, 6)
+            prof = effective_rank(s, 1.0)
             assert prof.chosen_rank == 6
-        prof = effective_rank([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0, 6)
+        prof = effective_rank([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0)
         assert prof.chosen_rank == 6
 
     def test_monotone_in_tau(self):
@@ -148,7 +148,7 @@ class TestEffectiveRank:
         for _ in range(20):
             s = np.sort(np.abs(rng.standard_normal(10)))[::-1]
             ranks = [
-                effective_rank(s, tau, 10).chosen_rank
+                effective_rank(s, tau).chosen_rank
                 for tau in (0.5, 0.7, 0.9, 0.95, 0.99, 1.0)
             ]
             assert ranks == sorted(ranks)
@@ -158,24 +158,24 @@ class TestEffectiveRank:
         for _ in range(20):
             s = np.sort(np.abs(rng.standard_normal(9)))[::-1]
             tau = rng.uniform(0.3, 1.0)
-            prof = effective_rank(s, tau, 9)
+            prof = effective_rank(s, tau)
             assert prof.chosen_rank <= prof.full_rank
             assert prof.chosen_rank > prof.full_rank / 2
             assert prof.retained_energy >= tau or prof.chosen_rank == prof.full_rank
 
     def test_all_zero_spectrum(self):
         with pytest.raises(AllZeroSpectrum):
-            effective_rank([0.0, 0.0], 0.9, 2)
+            effective_rank([0.0, 0.0], 0.9)
 
     def test_rejects_increasing_sigma(self):
         with pytest.raises(ValueError):
-            effective_rank([1.0, 2.0], 0.9, 2)
+            effective_rank([1.0, 2.0], 0.9)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
-            effective_rank([1.0], 0.0, 1)
+            effective_rank([1.0], 0.0)
         with pytest.raises(ValueError):
-            effective_rank([1.0], 1.5, 1)
+            effective_rank([1.0], 1.5)
 
 
 class TestPca:
