@@ -15,9 +15,9 @@ from .analysis import (
     relative_compactness,
     routing_entropy,
 )
-from .clustering import ClusterModel, assign_cluster, normalize_rows, spherical_kmeans
+from .clustering import ClusterModel, normalize_rows, spherical_kmeans
 from .config import PipelineConfig, config_from_dict, load_config
-from .distill import EmaTeacher, eesd_loss, ema_update, make_teacher, teacher_forward
+from .distill import EmaTeacher, ema_update, make_teacher, teacher_forward
 from .linalg import (
     SpectralProfile,
     SvdFactors,
@@ -36,7 +36,6 @@ from .moe import (
     load_balance_loss,
     moe_forward,
     router_probs,
-    top_k_gates,
 )
 from .train import (
     LossReport,

@@ -166,10 +166,13 @@ def load_checkpoint(path) -> Checkpoint:
     _check_tensor_table(manifest["tensors"], len(blob), path)
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        size = int(np.prod(entry["shape"], dtype=np.int64))
-        start = entry["offset"]
-        raw = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
+        name, shape = entry["name"], entry["shape"]
+        raw = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=entry["offset"])
         if not np.isfinite(raw).all():
-            raise CheckpointError(f"tensor {entry['name']!r} in {path} is not finite")
-        tensors[entry["name"]] = raw.reshape(entry["shape"]).astype(np.float64)
+            raise CheckpointError(f"tensor {name!r} in {path} is not finite")
+        try:
+            tensors[name] = raw.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            # Over 64 dimensions, or an empty shape whose other sizes overflow.
+            raise CheckpointError(f"tensor {name!r} in {path} has shape {shape}: {exc}") from None
     return Checkpoint(manifest=manifest, tensors=tensors)

@@ -53,15 +53,6 @@ def normalize_rows(x) -> tuple[Array, int]:
     return out, int(np.count_nonzero(~live))
 
 
-def assign_cluster(centroids, x) -> int:
-    """Index of the centroid with the highest cosine to ``x`` (ties to lowest)."""
-    c = as_matrix(centroids, "centroids")
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    if v.size != c.shape[1]:
-        raise ValueError(f"vector has dim {v.size}, centroids have dim {c.shape[1]}")
-    return int(np.argmax(c @ v))
-
-
 def _assign_all(centroids: Array, x_cols: Array) -> np.ndarray:
     # argmax returns the first maximum, which is the lowest index on ties.
     return np.argmax(centroids @ x_cols, axis=0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllMasked, ShapeMismatch
-from .linalg import Array, as_matrix
+from .linalg import Array
 from .moe import MoeLayer, dense_ensemble_forward
 
 
@@ -79,23 +79,3 @@ def eesd_terms(student_y: Array, teacher_y: Array) -> tuple[float, Array]:
     if n_valid == 0:
         raise AllMasked("every token is masked")
     return float(np.sum(residual * residual) / n_valid), residual
-
-
-def eesd_loss(student_y, teacher_y, mask=None) -> float:
-    """Mean squared token gap between teacher and student layer outputs.
-
-    ``mask`` marks valid tokens; masked tokens are excluded from both the sum
-    and the denominator. Non-finite inputs raise ``ValueError``. The teacher
-    output is treated as a constant in differentiation (stop-gradient); this
-    function only computes the value.
-    """
-    s = as_matrix(student_y, "student_y")
-    t = as_matrix(teacher_y, "teacher_y")
-    if mask is None:
-        # Selecting every column sums in column order, as a full mask does,
-        # so no mask and a full mask give the same bits.
-        mask = np.ones(s.shape[1], dtype=bool)
-    valid = np.asarray(mask, dtype=bool).reshape(-1)
-    if not valid.shape == s.shape[1:] == t.shape[1:]:
-        raise ShapeMismatch(f"mask length {valid.size}, student {s.shape}, teacher {t.shape}")
-    return eesd_terms(s[:, valid], t[:, valid])[0]

@@ -275,18 +275,6 @@ def router_probs(router, x) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def top_k_gates(probs_row, k: int) -> tuple[np.ndarray, Array]:
-    """Top-k indices (ties to the lowest index) and renormalized gates."""
-    p = np.asarray(probs_row, dtype=np.float64).reshape(-1)
-    if not 1 <= k <= p.size:
-        raise ValueError(f"k must lie in [1, {p.size}], got {k}")
-    order = np.argsort(-p, kind="stable")[:k]
-    sel = p[order]
-    total = float(sel.sum())
-    gates = sel / total if total > 0 else np.full(k, 1.0 / k)
-    return order, gates
-
-
 def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int) -> int:
     """Slot budget per expert: ceil(capacity_factor * tokens * k / n_experts),
     at most ``tokens``, since a token selects an expert at most once.
@@ -348,24 +336,45 @@ def _route(layer: MoeLayer, x: Array, capacity_factor: float):
 
 
 def moe_forward_cached(
-    layer: MoeLayer, x, capacity_factor: float | None = None
+    layer: MoeLayer,
+    x,
+    capacity_factor: float | None = None,
+    *,
+    base: MoeForwardCache | None = None,
+    expert: int | None = None,
 ) -> tuple[Array, RoutingRecord, MoeForwardCache]:
+    """``moe_forward`` keeping the intermediates ``moe_backward`` needs.
+
+    With ``base``, a cache of this layer on the same ``x`` from before only
+    expert ``expert``'s tensors changed, the routing record, the gate
+    denominators, the dispatch plan and the other experts' caches and outputs
+    are ``base``'s, and only expert ``expert`` runs. ``y`` still sums the
+    gated expert outputs in expert order, so it equals a full pass bit for
+    bit.
+    """
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != layer.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
-    cf = layer.capacity_factor if capacity_factor is None else capacity_factor
-    record, denom, (expert_cols, expert_slots, expert_gates) = _route(layer, xm, cf)
+    if base is None:
+        cf = layer.capacity_factor if capacity_factor is None else capacity_factor
+        record, denom, (expert_cols, expert_slots, expert_gates) = _route(layer, xm, cf)
+    else:
+        record, denom = base.record, base.denom
+        expert_cols, expert_slots, expert_gates = (
+            base.expert_cols, base.expert_slots, base.expert_gates)
 
     y = np.zeros_like(xm)
     expert_caches: list[FfnCache | None] = []
     expert_outputs: list[Array | None] = []
-    for expert, rows, g in zip(layer.experts, expert_cols, expert_gates):
+    for i, (ffn, rows, g) in enumerate(zip(layer.experts, expert_cols, expert_gates)):
         if rows.size == 0:
-            expert_caches.append(None)
-            expert_outputs.append(None)
-            continue
-        out, cache = ffn_forward_cached(expert, xm[:, rows])
-        y[:, rows] += out * g[None, :]
+            out = cache = None
+        elif base is None or i == expert:
+            out, cache = ffn_forward_cached(ffn, xm[:, rows])
+        else:
+            out, cache = base.expert_outputs[i], base.expert_caches[i]
+        if out is not None:
+            y[:, rows] += out * g[None, :]
         expert_caches.append(cache)
         expert_outputs.append(out)
 

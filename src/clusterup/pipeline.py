@@ -453,11 +453,32 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
 # compare
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the cap on ``compare``'s workers."""
+def _cpu_quota(cgroup: Path) -> int | None:
+    """The CPU quota of the cgroup mounted at ``cgroup`` in whole CPUs,
+    rounded up: v2 ``cpu.max``, else v1 ``cpu.cfs_quota_us`` over
+    ``cpu.cfs_period_us``. None when neither file sets one ("max", -1)."""
+    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            fields = " ".join((cgroup / name).read_text() for name in names).split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, fields)
+        except ValueError:
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
+def _usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
+    """The CPUs this process may run on, capped by its cgroup's CPU quota:
+    the cap on ``compare``'s workers."""
     if hasattr(os, "sched_getaffinity"):  # Linux only
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota(cgroup)
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _seed_cells(cfg: PipelineConfig, root_seed: int, cells) -> list[tuple]:

@@ -11,6 +11,7 @@ differences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .distill import EmaTeacher, eesd_terms, ema_update, make_teacher, teacher_f
 from .errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from .linalg import Array, as_matrix
 from .moe import (
+    FFN_PARAMS,
     DenseFfn,
     MoeForwardCache,
     MoeLayer,
@@ -102,14 +104,20 @@ def param_buffers(model: ToyModel) -> list[Array]:
 
 
 def _staged_params(model: ToyModel, buffers: list[Array] | None = None):
-    """``named_params`` with each tensor's first block: the index of the
-    first block whose output the tensor changes, ``len(model.blocks)`` for
-    the head, which no block reads."""
+    """``named_params`` with each tensor's resume point ``(start, expert)``:
+    ``start`` is the first block whose output the tensor changes
+    (``len(model.blocks)`` for the head, which no block reads), and
+    ``expert`` the index of the expert that owns the tensor in that MoE
+    block, or None for a router or a dense block's tensor."""
     head, *blocks = param_buffers(model) if buffers is None else buffers
-    yield len(model.blocks), "head", head
+    yield (len(model.blocks), None), "head", head
     for b, (block, buf) in enumerate(zip(model.blocks, blocks)):
-        for name, arr in block_params(block, f"block{b}.", buf):
-            yield b, name, arr
+        experts = itertools.repeat(None)
+        if isinstance(block, MoeLayer):
+            # block_params walks the router, then each expert's FFN_PARAMS.
+            experts = [None] + [i for i in range(block.n_experts) for _ in FFN_PARAMS]
+        for expert, (name, arr) in zip(experts, block_params(block, f"block{b}.", buf)):
+            yield (b, expert), name, arr
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +302,7 @@ def model_forward(
     *,
     base: ForwardState | None = None,
     start: int = 0,
+    expert: int | None = None,
 ) -> ForwardState:
     """Forward pass keeping every intermediate needed for backward.
 
@@ -301,11 +310,15 @@ def model_forward(
     resumes at block ``start``: blocks before it keep ``base``'s inputs and
     caches, and blocks ``start``… run from ``base.block_inputs[start]`` (from
     ``base.final`` when ``start`` is ``len(model.blocks)``, which recomputes
-    only the logits). When no tensor before block ``start`` changed since
-    ``base`` was computed, the result equals a full pass bit for bit.
+    only the logits). With ``expert`` as well, block ``start`` is an MoE
+    layer that reruns only that expert and keeps the rest of
+    ``base.caches[start]`` (``moe_forward_cached``'s ``base``/``expert``).
+    When no tensor before block ``start`` (nor, with ``expert``, in block
+    ``start`` outside that expert) changed since ``base`` was computed, the
+    result equals a full pass bit for bit.
     """
     if base is None:
-        if start:
+        if start or expert is not None:
             raise ValueError("a pass can resume only from a base state")
         xm = as_matrix(x, "x")
         if xm.shape[0] != model.input_dim:
@@ -314,10 +327,17 @@ def model_forward(
     else:
         block_inputs, caches = base.block_inputs[:start], base.caches[:start]
         cur = base.block_inputs[start] if start < len(model.blocks) else base.final
+    resumed = None
+    if expert is not None:
+        if not isinstance(model.blocks[start], MoeLayer):
+            raise ValueError(f"block {start} has no experts to resume")
+        resumed = base.caches[start]
     for block in model.blocks[start:]:
         block_inputs.append(cur)
         if isinstance(block, MoeLayer):
-            y, _, cache = moe_forward_cached(block, cur, capacity_factor)
+            y, _, cache = moe_forward_cached(
+                block, cur, capacity_factor, base=resumed, expert=expert)
+            resumed = None
         else:
             y, cache = ffn_forward_cached(block, cur)
         caches.append(cache)
@@ -327,8 +347,10 @@ def model_forward(
     )
 
 
-def _cross_entropy(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
-    """Mean cross-entropy and its gradient wrt the logits."""
+def _cross_entropy(
+    logits: Array, labels: np.ndarray, grad: bool = True
+) -> tuple[float, Array | None]:
+    """Mean cross-entropy and its gradient wrt the logits (None unless ``grad``)."""
     n_tokens = logits.shape[1]
     labels = np.asarray(labels).reshape(-1)
     if labels.size != n_tokens:
@@ -337,6 +359,8 @@ def _cross_entropy(logits: Array, labels: np.ndarray) -> tuple[float, Array]:
     log_z = np.log(np.exp(shifted).sum(axis=0))
     token_idx = np.arange(n_tokens)
     loss = float(np.mean(log_z - shifted[labels, token_idx]))
+    if not grad:
+        return loss, None
     probs = np.exp(shifted - log_z[None, :])
     dlogits = probs
     dlogits[labels, token_idx] -= 1.0
@@ -359,17 +383,18 @@ def _objective(
     teacher_ys: dict[int, Array] | None,
     lambda_lb: float,
     lambda_eesd: float,
-) -> tuple[LossReport, Array, dict[int, Array]]:
+    grad: bool = True,
+) -> tuple[LossReport, Array | None, dict[int, Array]]:
     """Task, load-balancing and distillation terms of one forward pass.
 
     The task term is mean cross-entropy at the head; the load-balancing term
     sums over MoE sites; the distillation term averages ``eesd_terms`` over
     MoE sites and is active only when teacher outputs are supplied. Returns
-    the report, the task gradient wrt the logits, and each site's EESD
-    residual (empty without teacher outputs).
+    the report, the task gradient wrt the logits (None unless ``grad``), and
+    each site's EESD residual (empty without teacher outputs).
     """
     sites = model.moe_sites
-    task, dlogits = _cross_entropy(state.logits, labels)
+    task, dlogits = _cross_entropy(state.logits, labels, grad)
     lb = float(sum(load_balance_loss(state.caches[b].record) for b in sites))
     eesd = 0.0
     residuals: dict[int, Array] = {}
@@ -426,8 +451,9 @@ def total_loss(
     return report, buffers, state
 
 
-def _decisions(state: ForwardState) -> bytes:
-    """Top-k selections, capacity drops and ReLU signs of one forward pass.
+def _decisions(state: ForwardState, start: int = 0) -> bytes:
+    """Top-k selections, capacity drops and ReLU signs of blocks ``start``…
+    of one forward pass.
 
     The loss is smooth only while all of them stay fixed. They are packed
     into one byte string, so two passes compare with one equality test; a
@@ -435,7 +461,7 @@ def _decisions(state: ForwardState) -> bytes:
     ReLU masks, so equal bytes mean equal decisions.
     """
     parts = []
-    for cache in state.caches:
+    for cache in state.caches[start:]:
         if isinstance(cache, MoeForwardCache):
             parts += [cache.record.topk_indices, cache.record.dropped]
             parts += [c.pre > 0.0 for c in cache.expert_caches if c is not None]
@@ -522,7 +548,7 @@ def evaluate(
 ) -> tuple[LossReport, ForwardState, float]:
     """Task/lb losses, forward state, and accuracy on a fixed batch."""
     state = model_forward(model, inputs, capacity_factor)
-    report, _, _ = _objective(model, state, labels, None, 0.0, 0.0)
+    report, _, _ = _objective(model, state, labels, None, 0.0, 0.0, grad=False)
     pred = state.logits.argmax(axis=0)
     accuracy = float(np.mean(pred == np.asarray(labels).reshape(-1)))
     return report, state, accuracy
@@ -552,7 +578,11 @@ def grad_check(
     point, since the objective is only piecewise smooth there. Each +-eps
     pass resumes from the base forward pass at the first block the perturbed
     tensor feeds (``model_forward``'s ``base``/``start``), so a head entry
-    recomputes only the logits; the states equal full passes bit for bit.
+    recomputes only the logits, and an expert's entry reruns only that expert
+    in its block (``expert``); the states equal full passes bit for bit. So
+    the blocks before the resume point are the base pass's own caches, and
+    only the decisions of the blocks from it on are compared. The +-eps
+    objectives skip the logits gradient, which they do not use.
     Teacher predictions are frozen at their base values for every evaluation,
     matching the stop-gradient semantics of the distillation term; no student
     block reads a teacher tensor, so a teacher pair resumes past the last
@@ -570,20 +600,26 @@ def grad_check(
     )
     named_grads = dict(named_params(model, grads))
     frozen = _teacher_outputs(teacher, state, model.moe_sites)
-    base_decisions = _decisions(state)
+    base_decisions: dict[int, bytes] = {}
 
     def loss_value(forward: ForwardState) -> float:
-        return _objective(model, forward, labels, frozen, lambda_lb, lambda_eesd)[0].total
+        return _objective(
+            model, forward, labels, frozen, lambda_lb, lambda_eesd, grad=False
+        )[0].total
 
-    def perturbed(arr: Array, flat_idx, start: int) -> tuple[ForwardState, ForwardState]:
-        """Forward states with one entry of ``arr``, read first by block
-        ``start``, at +eps and at -eps; the entry is restored before
-        returning."""
+    def perturbed(
+        arr: Array, flat_idx, start: int, expert: int | None = None
+    ) -> tuple[ForwardState, ForwardState]:
+        """Forward states with one entry of ``arr``, whose resume point is
+        ``(start, expert)``, at +eps and at -eps; the entry is restored
+        before returning."""
         orig = arr.flat[flat_idx]
         arr.flat[flat_idx] = orig + epsilon
-        state_plus = model_forward(model, xm, capacity_factor, base=state, start=start)
+        state_plus = model_forward(
+            model, xm, capacity_factor, base=state, start=start, expert=expert)
         arr.flat[flat_idx] = orig - epsilon
-        state_minus = model_forward(model, xm, capacity_factor, base=state, start=start)
+        state_minus = model_forward(
+            model, xm, capacity_factor, base=state, start=start, expert=expert)
         arr.flat[flat_idx] = orig
         return state_plus, state_minus
 
@@ -591,13 +627,16 @@ def grad_check(
     per_tensor: dict[str, float] = {}
     max_rel = 0.0
     checked = skipped = 0
-    for start, name, arr in _staged_params(model):
+    for (start, expert), name, arr in _staged_params(model):
+        if start not in base_decisions:
+            base_decisions[start] = _decisions(state, start)
         count = min(samples_per_tensor, arr.size)
         indices = rng.choice(arr.size, size=count, replace=False)
         tensor_err = 0.0
         for flat_idx in indices:
-            state_plus, state_minus = perturbed(arr, flat_idx, start)
-            if not _decisions(state_plus) == _decisions(state_minus) == base_decisions:
+            state_plus, state_minus = perturbed(arr, flat_idx, start, expert)
+            if not (_decisions(state_plus, start) == _decisions(state_minus, start)
+                    == base_decisions[start]):
                 skipped += 1
                 continue
             numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterup import checkpoint, pipeline
 from clusterup.checkpoint import (
@@ -89,6 +90,11 @@ MALFORMED = {
     # Two entries named "a" that tile the blob: loading kept only the second.
     "duplicate_name": _container(
         _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "offset": 8}]), bytes(16)),
+    # Both tile the blob, but numpy cannot hold the shape: these escaped as
+    # OverflowError and ValueError.
+    "empty_shape_overflow": _container(
+        _manifest([{**ONE_TENSOR[0], "shape": [0, 10 ** 30]}])),
+    "too_many_dims": _container(_manifest([{**ONE_TENSOR[0], "shape": [1] * 70}]), bytes(4)),
 }
 
 
@@ -184,6 +190,50 @@ class TestContainer:
             write()
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == listing
+
+
+class TestByteFuzz:
+    """Flipping, cutting or inserting bytes anywhere in the header, the
+    manifest or the blob of a small checkpoint either loads or raises
+    ``CheckpointError``."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rng = np.random.default_rng(5)
+        path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
+        # An empty tensor lets a mutated neighbouring size grow without
+        # changing the blob length.
+        save_checkpoint(path, {"w": rng.standard_normal((3, 2)), "e": np.zeros((0, 3)),
+                               "b": rng.standard_normal(2), "s": np.array(1.5)},
+                        config={"lr": 0.05, "k": [1, 2]}, seeds={"root": 3},
+                        extra={"model": {"blocks": [{"kind": "dense"}]}})
+        return path
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_mutated_bytes_load_or_raise_checkpoint_error(self, saved, data):
+        raw = saved.read_bytes()
+        (length,) = struct.unpack("<Q", raw[4:12])
+        bounds = {"header": (0, 12), "manifest": (12, 12 + length),
+                  "blob": (12 + length, len(raw))}
+        lo, hi = bounds[data.draw(st.sampled_from(list(bounds)))]
+        pos = data.draw(st.integers(lo, hi - 1))
+        op = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        mutated = bytearray(raw)
+        if op == "flip":
+            mutated[pos] ^= data.draw(st.integers(1, 255))
+        elif op == "truncate":
+            del mutated[pos:]
+        else:
+            json_bytes = st.sampled_from(b'0123456789-+.eE[]{}",: ntf')
+            mutated[pos:pos] = bytes(data.draw(st.lists(
+                st.integers(0, 255) | json_bytes, min_size=1, max_size=6)))
+        path = saved.parent / "mutated.ckpt"
+        path.write_bytes(bytes(mutated))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 class TestModelSerialization:

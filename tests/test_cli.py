@@ -373,6 +373,20 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CheckpointError"
 
+    def test_zeroed_expert_reports_json(self, trained_workspace, capsys):
+        # analyze's weight similarity divides by each expert's norm.
+        cfg_path, out = trained_workspace
+        path = out / "moe_cluster.ckpt"
+        ckpt = load_checkpoint(path)
+        for key in ("w1", "b1", "w2", "b2"):
+            ckpt.tensors[f"block1.expert2.{key}"][...] = 0.0
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, "analyze", "--checkpoint", path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ZeroWeights", "message": "expert 2 has zero parameter norm"}
+
     def test_bank_without_moe_site_reports_json(self, trained_workspace, capsys):
         cfg_path, out = trained_workspace
         path = out / "bank.ckpt"
@@ -578,6 +592,7 @@ class TestComparePool:
         cfg_path, out = workspace
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline, "_cpu_quota", lambda cgroup: None)  # any host's quota
         assert pipeline._usable_cpus() == 2
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         train_moe, pids = pipeline.train_moe, []
@@ -590,6 +605,28 @@ class TestComparePool:
         assert run("--config", cfg_path, "compare", "--seeds", "1") == 0
         assert pids == [os.getpid()] * 4
         assert (out / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("files,expected", [
+    ({}, 8),
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "20000 100000\n"}, 1),
+    ({"cpu.max": "2000000 100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "50000\n"}, 8),
+    ({"cpu.max": "garbage\n"}, 8),
+], ids=["none", "v2-max", "v2-1.5", "v2-0.2", "v2-20", "v1-unlimited", "v1-2.5",
+        "v1-0.5", "v1-no-period", "v2-unreadable"])
+def test_usable_cpus_capped_by_cgroup_quota(tmp_path, monkeypatch, files, expected):
+    # Eight CPUs in the affinity mask; the quota, rounded up, caps them.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert pipeline._usable_cpus(tmp_path) == expected
 
 
 def _json_paths(node, path=()):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from clusterup.clustering import (
-    assign_cluster,
-    normalize_rows,
-    spherical_kmeans,
-)
+from clusterup.clustering import _assign_all, normalize_rows, spherical_kmeans
 from clusterup.errors import InsufficientData
+
+
+def assign_cluster(centroids, x) -> int:
+    """The cluster ``spherical_kmeans``'s assignment step gives the single
+    vector ``x``."""
+    return int(_assign_all(np.asarray(centroids), np.asarray(x).reshape(-1, 1))[0])
 
 
 def brute_force_two_clusters(x_cols):

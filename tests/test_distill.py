@@ -5,13 +5,22 @@ import pytest
 
 from clusterup.distill import (
     EmaTeacher,
-    eesd_loss,
+    eesd_terms,
     ema_update,
     make_teacher,
     teacher_forward,
 )
 from clusterup.errors import AllMasked, ShapeMismatch
 from clusterup.moe import DenseFfn, MoeLayer, dense_ensemble_forward, moe_forward
+
+
+def eesd_loss(student_y, teacher_y, mask=None) -> float:
+    """``eesd_terms``'s value over the tokens (columns) ``mask`` selects,
+    every token without one."""
+    if mask is None:
+        return eesd_terms(student_y, teacher_y)[0]
+    valid = np.asarray(mask, dtype=bool)
+    return eesd_terms(student_y[:, valid], teacher_y[:, valid])[0]
 
 
 def random_layer(rng, n_experts=4, d=4, h=6, k=2):

@@ -17,7 +17,6 @@ from clusterup.moe import (
     moe_forward,
     moe_forward_cached,
     router_probs,
-    top_k_gates,
 )
 
 
@@ -92,16 +91,40 @@ class TestRouterProbs:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-8)
 
 
+def top_k_gates(probs_row, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for one token's routing: its top-k experts (ties to the lowest
+    index) and their gates renormalized over the selection."""
+    p = np.asarray(probs_row, dtype=np.float64)
+    order = np.argsort(-p, kind="stable")[:k]
+    return order, p[order] / p[order].sum()
+
+
 class TestTopKGates:
+    """The oracle on hand-worked rows, and the layer's routing of one token
+    whose routing probabilities are those rows, against the oracle."""
+
+    @staticmethod
+    def assert_layer_routes_like_oracle(p, k):
+        rng = np.random.default_rng(6)
+        layer = MoeLayer([random_ffn(rng, d=1, h=2) for _ in p],
+                         np.log(np.asarray(p))[:, None], k, 1e9)
+        _, record = moe_forward(layer, np.ones((1, 1)))
+        np.testing.assert_allclose(record.probs[0], p, rtol=1e-12)
+        idx, gates = top_k_gates(record.probs[0], k)
+        np.testing.assert_array_equal(record.topk_indices[0], idx)
+        np.testing.assert_allclose(record.gates[0], gates, rtol=1e-15)
+
     def test_renormalization(self):
         idx, gates = top_k_gates(np.array([0.5, 0.3, 0.2]), 2)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(gates, [0.625, 0.375])
+        self.assert_layer_routes_like_oracle([0.5, 0.3, 0.2], 2)
 
     def test_tie_to_lowest_index(self):
         idx, gates = top_k_gates(np.array([0.4, 0.4, 0.2]), 1)
         assert idx[0] == 0
         np.testing.assert_allclose(gates, [1.0])
+        self.assert_layer_routes_like_oracle([0.4, 0.4, 0.2], 1)
 
     def test_full_selection_equals_probs(self):
         rng = np.random.default_rng(5)
@@ -110,6 +133,7 @@ class TestTopKGates:
         idx, gates = top_k_gates(p, 6)
         np.testing.assert_allclose(np.sort(gates), np.sort(p), atol=1e-12)
         np.testing.assert_allclose(gates, p[idx], atol=1e-12)
+        self.assert_layer_routes_like_oracle(p, 6)
 
 
 class TestCapacity:

@@ -1,5 +1,6 @@
 """Tests for the toy model, synthetic data, losses, SGD, and grad checks."""
 
+import dataclasses
 import math
 import pickle
 
@@ -10,7 +11,7 @@ from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from clusterup import train
 from clusterup.config import INIT_METHODS, PipelineConfig
-from clusterup.moe import DenseFfn, MoeLayer, block_params
+from clusterup.moe import FFN_PARAMS, DenseFfn, MoeLayer, block_params
 from clusterup.pipeline import load_model_checkpoint, save_model_checkpoint
 from clusterup.train import (
     LossReport,
@@ -577,3 +578,165 @@ class TestParameterBuffers:
                 setattr(owner, key, value)
         assert_buffer_views(layer)
         assert np.array_equal(layer.params, before)
+
+
+def _state_bytes(node) -> list:
+    """Every array of a forward state (or of any cache within it) as
+    (dtype, shape, bytes), in walk order, with None kept as None: equal lists
+    mean equal states bit for bit."""
+    if node is None:
+        return [None]
+    if isinstance(node, np.ndarray):
+        return [(node.dtype.str, node.shape, node.tobytes())]
+    if isinstance(node, (list, tuple)):
+        return [part for item in node for part in _state_bytes(item)]
+    return [part for field in dataclasses.fields(node)
+            for part in _state_bytes(getattr(node, field.name))]
+
+
+def _random_ffn(rng, d, h):
+    return DenseFfn(rng.standard_normal((h, d)) / np.sqrt(d), rng.standard_normal(h) * 0.1,
+                    rng.standard_normal((d, h)) / np.sqrt(h), rng.standard_normal(d) * 0.1)
+
+
+def _resume_model(k: int):
+    """MoE, dense, MoE blocks at capacity 0.7, which drops slots, on positive
+    tokens; block 0's last router row is negative, so the tokens never pick
+    its last expert there."""
+    rng = np.random.default_rng(70 + k)
+    d, h, n_e = 5, 7, 4
+
+    def moe():
+        return MoeLayer([_random_ffn(rng, d, h) for _ in range(n_e)],
+                        rng.standard_normal((n_e, d)), k, 0.7)
+
+    first = moe()
+    first.router[-1] = -5.0
+    model = ToyModel(input_dim=d, blocks=[first, _random_ffn(rng, d, h), moe()],
+                     head=rng.standard_normal((3, d)))
+    return model, np.abs(rng.standard_normal((d, 24))) + 0.1
+
+
+class TestExpertResume:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_resumed_state_equals_full_pass(self, k):
+        model, x = _resume_model(k)
+        base = model_forward(model, x)
+        assert all(r.dropped.any() for r in base.records.values())
+        assert base.caches[0].expert_cols[-1].size == 0
+        experts = 0
+        for (start, expert), name, arr in train._staged_params(model):
+            if expert is None:
+                continue
+            experts += 1
+            for flat_idx in (0, arr.size - 1):
+                orig = arr.flat[flat_idx]
+                for step in (1e-5, -1e-5, 0.3):
+                    arr.flat[flat_idx] = orig + step
+                    resumed = model_forward(model, x, base=base, start=start, expert=expert)
+                    full = model_forward(model, x)
+                    arr.flat[flat_idx] = orig
+                    assert _state_bytes(resumed) == _state_bytes(full), (name, step)
+                    assert train._decisions(resumed) == train._decisions(full), (name, step)
+                    assert (train._decisions(resumed, start)
+                            == train._decisions(full, start)), (name, step)
+                    # Blocks before the resume point, and in its block the
+                    # routing and the other experts, are the base's objects.
+                    assert all(r is b for r, b in zip(resumed.caches[:start],
+                                                      base.caches[:start]))
+                    assert all(r is b for r, b in zip(resumed.block_inputs[:start + 1],
+                                                      base.block_inputs[:start + 1]))
+                    site, base_site = resumed.caches[start], base.caches[start]
+                    assert site.record is base_site.record
+                    assert site.expert_cols is base_site.expert_cols
+                    assert all(c is b for i, (c, b) in enumerate(
+                        zip(site.expert_caches, base_site.expert_caches)) if i != expert)
+                    if base_site.expert_cols[expert].size == 0:
+                        assert _state_bytes(resumed) == _state_bytes(base), name
+        assert experts == 2 * 4 * len(FFN_PARAMS)
+
+    def test_resume_needs_an_moe_block(self):
+        model, x = _resume_model(1)
+        base = model_forward(model, x)
+        with pytest.raises(ValueError):
+            model_forward(model, x, base=base, start=1, expert=0)
+        with pytest.raises(ValueError):
+            model_forward(model, x, expert=0)
+
+    def test_loss_only_objective_has_the_same_bits(self):
+        model, x = _resume_model(3)
+        state = model_forward(model, x)
+        labels = np.arange(x.shape[1]) % 3
+        with_grad, dlogits, _ = train._objective(model, state, labels, None, 0.01, 0.0)
+        loss_only, none, _ = train._objective(model, state, labels, None, 0.01, 0.0,
+                                              grad=False)
+        assert dlogits is not None and none is None
+        assert loss_only == with_grad
+
+
+def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
+                          lambda_eesd, capacity_factor, samples_per_tensor, seed):
+    """``grad_check`` with a full forward pass for every evaluation, every
+    block's decisions compared, and the objective's gradient computed too."""
+    _, grads, state = total_loss(model, teacher, inputs, labels, lambda_lb=lambda_lb,
+                                 lambda_eesd=lambda_eesd, capacity_factor=capacity_factor)
+    named_grads = dict(named_params(model, grads))
+    frozen = train._teacher_outputs(teacher, state, model.moe_sites)
+
+    def evaluate_at(arr, flat_idx, value):
+        orig = arr.flat[flat_idx]
+        arr.flat[flat_idx] = value
+        forward = model_forward(model, inputs, capacity_factor)
+        arr.flat[flat_idx] = orig
+        loss = train._objective(model, forward, labels, frozen, lambda_lb, lambda_eesd)
+        return loss[0].total, train._decisions(forward)
+
+    rng = np.random.default_rng(seed)
+    per_tensor, max_rel, checked, skipped = {}, 0.0, 0, 0
+    for name, arr in named_params(model):
+        tensor_err = 0.0
+        for flat_idx in rng.choice(arr.size, size=min(samples_per_tensor, arr.size),
+                                   replace=False):
+            orig = arr.flat[flat_idx]
+            plus, plus_decisions = evaluate_at(arr, flat_idx, orig + epsilon)
+            minus, minus_decisions = evaluate_at(arr, flat_idx, orig - epsilon)
+            if not plus_decisions == minus_decisions == train._decisions(state):
+                skipped += 1
+                continue
+            numeric = (plus - minus) / (2.0 * epsilon)
+            analytic = float(named_grads[name].flat[flat_idx])
+            tensor_err = max(tensor_err, abs(analytic - numeric) / max(1.0, abs(numeric)))
+            checked += 1
+        per_tensor[name] = tensor_err
+        max_rel = max(max_rel, tensor_err)
+    quotient = None
+    if teacher is not None:
+        quotient = 0.0
+        for b in sorted(teacher.sites):
+            for _, arr in block_params(teacher.sites[b].mirror):
+                for flat_idx in rng.choice(arr.size, size=min(samples_per_tensor, arr.size),
+                                           replace=False):
+                    orig = arr.flat[flat_idx]
+                    plus, _ = evaluate_at(arr, flat_idx, orig + epsilon)
+                    minus, _ = evaluate_at(arr, flat_idx, orig - epsilon)
+                    quotient = max(quotient, abs(plus - minus) / (2.0 * epsilon))
+    return {"max_rel_error": max_rel, "per_tensor": per_tensor, "checked": checked,
+            "skipped": skipped, "teacher_max_quotient": quotient}
+
+
+class TestGradCheckMatchesFullPasses:
+    @pytest.mark.parametrize("seed,k,capacity", [(1, 1, 0.5), (2, 2, 1.0), (3, 3, 0.75)])
+    def test_same_result_as_full_passes(self, seed, k, capacity):
+        dense = make_dense_model(6, 10, 4, 3, seed=80 + seed)
+        moe, _, _ = upcycle_model(dense, "drop", n_experts=4, k=k,
+                                  capacity_factor=capacity, seed=81 + seed)
+        teacher = make_model_teacher(moe, beta=0.999)
+        for site_teacher in teacher.sites.values():
+            site_teacher.mirror.router += 0.05
+        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=82 + seed)
+        kwargs = dict(lambda_lb=0.01, lambda_eesd=0.5, capacity_factor=capacity,
+                      samples_per_tensor=8, seed=83 + seed)
+        result = grad_check(moe, teacher, ds.inputs, ds.labels, 1e-3, **kwargs)
+        assert result["skipped"] > 0
+        assert result == _full_pass_grad_check(moe, teacher, ds.inputs, ds.labels, 1e-3,
+                                               **kwargs)

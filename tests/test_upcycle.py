@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from clusterup import upcycle
 
 from clusterup.analysis import expert_weight_similarity, mean_offdiagonal
-from clusterup.clustering import assign_cluster
+from clusterup.clustering import _assign_all
 from clusterup.errors import EmptyCalibration, InsufficientData
 from clusterup.linalg import frobenius_sq, svd_full
 from clusterup.config import INIT_METHODS, InitConfig
@@ -243,7 +243,7 @@ class TestClusterAwareInit:
         token = cm.centroids[2][:, None]
         probs = router_probs(layer.router, token)
         assert int(np.argmax(probs[0])) == 2
-        assert assign_cluster(cm.centroids, token[:, 0]) == 2
+        assert _assign_all(cm.centroids, token)[0] == 2
 
     def test_breaks_symmetry(self):
         rng = np.random.default_rng(18)
