@@ -169,7 +169,8 @@ def _validate(cfg: PipelineConfig) -> None:
              "data.n_clusters must be >= model.n_classes")
     _require(d.separation > 0, "data.separation must be > 0")
     _require(d.seed >= 0, "data.seed must be >= 0")
-    _require(moe.n_experts >= 1, "moe.n_experts must be >= 1")
+    # One expert has no inter-expert similarity, which analyze and compare report.
+    _require(moe.n_experts >= 2, "moe.n_experts must be >= 2")
     _require(1 <= moe.k <= moe.n_experts, "moe.k must lie in [1, n_experts]")
     _require(moe.capacity_train > 0, "moe.capacity_train must be > 0")
     _require(moe.capacity_eval > 0, "moe.capacity_eval must be > 0")

@@ -278,10 +278,10 @@ class ForwardState:
     """Every intermediate of one forward pass, each stored once.
 
     ``caches[b]`` is block b's ``FfnCache``, or its ``MoeForwardCache`` at an
-    MoE site; the latter holds the site's routing record and output.
+    MoE site; the latter holds the site's routing record and output. Either
+    holds the block's input as ``x``.
     """
 
-    block_inputs: list[Array]
     caches: list
     final: Array
     logits: Array
@@ -307,8 +307,8 @@ def model_forward(
     """Forward pass keeping every intermediate needed for backward.
 
     With ``base``, a state of the same model on the same ``x``, the pass
-    resumes at block ``start``: blocks before it keep ``base``'s inputs and
-    caches, and blocks ``start``… run from ``base.block_inputs[start]`` (from
+    resumes at block ``start``: blocks before it keep ``base``'s caches, and
+    blocks ``start``… run from ``base.caches[start].x`` (from
     ``base.final`` when ``start`` is ``len(model.blocks)``, which recomputes
     only the logits). With ``expert`` as well, block ``start`` is an MoE
     layer that reruns only that expert and keeps the rest of
@@ -323,17 +323,16 @@ def model_forward(
         xm = as_matrix(x, "x")
         if xm.shape[0] != model.input_dim:
             raise ShapeMismatch(f"x has {xm.shape[0]} rows, model expects {model.input_dim}")
-        block_inputs, caches, cur = [], [], xm
+        caches, cur = [], xm
     else:
-        block_inputs, caches = base.block_inputs[:start], base.caches[:start]
-        cur = base.block_inputs[start] if start < len(model.blocks) else base.final
+        caches = base.caches[:start]
+        cur = base.caches[start].x if start < len(model.blocks) else base.final
     resumed = None
     if expert is not None:
         if not isinstance(model.blocks[start], MoeLayer):
             raise ValueError(f"block {start} has no experts to resume")
         resumed = base.caches[start]
     for block in model.blocks[start:]:
-        block_inputs.append(cur)
         if isinstance(block, MoeLayer):
             y, _, cache = moe_forward_cached(
                 block, cur, capacity_factor, base=resumed, expert=expert)
@@ -342,9 +341,7 @@ def model_forward(
             y, cache = ffn_forward_cached(block, cur)
         caches.append(cache)
         cur = cur + y
-    return ForwardState(
-        block_inputs=block_inputs, caches=caches, final=cur, logits=model.head @ cur,
-    )
+    return ForwardState(caches=caches, final=cur, logits=model.head @ cur)
 
 
 def _cross_entropy(
@@ -373,7 +370,7 @@ def _teacher_outputs(
 ) -> dict[int, Array] | None:
     if teacher is None:
         return None
-    return {b: teacher_forward(teacher.sites[b], state.block_inputs[b]) for b in sites}
+    return {b: teacher_forward(teacher.sites[b], state.caches[b].x) for b in sites}
 
 
 def _objective(

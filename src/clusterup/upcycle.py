@@ -36,7 +36,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .clustering import ClusterModel, normalize_rows, spherical_kmeans
 from .config import InitConfig
@@ -88,7 +87,7 @@ def capture_activations(
     state = model_forward(model, xm)
     per_site = {}
     for b in sites:
-        acts = state.block_inputs[b]
+        acts = state.caches[b].x
         n = acts.shape[1]
         if n > token_cap:
             rng = substream(seed, f"capture:{b}")
@@ -388,9 +387,9 @@ def cluster_aware_init(dense: DenseFfn, n_experts: int, seed: int, init: InitCon
         truncated = (svd.u[:, :r] * svd.sigma[:r]) @ svd.v_t[:r, :]
         # w1_i = truncated @ inv(S): solve S.T @ w1_i.T = truncated.T instead
         # of forming the inverse, since the Gram factor may be ill conditioned.
-        w1_i = scipy.linalg.solve_triangular(
-            factor.s, truncated.T, lower=True, trans="T"
-        ).T
+        # S.T is upper triangular with a positive diagonal, so partial pivoting
+        # swaps no rows and the LU solve is the triangular back-substitution.
+        w1_i = np.linalg.solve(factor.s.T, truncated.T).T
         expert = dense.copy()
         expert.w1[...] = w1_i
         experts.append(expert)

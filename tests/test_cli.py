@@ -428,8 +428,12 @@ class TestErrors:
         # A zero w1 whitens to a zero matrix, whose spectrum has no energy.
         ("dense.ckpt", "block1.w1", ..., 0.0, ("upcycle", "--method", "cluster"),
          "AllZeroSpectrum", "all singular values are zero"),
+        # Identical activations leave clustering's PCA no variance.
+        ("bank.ckpt", "site1.activations", ..., 1.0, ("upcycle", "--method", "cluster"),
+         "DegenerateData", "all columns identical; covariance is zero"),
     ], ids=["bank-nan-cluster", "dense-inf-drop-svd", "dense-inf-cluster",
-            "dense-inf-sparse", "dense-inf-capture", "dense-zero-cluster"])
+            "dense-inf-sparse", "dense-inf-capture", "dense-zero-cluster",
+            "bank-constant-cluster"])
     def test_bad_tensor_values_report_json(self, trained_workspace, capsys, name, tensor,
                                            where, value, argv, error, message):
         cfg_path, out = trained_workspace
@@ -443,6 +447,18 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == error
         assert message in err["message"]
+
+    def test_model_dim_unlike_config_reports_json(self, workspace, capsys):
+        # Stages read the model's dimensions from its checkpoint and the
+        # data's from the config; a checkpoint made under another model.d
+        # meets data of the wrong width.
+        cfg_path, out = workspace
+        assert run("--config", cfg_path, "train-dense") == 0
+        cfg_path.write_text(cfg_path.read_text().replace("d: 8,", "d: 6,"))
+        capsys.readouterr()
+        assert run("--config", cfg_path, "capture") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ShapeMismatch", "message": "x has 6 rows, model expects 8"}
 
     @pytest.mark.parametrize("target", ["config", "checkpoint"])
     def test_deeply_nested_input_reports_json(self, workspace, capsys, target):
@@ -477,7 +493,9 @@ class TestErrors:
         ({"token_cap: 256": "token_cap: 4", "n_experts: 4": "n_experts: 8"},
          [("train-dense",), ("capture",), ("upcycle", "--method", "cluster")],
          "InsufficientData"),
-    ], ids=["separation-infeasible", "insufficient-data"])
+        # One expert has no inter-expert similarity for analyze and compare.
+        ({"n_experts: 4, k: 2": "n_experts: 1, k: 1"}, [("train-dense",)], "ConfigError"),
+    ], ids=["separation-infeasible", "insufficient-data", "one-expert"])
     def test_error_class_reports_json(self, tmp_path, capsys, edits, argvs, error):
         text = SMALL_CFG.format(out=tmp_path / "runs", tau=0.95)
         for old, new in edits.items():

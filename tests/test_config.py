@@ -39,6 +39,8 @@ def test_range_validation():
         config_from_dict({"init": {"tau": 0.0}})
     with pytest.raises(ConfigError, match="k must lie"):
         config_from_dict({"moe": {"k": 9}})
+    with pytest.raises(ConfigError, match="n_experts must be >= 2"):
+        config_from_dict({"moe": {"n_experts": 1, "k": 1}})
     with pytest.raises(ConfigError, match="beta"):
         config_from_dict({"train": {"beta": 1.2}})
     with pytest.raises(ConfigError, match="n_clusters"):

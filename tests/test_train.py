@@ -644,8 +644,8 @@ class TestExpertResume:
                     # routing and the other experts, are the base's objects.
                     assert all(r is b for r, b in zip(resumed.caches[:start],
                                                       base.caches[:start]))
-                    assert all(r is b for r, b in zip(resumed.block_inputs[:start + 1],
-                                                      base.block_inputs[:start + 1]))
+                    assert all(r.x is b.x for r, b in zip(resumed.caches[:start + 1],
+                                                          base.caches[:start + 1]))
                     site, base_site = resumed.caches[start], base.caches[start]
                     assert site.record is base_site.record
                     assert site.expert_cols is base_site.expert_cols

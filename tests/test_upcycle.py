@@ -1,18 +1,23 @@
 """Tests for the four initialization strategies and calibration capture."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clusterup
 from clusterup import upcycle
 
 from clusterup.analysis import expert_weight_similarity, mean_offdiagonal
 from clusterup.clustering import _assign_all
 from clusterup.errors import EmptyCalibration, InsufficientData
-from clusterup.linalg import frobenius_sq, svd_full
-from clusterup.config import INIT_METHODS, InitConfig
+from clusterup.linalg import effective_rank, frobenius_sq, svd_full
+from clusterup.config import INIT_METHODS, InitConfig, PipelineConfig
 from clusterup.moe import DenseFfn, MoeLayer, ffn_forward, moe_forward, router_probs
 from clusterup.train import make_dense_model, make_synthetic_dataset, model_forward
 from clusterup.upcycle import (
@@ -325,6 +330,83 @@ class TestWhitenedTruncation:
             assert abs(lhs - rhs) <= 1e-6 * max(rhs, 1e-6 * frobenius_sq(dense.w1 @ factor.s))
 
 
+def _reference_back_solve(dense, x, init, experts, report, cm):
+    """Check each cluster expert against the whitened truncated SVD back-solved
+    by ``scipy.linalg.solve_triangular``, bit for bit."""
+    import scipy.linalg
+
+    for i, expert in enumerate(experts):
+        factor = whitening_matrix(x[:, cm.assignments == i])
+        assert factor.jitter_used == report.per_expert_jitter[i]
+        svd = svd_full(dense.w1 @ factor.s)
+        r = effective_rank(svd.sigma, init.tau).chosen_rank
+        assert r == report.per_expert_rank[i]
+        truncated = (svd.u[:, :r] * svd.sigma[:r]) @ svd.v_t[:r, :]
+        w1 = scipy.linalg.solve_triangular(factor.s, truncated.T, lower=True, trans="T").T
+        assert expert.w1.tobytes() == w1.tobytes(), i
+        for name in ("b1", "w2", "b2"):
+            assert getattr(expert, name).tobytes() == getattr(dense, name).tobytes()
+
+
+class TestBackSolve:
+    """The cluster experts' ``T_r(svd(w1 S)) inv(S)``, solved with numpy
+    alone, has the bits of LAPACK's triangular solve: ``S.T`` is upper
+    triangular with a positive diagonal, so the LU solve pivots no row."""
+
+    def test_default_shape(self):
+        cfg = PipelineConfig()
+        m = cfg.model
+        dense_model = make_dense_model(m.d, m.h, m.blocks, m.n_classes, seed=3)
+        data = make_synthetic_dataset(m.d, m.n_classes, cfg.data.n_clusters, 4096,
+                                      cfg.data.separation, seed=4)
+        bank = capture_activations(dense_model, data.inputs, [1], cfg.calibration.token_cap,
+                                   seed=5)
+        dense, x = dense_model.blocks[1], bank.per_site[1]
+        experts, _, report, cm = cluster_aware_init(dense, cfg.moe.n_experts, 6, cfg.init, x)
+        assert x.shape == (m.d, cfg.calibration.token_cap)
+        _reference_back_solve(dense, x, cfg.init, experts, report, cm)
+
+    def test_clusters_smaller_than_dim_use_jitter(self):
+        rng = np.random.default_rng(30)
+        dense = random_ffn(rng, d=16, h=10)
+        x, _ = clustered_columns(rng, 16, 4, 6)
+        init = InitConfig(tau=0.9)
+        experts, _, report, cm = cluster_aware_init(dense, 4, 8, init, x)
+        assert all(j > 0 for j in report.per_expert_jitter)
+        _reference_back_solve(dense, x, init, experts, report, cm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(whitening_cases(), st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_hypothesis_banks(self, case, scale):
+        dense, x, n_experts, tau = case
+        x = scale * x
+        init = InitConfig(tau=tau)
+        experts, _, report, cm = cluster_aware_init(dense, n_experts, 0, init, x)
+        _reference_back_solve(dense, x, init, experts, report, cm)
+
+    def test_no_scipy_at_run_time(self):
+        # The package, its CLI and a cluster-aware init import numpy alone.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import clusterup, clusterup.cli\n"
+            "from clusterup.config import InitConfig\n"
+            "from clusterup.moe import DenseFfn\n"
+            "from clusterup.upcycle import cluster_aware_init\n"
+            "rng = np.random.default_rng(0)\n"
+            "dense = DenseFfn(w1=rng.standard_normal((6, 4)), b1=np.zeros(6),\n"
+            "                 w2=rng.standard_normal((4, 6)), b2=np.zeros(4))\n"
+            "cluster_aware_init(dense, 2, 0, InitConfig(), rng.standard_normal((4, 40)))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(clusterup.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
+
 class TestJointObjective:
     def test_all_experts_equal_dense_is_zero(self):
         rng = np.random.default_rng(22)
@@ -377,8 +459,8 @@ class TestCapture:
         data = rng.standard_normal((5, 30))
         bank = capture_activations(model, data, [1, 2], token_cap=1000, seed=0)
         state = model_forward(model, data)
-        np.testing.assert_allclose(bank.per_site[1], state.block_inputs[1], atol=0)
-        np.testing.assert_allclose(bank.per_site[2], state.block_inputs[2], atol=0)
+        np.testing.assert_allclose(bank.per_site[1], state.caches[1].x, atol=0)
+        np.testing.assert_allclose(bank.per_site[2], state.caches[2].x, atol=0)
 
     def test_empty_calibration(self):
         model = make_dense_model(4, 6, 2, 2, seed=3)
