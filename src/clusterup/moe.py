@@ -215,6 +215,52 @@ class MoeForwardCache:
     expert_outputs: list[Array | None]
     y: Array
 
+    @functools.cached_property
+    def _resum_plans(self) -> dict[int, tuple]:
+        """``resummed``'s plan per expert, each built on its first use, so a
+        routed pass never builds one."""
+        return {}
+
+    def _resum_plan(self, expert: int) -> tuple[Array, list[tuple[np.ndarray, Array]]]:
+        """For expert ``expert``'s tokens, the sum of the gated outputs of
+        their kept slots that precede its slot in expert order, added from
+        +0.0 (d x tokens), and per later rank the tokens with a kept slot
+        there and its gated output."""
+        gated = np.concatenate([out * g[None, :] for out, g in
+                                zip(self.expert_outputs, self.expert_gates) if out is not None],
+                               axis=1)
+        starts = [0, *itertools.accumulate(rows.size for rows in self.expert_cols)]
+        columns = np.full(self.record.topk_indices.shape, starts[-1])
+        for start, rows, slots in zip(starts, self.expert_cols, self.expert_slots):
+            columns[rows, slots] = np.arange(start, start + rows.size)
+        # An expert's columns all precede the next expert's, so sorting a
+        # token's columns puts its kept slots in expert order, padding last.
+        columns = np.sort(columns[self.expert_cols[expert]], axis=1)
+        rank = np.argmax(columns >= starts[expert], axis=1)  # the slot of ``expert``
+        before = np.zeros((gated.shape[0], columns.shape[0]))
+        after = []
+        for r, col in enumerate(columns.T):
+            kept = col < starts[-1]
+            tokens = kept & (r < rank)
+            before[:, tokens] += gated[:, col[tokens]]
+            tokens = kept & (r > rank)
+            if tokens.any():
+                after.append((tokens, gated[:, col[tokens]]))
+        return before, after
+
+    def resummed(self, expert: int, out: Array) -> Array:
+        """The output columns of expert ``expert``'s tokens with its output
+        replaced by ``out``: each token's kept slots' gated outputs added in
+        expert order from +0.0, as ``moe_forward_cached`` sums them, so the
+        columns equal a full pass's bit for bit for any ``k`` and drops."""
+        if expert not in self._resum_plans:
+            self._resum_plans[expert] = self._resum_plan(expert)
+        before, after = self._resum_plans[expert]
+        acc = before + out * self.expert_gates[expert][None, :]
+        for tokens, gated in after:
+            acc[:, tokens] += gated
+        return acc
+
 
 @dataclass
 class FfnCache:
@@ -348,32 +394,38 @@ def moe_forward_cached(
     With ``base``, a cache of this layer on the same ``x`` from before only
     expert ``expert``'s tensors changed, the routing record, the gate
     denominators, the dispatch plan and the other experts' caches and outputs
-    are ``base``'s, and only expert ``expert`` runs. ``y`` still sums the
-    gated expert outputs in expert order, so it equals a full pass bit for
-    bit.
+    are ``base``'s, and only expert ``expert`` runs. ``y`` is a copy of
+    ``base.y`` whose columns of that expert's tokens are summed again
+    (``MoeForwardCache.resummed``), in the same order as a full pass, so it
+    equals a full pass bit for bit.
     """
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != layer.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
-    if base is None:
-        cf = layer.capacity_factor if capacity_factor is None else capacity_factor
-        record, denom, (expert_cols, expert_slots, expert_gates) = _route(layer, xm, cf)
-    else:
-        record, denom = base.record, base.denom
-        expert_cols, expert_slots, expert_gates = (
-            base.expert_cols, base.expert_slots, base.expert_gates)
+    if base is not None:
+        expert_caches, expert_outputs = list(base.expert_caches), list(base.expert_outputs)
+        y = base.y.copy()
+        rows = base.expert_cols[expert]
+        if rows.size:
+            out, expert_caches[expert] = ffn_forward_cached(layer.experts[expert], xm[:, rows])
+            expert_outputs[expert] = out
+            y[:, rows] = base.resummed(expert, out)
+        cache = MoeForwardCache(
+            x=xm, record=base.record, denom=base.denom, expert_cols=base.expert_cols,
+            expert_slots=base.expert_slots, expert_gates=base.expert_gates,
+            expert_caches=expert_caches, expert_outputs=expert_outputs, y=y,
+        )
+        return y, base.record, cache
 
+    cf = layer.capacity_factor if capacity_factor is None else capacity_factor
+    record, denom, (expert_cols, expert_slots, expert_gates) = _route(layer, xm, cf)
     y = np.zeros_like(xm)
     expert_caches: list[FfnCache | None] = []
     expert_outputs: list[Array | None] = []
-    for i, (ffn, rows, g) in enumerate(zip(layer.experts, expert_cols, expert_gates)):
-        if rows.size == 0:
-            out = cache = None
-        elif base is None or i == expert:
+    for ffn, rows, g in zip(layer.experts, expert_cols, expert_gates):
+        out = cache = None
+        if rows.size:
             out, cache = ffn_forward_cached(ffn, xm[:, rows])
-        else:
-            out, cache = base.expert_outputs[i], base.expert_caches[i]
-        if out is not None:
             y[:, rows] += out * g[None, :]
         expert_caches.append(cache)
         expert_outputs.append(out)

@@ -119,6 +119,25 @@ def config_snapshot(cfg: PipelineConfig) -> dict:
     return snapshot
 
 
+def _check_config(cfg: PipelineConfig, manifest: dict, path) -> None:
+    """Raise ``CheckpointError`` unless the checkpoint at ``path``, whose
+    manifest is ``manifest``, records ``cfg``'s ``model`` and ``data``
+    sections: the stages that read it would otherwise mix two configs."""
+    recorded = manifest["config"] if isinstance(manifest["config"], dict) else {}
+    running = config_snapshot(cfg)
+    for section in ("model", "data"):
+        mine, theirs = running[section], recorded.get(section)
+        if theirs == mine:
+            continue
+        theirs = theirs if isinstance(theirs, dict) else {}
+        key = next(key for key in [*mine, *theirs]
+                   if key not in mine or key not in theirs or mine[key] != theirs[key])
+        raise CheckpointError(
+            f"{path} was made under another {section} config: {section}.{key} is "
+            f"{theirs.get(key)!r} there and {mine.get(key)!r} here"
+        )
+
+
 def save_model_checkpoint(
     path, model: ToyModel, cfg: PipelineConfig, seeds: dict,
     extra: dict | None = None, teacher: ModelTeacher | None = None,
@@ -139,8 +158,15 @@ def save_model_checkpoint(
                     extra={**meta, **(extra or {})})
 
 
-def load_model_checkpoint(path) -> tuple[ToyModel, ModelTeacher | None, dict]:
+def load_model_checkpoint(
+    path, cfg: PipelineConfig | None = None
+) -> tuple[ToyModel, ModelTeacher | None, dict]:
+    """The model, its EMA teacher (None if it has none) and the manifest
+    saved at ``path``; given ``cfg``, the checkpoint must have been made
+    under its model and data sections (``_check_config``)."""
     ckpt = load_checkpoint(path)
+    if cfg is not None:
+        _check_config(cfg, ckpt.manifest, path)
     if "model" not in ckpt.extra:
         raise CheckpointError(f"{path} holds no model")
     structure = ckpt.extra["model"]
@@ -311,7 +337,8 @@ def run_train_dense(cfg: PipelineConfig) -> Path:
 
 
 def run_capture(cfg: PipelineConfig) -> Path:
-    dense, _, _ = load_model_checkpoint(_require_artifact(dense_path(cfg), "train-dense"))
+    dense, _, _ = load_model_checkpoint(
+        _require_artifact(dense_path(cfg), "train-dense"), cfg)
     bank = capture(cfg, dense)
     tensors = {f"site{b}.activations": acts for b, acts in sorted(bank.per_site.items())}
     path = bank_path(cfg)
@@ -322,8 +349,12 @@ def run_capture(cfg: PipelineConfig) -> Path:
     return path
 
 
-def load_bank(path) -> ActivationBank:
+def load_bank(path, cfg: PipelineConfig | None = None) -> ActivationBank:
+    """The activation bank at ``path``; given ``cfg``, it must have been made
+    under its model and data sections (``_check_config``)."""
     ckpt = load_checkpoint(path)
+    if cfg is not None:
+        _check_config(cfg, ckpt.manifest, path)
     if "token_cap" not in ckpt.extra:
         raise CheckpointError(f"{path} holds no activation bank")
     try:
@@ -339,11 +370,12 @@ def load_bank(path) -> ActivationBank:
 
 def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
     method = method or cfg.init.method
-    dense, _, _ = load_model_checkpoint(_require_artifact(dense_path(cfg), "train-dense"))
+    dense, _, _ = load_model_checkpoint(
+        _require_artifact(dense_path(cfg), "train-dense"), cfg)
     bank = None
     if method == "cluster":
         source = _require_artifact(bank_path(cfg), "capture")
-        bank = load_bank(source)
+        bank = load_bank(source, cfg)
         for b in default_moe_sites(len(dense.blocks)):
             if b not in bank.per_site:
                 raise CheckpointError(f"{source} holds no activations for MoE site {b}")
@@ -374,8 +406,7 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
 def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = False) -> Path:
     method = method or cfg.init.method
     model, _, _ = load_model_checkpoint(
-        _require_artifact(moe_path(cfg, method), f"upcycle --method {method}")
-    )
+        _require_artifact(moe_path(cfg, method), f"upcycle --method {method}"), cfg)
     log: list[dict] = []
     teacher = train_moe(cfg, model, method, eesd, log.append)
     path = moe_path(cfg, method, trained=True)

@@ -352,10 +352,12 @@ def _cross_entropy(
     labels = np.asarray(labels).reshape(-1)
     if labels.size != n_tokens:
         raise ShapeMismatch(f"{labels.size} labels for {n_tokens} tokens")
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=0))
+    # The ufunc reductions behind ``max``, ``sum`` and ``np.mean`` (the sum,
+    # then the division), with their bits and without their Python wrappers.
+    shifted = logits - np.maximum.reduce(logits, axis=0, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=0))
     token_idx = np.arange(n_tokens)
-    loss = float(np.mean(log_z - shifted[labels, token_idx]))
+    loss = float(np.add.reduce(log_z - shifted[labels, token_idx]) / n_tokens)
     if not grad:
         return loss, None
     probs = np.exp(shifted - log_z[None, :])
@@ -373,6 +375,18 @@ def _teacher_outputs(
     return {b: teacher_forward(teacher.sites[b], state.caches[b].x) for b in sites}
 
 
+@dataclass(frozen=True)
+class SiteTerms:
+    """One MoE site's load-balancing and EESD terms and the cache they were
+    computed from (``eesd`` 0.0 and ``residual`` None without teacher
+    outputs)."""
+
+    cache: MoeForwardCache
+    lb: float
+    eesd: float
+    residual: Array | None
+
+
 def _objective(
     model: ToyModel,
     state: ForwardState,
@@ -381,27 +395,46 @@ def _objective(
     lambda_lb: float,
     lambda_eesd: float,
     grad: bool = True,
-) -> tuple[LossReport, Array | None, dict[int, Array]]:
+    base: dict[int, SiteTerms] | None = None,
+) -> tuple[LossReport, Array | None, dict[int, SiteTerms]]:
     """Task, load-balancing and distillation terms of one forward pass.
 
     The task term is mean cross-entropy at the head; the load-balancing term
     sums over MoE sites; the distillation term averages ``eesd_terms`` over
     MoE sites and is active only when teacher outputs are supplied. Returns
     the report, the task gradient wrt the logits (None unless ``grad``), and
-    each site's EESD residual (empty without teacher outputs).
+    each site's ``SiteTerms``.
+
+    ``base`` holds the site terms of an earlier pass of the same model on the
+    same inputs with the same teacher outputs. A site whose cache is the
+    base's own object takes both its terms from there, and one whose routing
+    record is takes its load-balancing term; the site values are summed in
+    the same order either way, so the report has the same bits.
     """
     sites = model.moe_sites
     task, dlogits = _cross_entropy(state.logits, labels, grad)
-    lb = float(sum(load_balance_loss(state.caches[b].record) for b in sites))
+    terms: dict[int, SiteTerms] = {}
+    for b in sites:
+        cache, known = state.caches[b], None if base is None else base[b]
+        if known is not None and known.cache is cache:
+            terms[b] = known
+            continue
+        if known is not None and known.cache.record is cache.record:
+            site_lb = known.lb
+        else:
+            site_lb = load_balance_loss(cache.record)
+        site_eesd, residual = 0.0, None
+        if teacher_ys is not None:
+            site_eesd, residual = eesd_terms(cache.y, teacher_ys[b])
+        terms[b] = SiteTerms(cache, site_lb, site_eesd, residual)
+    lb = float(sum(t.lb for t in terms.values()))
     eesd = 0.0
-    residuals: dict[int, Array] = {}
     if teacher_ys is not None and sites:
-        for b in sites:
-            value, residuals[b] = eesd_terms(state.caches[b].y, teacher_ys[b])
-            eesd += value
+        for t in terms.values():
+            eesd += t.eesd
         eesd /= len(sites)
     report = LossReport.build(task, lb, eesd, lambda_lb, lambda_eesd)
-    return report, dlogits, residuals
+    return report, dlogits, terms
 
 
 def total_loss(
@@ -425,7 +458,7 @@ def total_loss(
     sites = model.moe_sites
     t_tokens = xm.shape[1]
     teacher_ys = _teacher_outputs(teacher, state, sites)
-    report, dlogits, residuals = _objective(
+    report, dlogits, terms = _objective(
         model, state, labels, teacher_ys, lambda_lb, lambda_eesd
     )
 
@@ -435,8 +468,9 @@ def total_loss(
         block, cache = model.blocks[b], state.caches[b]
         if isinstance(block, MoeLayer):
             dy = dx
-            if b in residuals and lambda_eesd != 0.0:
-                dy = dx + (2.0 * lambda_eesd / (len(sites) * t_tokens)) * residuals[b]
+            residual = terms[b].residual
+            if residual is not None and lambda_eesd != 0.0:
+                dy = dx + (2.0 * lambda_eesd / (len(sites) * t_tokens)) * residual
             dprobs_extra = None
             if lambda_lb != 0.0:
                 fraction = cache.record.per_expert_fraction
@@ -448,17 +482,24 @@ def total_loss(
     return report, buffers, state
 
 
-def _decisions(state: ForwardState, start: int = 0) -> bytes:
+def _decisions(state: ForwardState, start: int = 0, expert: int | None = None) -> bytes:
     """Top-k selections, capacity drops and ReLU signs of blocks ``start``…
-    of one forward pass.
+    of one forward pass; with ``expert``, block ``start`` contributes only
+    that expert's ReLU signs.
 
     The loss is smooth only while all of them stay fixed. They are packed
     into one byte string, so two passes compare with one equality test; a
     site's selections and drops precede, and fix the sizes of, its expert
-    ReLU masks, so equal bytes mean equal decisions.
+    ReLU masks, so equal bytes mean equal decisions. ``expert`` serves a pass
+    resumed at that expert (``model_forward``'s ``expert``), whose routing
+    record and other experts' caches are its base's own objects.
     """
+    caches = state.caches[start:]
     parts = []
-    for cache in state.caches[start:]:
+    if expert is not None:
+        resumed = caches.pop(0).expert_caches[expert]
+        parts += [resumed.pre > 0.0] if resumed is not None else []
+    for cache in caches:
         if isinstance(cache, MoeForwardCache):
             parts += [cache.record.topk_indices, cache.record.dropped]
             parts += [c.pre > 0.0 for c in cache.expert_caches if c is not None]
@@ -578,8 +619,12 @@ def grad_check(
     recomputes only the logits, and an expert's entry reruns only that expert
     in its block (``expert``); the states equal full passes bit for bit. So
     the blocks before the resume point are the base pass's own caches, and
-    only the decisions of the blocks from it on are compared. The +-eps
-    objectives skip the logits gradient, which they do not use.
+    only the decisions that can change are compared: those of the blocks
+    from the resume point on, or at an expert resume that expert's ReLU signs
+    and the blocks after it. The +-eps objectives skip the logits gradient,
+    which they do not use, and take from the base pass's ``SiteTerms`` every
+    site term whose inputs are the base's own objects (``_objective``'s
+    ``base``), so a head or teacher entry computes only the cross-entropy.
     Teacher predictions are frozen at their base values for every evaluation,
     matching the stop-gradient semantics of the distillation term; no student
     block reads a teacher tensor, so a teacher pair resumes past the last
@@ -597,11 +642,14 @@ def grad_check(
     )
     named_grads = dict(named_params(model, grads))
     frozen = _teacher_outputs(teacher, state, model.moe_sites)
-    base_decisions: dict[int, bytes] = {}
+    _, _, base_terms = _objective(
+        model, state, labels, frozen, lambda_lb, lambda_eesd, grad=False)
+    base_decisions: dict[tuple[int, int | None], bytes] = {}
 
     def loss_value(forward: ForwardState) -> float:
         return _objective(
-            model, forward, labels, frozen, lambda_lb, lambda_eesd, grad=False
+            model, forward, labels, frozen, lambda_lb, lambda_eesd,
+            grad=False, base=base_terms,
         )[0].total
 
     def perturbed(
@@ -624,16 +672,16 @@ def grad_check(
     per_tensor: dict[str, float] = {}
     max_rel = 0.0
     checked = skipped = 0
-    for (start, expert), name, arr in _staged_params(model):
-        if start not in base_decisions:
-            base_decisions[start] = _decisions(state, start)
+    for resume, name, arr in _staged_params(model):
+        if resume not in base_decisions:
+            base_decisions[resume] = _decisions(state, *resume)
         count = min(samples_per_tensor, arr.size)
         indices = rng.choice(arr.size, size=count, replace=False)
         tensor_err = 0.0
         for flat_idx in indices:
-            state_plus, state_minus = perturbed(arr, flat_idx, start, expert)
-            if not (_decisions(state_plus, start) == _decisions(state_minus, start)
-                    == base_decisions[start]):
+            state_plus, state_minus = perturbed(arr, flat_idx, *resume)
+            if not (_decisions(state_plus, *resume) == _decisions(state_minus, *resume)
+                    == base_decisions[resume]):
                 skipped += 1
                 continue
             numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)

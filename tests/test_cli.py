@@ -450,15 +450,65 @@ class TestErrors:
 
     def test_model_dim_unlike_config_reports_json(self, workspace, capsys):
         # Stages read the model's dimensions from its checkpoint and the
-        # data's from the config; a checkpoint made under another model.d
-        # meets data of the wrong width.
+        # data's from the config; a checkpoint made under another model.d is
+        # refused before its model meets data of the wrong width.
         cfg_path, out = workspace
         assert run("--config", cfg_path, "train-dense") == 0
         cfg_path.write_text(cfg_path.read_text().replace("d: 8,", "d: 6,"))
         capsys.readouterr()
         assert run("--config", cfg_path, "capture") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "CheckpointError", "message":
+                       f"{out / 'dense.ckpt'} was made under another model config: "
+                       "model.d is 8 there and 6 here"}
+
+    def test_analyze_model_dim_unlike_config_reports_json(self, workspace, capsys):
+        # analyze reads any checkpoint, without comparing configs, so one
+        # made under another model.d meets data of the wrong width.
+        cfg_path, out = workspace
+        assert run("--config", cfg_path, "train-dense") == 0
+        cfg_path.write_text(cfg_path.read_text().replace("d: 8,", "d: 6,"))
+        capsys.readouterr()
+        assert run("--config", cfg_path, "analyze", "--checkpoint", out / "dense.ckpt") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "ShapeMismatch", "message": "x has 6 rows, model expects 8"}
+
+    def test_input_made_under_other_config_reports_json(self, workspace, capsys):
+        # Without the check, both stages exit 0 and mix the two configs.
+        cfg_path, out = workspace
+        text = cfg_path.read_text().replace("seed: 3", "seed: 0")
+        cfg_path.write_text(text)
+        assert run("--config", cfg_path, "train-dense") == 0
+        cfg_path.write_text(text.replace("seed: 0", "seed: 1").replace("h: 12", "h: 20"))
+        for argv in (("capture",), ("upcycle", "--method", "cluster")):
+            capsys.readouterr()
+            assert run("--config", cfg_path, *argv) == 2, argv
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err == {"error": "CheckpointError", "message":
+                           f"{out / 'dense.ckpt'} was made under another model config: "
+                           "model.h is 12 there and 20 here"}, argv
+        assert sorted(path.name for path in out.iterdir()) == ["dense.ckpt", "dense_log.jsonl"]
+
+    @pytest.mark.parametrize("stale,argv", [
+        ("bank.ckpt", ("upcycle", "--method", "cluster")),
+        ("moe_sparse.ckpt", ("train-moe", "--method", "sparse")),
+    ])
+    def test_stale_input_reports_json(self, workspace, capsys, stale, argv):
+        # Every input made under data.seed 3 except ``stale``, made under 4.
+        cfg_path, out = workspace
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace("seed: 3", "seed: 4"))
+        assert run("--config", cfg_path, "train-dense") == 0
+        assert run("--config", cfg_path, "capture") == 0
+        assert run("--config", cfg_path, "upcycle", "--method", "sparse") == 0
+        cfg_path.write_text(text)
+        assert run("--config", cfg_path, "train-dense") == 0
+        capsys.readouterr()
+        assert run("--config", cfg_path, *argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "CheckpointError", "message":
+                       f"{out / stale} was made under another data config: "
+                       "data.seed is 4 there and 3 here"}
 
     @pytest.mark.parametrize("target", ["config", "checkpoint"])
     def test_deeply_nested_input_reports_json(self, workspace, capsys, target):

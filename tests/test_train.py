@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
@@ -599,16 +600,16 @@ def _random_ffn(rng, d, h):
                     rng.standard_normal((d, h)) / np.sqrt(h), rng.standard_normal(d) * 0.1)
 
 
-def _resume_model(k: int):
-    """MoE, dense, MoE blocks at capacity 0.7, which drops slots, on positive
-    tokens; block 0's last router row is negative, so the tokens never pick
-    its last expert there."""
-    rng = np.random.default_rng(70 + k)
-    d, h, n_e = 5, 7, 4
+def _resume_model(k: int, n_e: int = 4, capacity: float = 0.7, seed: int | None = None):
+    """MoE, dense, MoE blocks at ``capacity`` (0.7 drops slots) on positive
+    tokens; block 0's last router row is negative, so for ``k < n_e`` the
+    tokens never pick its last expert there."""
+    rng = np.random.default_rng(70 + k if seed is None else seed)
+    d, h = 5, 7
 
     def moe():
         return MoeLayer([_random_ffn(rng, d, h) for _ in range(n_e)],
-                        rng.standard_normal((n_e, d)), k, 0.7)
+                        rng.standard_normal((n_e, d)), k, capacity)
 
     first = moe()
     first.router[-1] = -5.0
@@ -672,6 +673,102 @@ class TestExpertResume:
                                               grad=False)
         assert dlogits is not None and none is None
         assert loss_only == with_grad
+
+
+class TestExpertResumeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_e=st.integers(2, 6), capacity=st.floats(0.3, 0.9),
+           seed=st.integers(0, 2**16), step=st.sampled_from([1e-5, -1e-5, 0.3]))
+    def test_resumed_state_equals_full_pass(self, data, n_e, capacity, seed, step):
+        k = data.draw(st.integers(1, n_e), label="k")
+        model, x = _resume_model(k, n_e, capacity, seed)
+        base = model_forward(model, x)
+        assume(all(r.dropped.any() for r in base.records.values()))
+        if k < n_e:
+            assert base.caches[0].expert_cols[-1].size == 0
+        rng = np.random.default_rng(seed)
+        for (start, expert), name, arr in train._staged_params(model):
+            if expert is None or not name.endswith(".w1"):
+                continue
+            flat_idx = rng.integers(arr.size)
+            orig = arr.flat[flat_idx]
+            arr.flat[flat_idx] = orig + step
+            resumed = model_forward(model, x, base=base, start=start, expert=expert)
+            full = model_forward(model, x)
+            arr.flat[flat_idx] = orig
+            assert _state_bytes(resumed) == _state_bytes(full), name
+            assert train._decisions(resumed) == train._decisions(full), name
+            assert (train._decisions(resumed, start, expert)
+                    == train._decisions(full, start, expert)), name
+
+
+class TestObjective:
+    @settings(max_examples=100, deadline=None)
+    @given(n_classes=st.integers(2, 10), n_tokens=st.integers(1, 64),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16))
+    def test_cross_entropy_matches_mean_formula(self, n_classes, n_tokens, scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((n_classes, n_tokens)) * scale
+        labels = rng.integers(n_classes, size=n_tokens)
+        shifted = logits - logits.max(axis=0, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=0))
+        oracle = float(np.mean(log_z - shifted[labels, np.arange(n_tokens)]))
+        for grad in (True, False):
+            loss, _ = train._cross_entropy(logits, labels, grad)
+            assert np.float64(loss).tobytes() == np.float64(oracle).tobytes()
+
+    def test_site_terms_run_only_from_the_resume_point(self, monkeypatch):
+        # Each +-eps pass computes the load-balancing term of the sites after
+        # its resume point (and of its own site unless it resumed an expert,
+        # whose routing record is the base's) and the EESD term of the sites
+        # from it on; head entries and teacher pairs compute neither.
+        dense = make_dense_model(6, 10, 4, 3, seed=34)
+        model, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
+                                    capacity_factor=1.5, seed=35)
+        teacher = make_model_teacher(model, beta=0.999)
+        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=36)
+        sites = model.moe_sites
+        states, passes, calls = [], [], []
+        forward = train.model_forward
+
+        def spy_forward(*args, start=0, expert=None, **kwargs):
+            states.append(forward(*args, start=start, expert=expert, **kwargs))
+            passes.append((start, expert))
+            return states[-1]
+
+        def spy(term, original, site_of):
+            def wrapped(arg, *rest):
+                # The objective of a +-eps pair runs after both of its passes.
+                site, = {b for state in states[-2:] for b in sites
+                         if site_of(state.caches[b]) is arg}
+                calls.append((term, len(passes) - 1, site))
+                return original(arg, *rest)
+            return wrapped
+
+        monkeypatch.setattr(train, "model_forward", spy_forward)
+        monkeypatch.setattr(train, "load_balance_loss",
+                            spy("lb", train.load_balance_loss, lambda c: c.record))
+        monkeypatch.setattr(train, "eesd_terms",
+                            spy("eesd", train.eesd_terms, lambda c: c.y))
+        result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
+                            lambda_eesd=1.0, samples_per_tensor=5)
+        assert result["checked"] > 0
+        # The base pass: total_loss, then the loss-only base terms.
+        base = sorted(call for call in calls if call[1] == 0)
+        assert base == sorted((term, 0, b) for term in ("lb", "eesd") for b in sites * 2)
+        seen = set()
+        for term, index, site in calls[len(base):]:
+            start, expert = passes[index]
+            first = start if term == "eesd" or expert is None else start + 1
+            assert site >= first, (term, start, expert, site)
+            seen.add((term, expert is None, site - start))
+        # A resumed expert's own site recomputes its EESD term only.
+        assert ("eesd", False, 0) in seen and ("lb", False, 0) not in seen
+        assert ("lb", True, 0) in seen and ("lb", False, 2) in seen
+        # Head entries and teacher pairs resume past the last block.
+        n_blocks = len(model.blocks)
+        assert (n_blocks, None) in passes
+        assert all(passes[index][0] < n_blocks for _, index, _ in calls)
 
 
 def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
