@@ -9,13 +9,10 @@ confident the router is; utilization counts top-k slots per expert.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_open
 from .errors import InsufficientTokens, ZeroWeights
 from .linalg import Array, as_matrix, pseudoinverse
 from .moe import MoeLayer, RoutingRecord
@@ -180,27 +177,23 @@ def analysis_csv_rows(report: AnalysisReport) -> list[tuple]:
     return rows
 
 
-def write_analysis_csv(report: AnalysisReport, path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANALYSIS_CSV_COLUMNS)
-        writer.writerows(analysis_csv_rows(report))
+def routing_csv_rows(records: dict[int, RoutingRecord]) -> list[tuple]:
+    """Per-expert (site, expert, fraction, mean_prob, drop_rate) rows.
 
-
-def write_analysis_json(report: AnalysisReport, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_routing_csv(records: dict[int, RoutingRecord], path) -> None:
-    from .moe import routing_summary
-
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUTING_CSV_COLUMNS)
-        for b in sorted(records):
-            for row in routing_summary(records[b]):
-                writer.writerow(
-                    (b, row["expert"], row["fraction"], row["mean_prob"], row["drop_rate"])
-                )
+    ``fraction`` is the expert's share of top-k slots, ``mean_prob`` its mean
+    routing probability, and ``drop_rate`` the share of its selected slots
+    that capacity dropped (0.0 for an expert no token selects).
+    """
+    rows = []
+    for b in sorted(records):
+        record = records[b]
+        n_e = record.probs.shape[1]
+        selected = np.bincount(record.topk_indices.ravel(), minlength=n_e)
+        dropped = np.bincount(record.topk_indices[record.dropped].ravel(), minlength=n_e)
+        for i in range(n_e):
+            rows.append((
+                b, i, float(record.per_expert_fraction[i]),
+                float(record.per_expert_mean_prob[i]),
+                float(dropped[i] / selected[i]) if selected[i] else 0.0,
+            ))
+    return rows

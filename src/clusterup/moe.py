@@ -519,21 +519,3 @@ def dense_ensemble_forward(layer: MoeLayer, x) -> Array:
 def load_balance_loss(routing: RoutingRecord) -> float:
     """Sum over experts of routed-slot fraction times mean routing probability."""
     return float(np.dot(routing.per_expert_fraction, routing.per_expert_mean_prob))
-
-
-def routing_summary(routing: RoutingRecord) -> list[dict]:
-    """Per-expert routing statistics: slot fraction, mean probability, drop rate."""
-    n_e = routing.probs.shape[1]
-    selected = np.bincount(routing.topk_indices.ravel(), minlength=n_e)
-    dropped = np.bincount(
-        routing.topk_indices[routing.dropped].ravel(), minlength=n_e
-    )
-    rows = []
-    for i in range(n_e):
-        rows.append({
-            "expert": i,
-            "fraction": float(routing.per_expert_fraction[i]),
-            "mean_prob": float(routing.per_expert_mean_prob[i]),
-            "drop_rate": float(dropped[i] / selected[i]) if selected[i] else 0.0,
-        })
-    return rows

@@ -25,16 +25,17 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    ANALYSIS_CSV_COLUMNS,
+    ROUTING_CSV_COLUMNS,
+    analysis_csv_rows,
     analyze_model,
-    write_analysis_csv,
-    write_analysis_json,
-    write_routing_csv,
+    routing_csv_rows,
 )
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import INIT_METHODS, PipelineConfig
@@ -327,6 +328,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def run_train_dense(cfg: PipelineConfig) -> Path:
     log: list[dict] = []
     model = train_dense(cfg, log.append)
@@ -349,22 +357,25 @@ def run_capture(cfg: PipelineConfig) -> Path:
     return path
 
 
-def load_bank(path, cfg: PipelineConfig | None = None) -> ActivationBank:
-    """The activation bank at ``path``; given ``cfg``, it must have been made
-    under its model and data sections (``_check_config``)."""
+def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
+    """The activation bank at ``path``, made under ``cfg``'s model and data
+    sections (``_check_config``): a (d, tokens) matrix per MoE site of
+    ``cfg``'s model."""
     ckpt = load_checkpoint(path)
-    if cfg is not None:
-        _check_config(cfg, ckpt.manifest, path)
+    _check_config(cfg, ckpt.manifest, path)
     if "token_cap" not in ckpt.extra:
         raise CheckpointError(f"{path} holds no activation bank")
-    try:
-        per_site = {
-            int(name[len("site"):name.index(".")]): arr
-            for name, arr in ckpt.tensors.items()
-            if name.startswith("site") and name.endswith(".activations")
-        }
-    except ValueError as exc:
-        raise CheckpointError(f"bad activation tensor name in {path}: {exc}") from None
+    per_site = {}
+    for b in default_moe_sites(cfg.model.blocks):
+        acts = ckpt.tensors.get(f"site{b}.activations")
+        if acts is None:
+            raise CheckpointError(f"{path} holds no activations for MoE site {b}")
+        if acts.ndim != 2 or acts.shape[0] != cfg.model.d:
+            raise CheckpointError(
+                f"{path}: MoE site {b} activations have shape {acts.shape}, "
+                f"expected {cfg.model.d} rows"
+            )
+        per_site[b] = acts
     return ActivationBank(per_site=per_site, token_cap=ckpt.extra["token_cap"])
 
 
@@ -374,17 +385,7 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
         _require_artifact(dense_path(cfg), "train-dense"), cfg)
     bank = None
     if method == "cluster":
-        source = _require_artifact(bank_path(cfg), "capture")
-        bank = load_bank(source, cfg)
-        for b in default_moe_sites(len(dense.blocks)):
-            if b not in bank.per_site:
-                raise CheckpointError(f"{source} holds no activations for MoE site {b}")
-            shape = bank.per_site[b].shape
-            if len(shape) != 2 or shape[0] != dense.input_dim:
-                raise CheckpointError(
-                    f"{source}: MoE site {b} activations have shape {shape}, "
-                    f"expected {dense.input_dim} rows"
-                )
+        bank = load_bank(_require_artifact(bank_path(cfg), "capture"), cfg)
     moe_model, reports, cluster_models = upcycle(cfg, dense, method, bank)
     cluster_tensors = {
         f"cluster.site{b}.{name}": np.asarray(getattr(cm, name), dtype=np.float64)
@@ -399,7 +400,7 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
         cluster_tensors=cluster_tensors,
     )
     _write_json(out_dir(cfg) / f"init_report_{method}.json",
-                {str(b): r.to_dict() for b, r in sorted(reports.items())})
+                {str(b): asdict(r) for b, r in sorted(reports.items())})
     return path
 
 
@@ -420,7 +421,7 @@ def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = F
 
 def run_analyze(cfg: PipelineConfig, checkpoint: Path | str) -> list[Path]:
     ckpt_path = _require_artifact(Path(checkpoint), "upcycle or train-moe")
-    model, _, _ = load_model_checkpoint(ckpt_path)
+    model, _, _ = load_model_checkpoint(ckpt_path, cfg)
     _, eval_set = _datasets(cfg)
     state = train.model_forward(model, eval_set.inputs, cfg.moe.capacity_eval)
     report = analyze_model(model, state)
@@ -430,9 +431,9 @@ def run_analyze(cfg: PipelineConfig, checkpoint: Path | str) -> list[Path]:
         out_dir(cfg) / f"analysis_{stem}.csv",
         out_dir(cfg) / f"routing_{stem}.csv",
     ]
-    write_analysis_json(report, paths[0])
-    write_analysis_csv(report, paths[1])
-    write_routing_csv(state.records, paths[2])
+    _write_json(paths[0], report.to_dict())
+    _write_csv(paths[1], ANALYSIS_CSV_COLUMNS, analysis_csv_rows(report))
+    _write_csv(paths[2], ROUTING_CSV_COLUMNS, routing_csv_rows(state.records))
     return paths
 
 
@@ -602,8 +603,5 @@ def run_compare(cfg: PipelineConfig, n_seeds: int, eesd: bool = False) -> Path:
     root_seeds = range(cfg.root_seed, cfg.root_seed + n_seeds)
     rows = _compare_rows(cfg, root_seeds, [(m, eesd) for m in INIT_METHODS])
     path = out_dir(cfg) / "compare.csv"
-    with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, COMPARE_COLUMNS, [[row[c] for c in COMPARE_COLUMNS] for row in rows])
     return path

@@ -265,13 +265,6 @@ class LossReport:
             total=task + lambda_lb * lb + lambda_eesd * eesd,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task, "lb": self.lb, "eesd": self.eesd,
-            "lambda_lb": self.lambda_lb, "lambda_eesd": self.lambda_eesd,
-            "total": self.total,
-        }
-
 
 @dataclass
 class ForwardState:
@@ -377,14 +370,15 @@ def _teacher_outputs(
 
 @dataclass(frozen=True)
 class SiteTerms:
-    """One MoE site's load-balancing and EESD terms and the cache they were
-    computed from (``eesd`` 0.0 and ``residual`` None without teacher
-    outputs)."""
+    """One MoE site's load-balancing and EESD terms, the cache and teacher
+    output they were computed from (``eesd`` 0.0 and ``residual`` and
+    ``teacher_y`` None without teacher outputs)."""
 
     cache: MoeForwardCache
     lb: float
     eesd: float
     residual: Array | None
+    teacher_y: Array | None
 
 
 def _objective(
@@ -423,10 +417,11 @@ def _objective(
             site_lb = known.lb
         else:
             site_lb = load_balance_loss(cache.record)
-        site_eesd, residual = 0.0, None
+        site_eesd, residual, teacher_y = 0.0, None, None
         if teacher_ys is not None:
-            site_eesd, residual = eesd_terms(cache.y, teacher_ys[b])
-        terms[b] = SiteTerms(cache, site_lb, site_eesd, residual)
+            teacher_y = teacher_ys[b]
+            site_eesd, residual = eesd_terms(cache.y, teacher_y)
+        terms[b] = SiteTerms(cache, site_lb, site_eesd, residual, teacher_y)
     lb = float(sum(t.lb for t in terms.values()))
     eesd = 0.0
     if teacher_ys is not None and sites:
@@ -446,10 +441,11 @@ def total_loss(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-) -> tuple[LossReport, list[Array], ForwardState]:
+) -> tuple[LossReport, list[Array], ForwardState, dict[int, SiteTerms]]:
     """Combined objective (see ``_objective``), its gradients as buffers laid
     out like ``param_buffers(model)`` (``named_params(model, grads)`` names
-    them), and the forward state they were computed from.
+    them), the forward state they were computed from, and each MoE site's
+    ``SiteTerms``.
 
     Teacher predictions are constants under differentiation.
     """
@@ -479,7 +475,7 @@ def total_loss(
         else:
             dxi, buffers[b + 1] = ffn_backward(block, cache, dx)
         dx = dx + dxi
-    return report, buffers, state
+    return report, buffers, state, terms
 
 
 def _decisions(state: ForwardState, start: int = 0, expert: int | None = None) -> bytes:
@@ -528,7 +524,7 @@ def train_step(
     and forward state."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    report, grads, state = total_loss(
+    report, grads, state, _ = total_loss(
         model, teacher, inputs, labels,
         lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
         capacity_factor=capacity_factor,
@@ -571,7 +567,7 @@ def run_training(
         reports.append(report)
         if log_fn is not None:
             record = {"step": step}
-            record.update(report.to_dict())
+            record.update(vars(report))
             entropies = [routing_entropy(r.probs) for r in state.records.values()]
             record["routing_entropy"] = float(np.mean(entropies)) if entropies else 0.0
             record["drop_rate"] = {
@@ -622,28 +618,27 @@ def grad_check(
     only the decisions that can change are compared: those of the blocks
     from the resume point on, or at an expert resume that expert's ReLU signs
     and the blocks after it. The +-eps objectives skip the logits gradient,
-    which they do not use, and take from the base pass's ``SiteTerms`` every
-    site term whose inputs are the base's own objects (``_objective``'s
-    ``base``), so a head or teacher entry computes only the cross-entropy.
-    Teacher predictions are frozen at their base values for every evaluation,
-    matching the stop-gradient semantics of the distillation term; no student
-    block reads a teacher tensor, so a teacher pair resumes past the last
-    block and its quotient is zero by construction, and the objective is
-    still evaluated for every teacher sample. Returns a dict with
+    which they do not use, and take from the base pass's ``SiteTerms``, as
+    ``total_loss`` returned them, every site term whose inputs are the base's
+    own objects (``_objective``'s ``base``), so a head or teacher entry
+    computes only the cross-entropy. Teacher predictions are frozen at their
+    base values (each term's ``teacher_y``) for every evaluation, matching
+    the stop-gradient semantics of the distillation term; no student block
+    reads a teacher tensor, so a teacher pair resumes past the last block
+    and its quotient is zero by construction, and the objective is still
+    evaluated for every teacher sample. Returns a dict with
     max_rel_error, per_tensor errors, checked/skipped counts, and
     teacher_max_quotient.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
     xm = as_matrix(inputs, "inputs")
-    _, grads, state = total_loss(
+    _, grads, state, base_terms = total_loss(
         model, teacher, xm, labels,
         lambda_lb=lambda_lb, lambda_eesd=lambda_eesd, capacity_factor=capacity_factor,
     )
     named_grads = dict(named_params(model, grads))
-    frozen = _teacher_outputs(teacher, state, model.moe_sites)
-    _, _, base_terms = _objective(
-        model, state, labels, frozen, lambda_lb, lambda_eesd, grad=False)
+    frozen = None if teacher is None else {b: t.teacher_y for b, t in base_terms.items()}
     base_decisions: dict[tuple[int, int | None], bytes] = {}
 
     def loss_value(forward: ForwardState) -> float:

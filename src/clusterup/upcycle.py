@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterModel, normalize_rows, spherical_kmeans
+from .clustering import ClusterModel, _update_centroids, normalize_rows, spherical_kmeans
 from .config import InitConfig
 from .errors import EmptyCalibration, InsufficientData, NotPositiveDefinite
 from .linalg import (
@@ -162,16 +162,6 @@ class InitReport:
     joint_objective: float | None
     gamma: float
     per_expert_jitter: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "per_expert_rank": self.per_expert_rank,
-            "per_expert_truncation_loss": self.per_expert_truncation_loss,
-            "joint_objective": self.joint_objective,
-            "gamma": self.gamma,
-            "per_expert_jitter": self.per_expert_jitter,
-        }
 
 
 # What every initializer returns: (experts, router, report, cluster model or None).
@@ -323,22 +313,6 @@ def joint_objective_eval(experts_w1, dense_w1, clusters, gamma: float) -> float:
     return float(total)
 
 
-def _recovered_centroids(
-    x_norm_cols: Array, assignments: np.ndarray, n_clusters: int
-) -> Array:
-    """Unit-normalized means of each cluster's original-space vectors."""
-    d = x_norm_cols.shape[0]
-    centroids = np.zeros((n_clusters, d))
-    for i in range(n_clusters):
-        members = x_norm_cols[:, assignments == i]
-        if members.shape[1] == 0:
-            continue
-        s = members.sum(axis=1)
-        norm = float(np.linalg.norm(s))
-        centroids[i] = s / norm if norm > 1e-12 else s
-    return centroids
-
-
 def cluster_aware_init(dense: DenseFfn, n_experts: int, seed: int, init: InitConfig,
                        bank_site=None) -> InitResult:
     """Initialize experts from the calibration clusters ``bank_site`` (d x M)
@@ -372,7 +346,9 @@ def cluster_aware_init(dense: DenseFfn, n_experts: int, seed: int, init: InitCon
     projection, projected = pca_fit_transform(x_norm, target_dim)
     projected_norm = normalize_rows(projected.T)[0].T
     reduced = spherical_kmeans(projected_norm, n_experts, seed=seed)
-    warm = _recovered_centroids(x_norm, reduced.assignments, n_experts)
+    # The unit means of those clusters' original-space columns; spherical
+    # k-means leaves no cluster empty, so none is re-seeded.
+    warm = _update_centroids(x_norm, reduced.assignments, np.zeros((n_experts, d)))
     refined = spherical_kmeans(x_norm, n_experts, seed=seed, init_centroids=warm)
     clusters_raw = [x[:, refined.assignments == i] for i in range(n_experts)]
 

@@ -11,10 +11,11 @@ from clusterup.analysis import (
     expert_weight_similarity,
     mean_offdiagonal,
     relative_compactness,
+    routing_csv_rows,
     routing_entropy,
 )
 from clusterup.errors import InsufficientTokens, ZeroWeights
-from clusterup.moe import DenseFfn, MoeLayer, moe_forward
+from clusterup.moe import DenseFfn, MoeLayer, moe_forward, moe_forward_cached
 from clusterup.train import (
     make_dense_model,
     make_synthetic_dataset,
@@ -182,6 +183,27 @@ class TestExpertUtilization:
         record = routed(np.array([[1.0], [0.0]]), np.ones((1, 4)), k=1, capacity_factor=0.5)
         np.testing.assert_array_equal(record.dropped.ravel(), [False, True, True, True])
         np.testing.assert_allclose(record.per_expert_fraction, [1.0, 0.0])
+
+
+class TestRoutingCsvRows:
+    def test_hand_counted_rows(self):
+        # Tokens 0-2 pick experts {0, 1}, token 3 picks {2, 1}, and no token
+        # picks expert 3. Capacity 1.0 keeps 2 slots per expert, in token order.
+        router = np.array([[2.0, 0.0], [1.0, 0.5], [0.0, 1.0], [-5.0, -5.0]])
+        x = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        experts = [DenseFfn(np.zeros((1, 2)), np.zeros(1), np.zeros((2, 1)), np.zeros(2))
+                   for _ in range(4)]
+        _, record, _ = moe_forward_cached(MoeLayer(experts, router, 2, 1.0), x)
+        logits = router @ x
+        probs = np.exp(logits) / np.exp(logits).sum(axis=0)
+        rows = routing_csv_rows({3: record, 1: record})
+        assert [row[:2] for row in rows] == [(b, i) for b in (1, 3) for i in range(4)]
+        assert rows[:4] == [(1, *row[1:]) for row in rows[4:]]
+        assert [row[2] for row in rows[:4]] == [3 / 8, 4 / 8, 1 / 8, 0.0]
+        np.testing.assert_allclose([row[3] for row in rows[:4]], probs.mean(axis=1),
+                                   rtol=1e-12)
+        assert [row[4] for row in rows[:4]] == [1 / 3, 2 / 4, 0.0, 0.0]
+        assert all(type(value) is float for row in rows for value in row[2:])
 
 
 class TestAnalyzeModel:

@@ -463,13 +463,30 @@ class TestErrors:
                        "model.d is 8 there and 6 here"}
 
     def test_analyze_model_dim_unlike_config_reports_json(self, workspace, capsys):
-        # analyze reads any checkpoint, without comparing configs, so one
-        # made under another model.d meets data of the wrong width.
+        # analyze compares configs too, so a checkpoint made under another
+        # model.d is refused before its model meets data of the wrong width.
         cfg_path, out = workspace
         assert run("--config", cfg_path, "train-dense") == 0
         cfg_path.write_text(cfg_path.read_text().replace("d: 8,", "d: 6,"))
         capsys.readouterr()
         assert run("--config", cfg_path, "analyze", "--checkpoint", out / "dense.ckpt") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "CheckpointError", "message":
+                       f"{out / 'dense.ckpt'} was made under another model config: "
+                       "model.d is 8 there and 6 here"}
+
+    def test_config_unlike_own_model_reports_json(self, workspace, capsys):
+        # A checkpoint whose recorded config does not describe its own model
+        # passes the config check, and its model meets data of another width.
+        cfg_path, out = workspace
+        assert run("--config", cfg_path, "train-dense") == 0
+        cfg_path.write_text(cfg_path.read_text().replace("d: 8,", "d: 6,"))
+        path = out / "dense.ckpt"
+        ckpt = load_checkpoint(path)
+        save_checkpoint(path, ckpt.tensors, config=pipeline.config_snapshot(load_config(cfg_path)),
+                        seeds=ckpt.seeds, extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, "capture") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "ShapeMismatch", "message": "x has 6 rows, model expects 8"}
 
@@ -739,7 +756,7 @@ class TestManifestFuzz:
         path.write_bytes(raw[:4] + struct.pack("<Q", len(payload)) + payload + blob)
         try:
             if name == "bank.ckpt":
-                pipeline.load_bank(path)
+                pipeline.load_bank(path, load_config(trained_artifacts.parent / "cfg.yaml"))
                 return
             model, _, _ = load_model_checkpoint(path)
         except CheckpointError:

@@ -97,7 +97,7 @@ class TestTotalLoss:
     def test_zero_lambdas_reduce_to_task(self):
         model = make_dense_model(6, 8, 2, 3, seed=0)
         ds = make_synthetic_dataset(6, 3, 3, 40, 3.0, seed=1)
-        report, _, _ = total_loss(model, None, ds.inputs, ds.labels)
+        report, _, _, _ = total_loss(model, None, ds.inputs, ds.labels)
         assert report.total == report.task
         assert report.lb == 0.0 and report.eesd == 0.0
 
@@ -105,7 +105,7 @@ class TestTotalLoss:
         model = make_dense_model(6, 8, 2, 4, seed=2)
         model.head[...] = 0.0
         ds = make_synthetic_dataset(6, 4, 4, 30, 3.0, seed=3)
-        report, _, _ = total_loss(model, None, ds.inputs, ds.labels)
+        report, _, _, _ = total_loss(model, None, ds.inputs, ds.labels)
         assert abs(report.task - math.log(4)) < 1e-10
 
     def test_lb_included_for_moe(self):
@@ -113,7 +113,7 @@ class TestTotalLoss:
         moe, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
                                   capacity_factor=2.0, seed=5)
         ds = make_synthetic_dataset(6, 3, 3, 40, 3.0, seed=6)
-        report, _, _ = total_loss(moe, None, ds.inputs, ds.labels, lambda_lb=0.01)
+        report, _, _, _ = total_loss(moe, None, ds.inputs, ds.labels, lambda_lb=0.01)
         assert report.lb > 0.0
         assert abs(report.total - (report.task + 0.01 * report.lb)) < 1e-15
 
@@ -123,7 +123,7 @@ class TestTotalLoss:
                                   capacity_factor=1e9, seed=8)
         teacher = make_model_teacher(moe, beta=0.999)
         ds = make_synthetic_dataset(6, 3, 3, 30, 3.0, seed=9)
-        report, _, _ = total_loss(moe, teacher, ds.inputs, ds.labels, lambda_eesd=1.0)
+        report, _, _, _ = total_loss(moe, teacher, ds.inputs, ds.labels, lambda_eesd=1.0)
         assert report.eesd < 1e-10
 
 
@@ -149,7 +149,7 @@ class TestTrainStep:
         )
         x = np.array([[1.0]])
         labels = np.array([0])
-        report, grads, _ = total_loss(model, None, x, labels)
+        report, grads, _, _ = total_loss(model, None, x, labels)
         p = np.exp(model.head @ x)
         p /= p.sum()
         expected_grad = np.array([[p[0, 0] - 1.0], [p[1, 0]]])
@@ -267,25 +267,20 @@ class TestGradCheck:
     def test_one_base_forward_pass(self, moe, monkeypatch):
         # One base pass (inside total_loss), then a +-eps pair per sampled
         # student entry, checked or skipped, and per sampled teacher entry.
-        model = make_dense_model(6, 10, 2, 3, seed=34)
-        teacher = None
-        if moe:
-            model, _, _ = upcycle_model(model, "sparse", n_experts=4, k=2,
-                                        capacity_factor=1.5, seed=35)
-            teacher = make_model_teacher(model, beta=0.999)
-        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=36)
-        calls = []
-        forward = train.model_forward
-        monkeypatch.setattr(train, "model_forward",
-                            lambda *a, **k: calls.append(1) or forward(*a, **k))
-        result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
-                            lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
-        teacher_samples = 0 if teacher is None else sum(
-            min(5, arr.size) for t in teacher.sites.values()
-            for _, arr in block_params(t.mirror)
-        )
+        calls, result, _, teacher_samples = _counted_grad_check(
+            moe, monkeypatch, "model_forward")
         expected = 1 + 2 * (result["checked"] + result["skipped"]) + 2 * teacher_samples
-        assert len(calls) == expected
+        assert calls["model_forward"] == expected
+
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
+    def test_base_objective_and_teacher_outputs_computed_once(self, moe, monkeypatch):
+        # total_loss's objective and teacher outputs serve every +-eps pair;
+        # each checked or teacher pair evaluates the objective twice, and a
+        # skipped pair not at all.
+        calls, result, model, teacher_samples = _counted_grad_check(
+            moe, monkeypatch, "_objective", "teacher_forward")
+        assert calls["teacher_forward"] == (len(model.moe_sites) if moe else 0)
+        assert calls["_objective"] == 1 + 2 * result["checked"] + 2 * teacher_samples
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
     def test_passes_resume_at_perturbed_block(self, moe, monkeypatch):
@@ -318,6 +313,37 @@ class TestGradCheck:
         ds = make_synthetic_dataset(4, 2, 2, 10, 3.0, seed=39)
         with pytest.raises(ValueError):
             grad_check(model, None, ds.inputs, ds.labels, epsilon=1e-2)
+
+
+def _counted_grad_check(moe, monkeypatch, *names):
+    """``grad_check`` on a small dense model, or its upcycled MoE model with
+    an EMA teacher, counting calls to each ``train`` attribute in ``names``;
+    returns the counts, the result, the model and how many teacher entries
+    it perturbed."""
+    model = make_dense_model(6, 10, 2, 3, seed=34)
+    teacher = None
+    if moe:
+        model, _, _ = upcycle_model(model, "sparse", n_experts=4, k=2,
+                                    capacity_factor=1.5, seed=35)
+        teacher = make_model_teacher(model, beta=0.999)
+    ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=36)
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(train, name, counted(name, getattr(train, name)))
+    result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
+                        lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
+    teacher_samples = 0 if teacher is None else sum(
+        min(5, arr.size) for t in teacher.sites.values()
+        for _, arr in block_params(t.mirror)
+    )
+    return calls, result, model, teacher_samples
 
 
 class TestResumedForward:
@@ -369,8 +395,8 @@ class TestStopGradient:
 
     def test_no_teacher_gradients(self):
         moe, teacher, ds = self._model_and_teacher()
-        _, grads, _ = total_loss(moe, teacher, ds.inputs, ds.labels,
-                                 lambda_lb=0.001, lambda_eesd=1.0)
+        _, grads, _, _ = total_loss(moe, teacher, ds.inputs, ds.labels,
+                                    lambda_lb=0.001, lambda_eesd=1.0)
         # One buffer per student buffer, so no slot for a teacher gradient.
         assert [g.shape for g in grads] == [p.shape for p in param_buffers(moe)]
 
@@ -394,8 +420,8 @@ class TestStopGradient:
 
         monkeypatch.setattr(train, "moe_backward", moe_backward)
         monkeypatch.setattr(train, "ffn_backward", ffn_backward)
-        _, _, state = total_loss(moe, teacher, ds.inputs, ds.labels,
-                                 lambda_lb=lambda_lb, lambda_eesd=lambda_eesd)
+        _, _, state, _ = total_loss(moe, teacher, ds.inputs, ds.labels,
+                                    lambda_lb=lambda_lb, lambda_eesd=lambda_eesd)
         frozen = train._teacher_outputs(teacher, state, moe.moe_sites)
 
         def objective():
@@ -527,7 +553,7 @@ class TestParameterBuffers:
             ref_teacher.sites[b].mirror.params[...] = site_teacher.mirror.params
         lr, kwargs = 0.05, dict(lambda_lb=0.001, lambda_eesd=1.0, capacity_factor=1.5)
 
-        _, grads, _ = total_loss(ref, ref_teacher, ds.inputs, ds.labels, **kwargs)
+        _, grads, _, _ = total_loss(ref, ref_teacher, ds.inputs, ds.labels, **kwargs)
         for (_, arr), (_, grad) in zip(named_params(ref), named_params(ref, grads)):
             arr -= lr * grad
         for b, site_teacher in ref_teacher.sites.items():
@@ -753,9 +779,9 @@ class TestObjective:
         result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
                             lambda_eesd=1.0, samples_per_tensor=5)
         assert result["checked"] > 0
-        # The base pass: total_loss, then the loss-only base terms.
+        # The base pass: total_loss's terms, which every +-eps pass reuses.
         base = sorted(call for call in calls if call[1] == 0)
-        assert base == sorted((term, 0, b) for term in ("lb", "eesd") for b in sites * 2)
+        assert base == sorted((term, 0, b) for term in ("lb", "eesd") for b in sites)
         seen = set()
         for term, index, site in calls[len(base):]:
             start, expert = passes[index]
@@ -775,8 +801,8 @@ def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
                           lambda_eesd, capacity_factor, samples_per_tensor, seed):
     """``grad_check`` with a full forward pass for every evaluation, every
     block's decisions compared, and the objective's gradient computed too."""
-    _, grads, state = total_loss(model, teacher, inputs, labels, lambda_lb=lambda_lb,
-                                 lambda_eesd=lambda_eesd, capacity_factor=capacity_factor)
+    _, grads, state, _ = total_loss(model, teacher, inputs, labels, lambda_lb=lambda_lb,
+                                    lambda_eesd=lambda_eesd, capacity_factor=capacity_factor)
     named_grads = dict(named_params(model, grads))
     frozen = train._teacher_outputs(teacher, state, model.moe_sites)
 
