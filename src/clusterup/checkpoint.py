@@ -1,9 +1,11 @@
-"""Single-file checkpoint container: JSON manifest plus a float32 blob.
+"""Single-file checkpoint container: JSON manifest plus a float64 blob.
 
 Layout: 4-byte magic ``CKP1``, an 8-byte little-endian manifest length, the
 manifest JSON (UTF-8, sorted keys, compact separators), then all tensors as
-little-endian float32, row-major, concatenated in manifest order. The
-canonical JSON encoding makes save -> load -> save byte-identical.
+little-endian float64, row-major, concatenated in manifest order. Tensors
+keep every bit, so a model computes the same numbers after a save and load.
+The canonical JSON encoding makes save -> load -> save byte-identical. Files
+of another ``format_version`` are refused.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from .errors import CheckpointError
 
 MAGIC = b"CKP1"
 HEADER_BYTES = len(MAGIC) + 8
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 REQUIRED_KEYS = ("format_version", "tensors", "config", "seeds", "extra")
 
 
 @dataclass
 class Checkpoint:
     manifest: dict
-    tensors: dict[str, np.ndarray]  # float64 views of the stored float32 data
+    tensors: dict[str, np.ndarray]  # float64 copies of the stored data
 
     @property
     def config(self) -> dict:
@@ -71,7 +73,7 @@ def save_checkpoint(
     seeds: dict,
     extra: dict | None = None,
 ) -> None:
-    """Write tensors (cast to float32) with their manifest to ``path``.
+    """Write tensors (as float64) with their manifest to ``path``.
 
     Tensor order follows the dict's insertion order and is preserved in the
     manifest, so identical inputs always produce identical bytes. The write
@@ -81,11 +83,11 @@ def save_checkpoint(
     blobs = []
     offset = 0
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+        a = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
         entries.append({
             "name": name,
             "shape": list(a.shape),
-            "dtype": "float32",
+            "dtype": "float64",
             "offset": offset,
         })
         blobs.append(a.tobytes())
@@ -124,7 +126,7 @@ def _check_tensor_table(entries, blob_bytes: int, path) -> None:
             raise CheckpointError(
                 f"tensor {entry['name']!r} at offset {entry.get('offset')!r}, expected {offset}"
             )
-        offset += 4 * math.prod(entry["shape"])
+        offset += 8 * math.prod(entry["shape"])
     if offset != blob_bytes:
         raise CheckpointError(f"blob length {blob_bytes} != manifest total {offset}")
 
@@ -167,7 +169,7 @@ def load_checkpoint(path) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
         name, shape = entry["name"], entry["shape"]
-        raw = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=entry["offset"])
+        raw = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=entry["offset"])
         if not np.isfinite(raw).all():
             raise CheckpointError(f"tensor {name!r} in {path} is not finite")
         try:

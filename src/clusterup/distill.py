@@ -26,7 +26,6 @@ class EmaTeacher:
 
     mirror: MoeLayer
     beta: float
-    step_count: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -35,7 +34,7 @@ class EmaTeacher:
 
 def make_teacher(student: MoeLayer, beta: float) -> EmaTeacher:
     """Teacher initialized as a copy of the student at upcycle time."""
-    return EmaTeacher(mirror=student.copy(), beta=beta, step_count=0)
+    return EmaTeacher(mirror=student.copy(), beta=beta)
 
 
 def ema_update(teacher: EmaTeacher, student: MoeLayer) -> EmaTeacher:
@@ -56,7 +55,6 @@ def ema_update(teacher: EmaTeacher, student: MoeLayer) -> EmaTeacher:
     elif beta != 1.0:
         buf *= beta
         buf += (1.0 - beta) * s.params
-    teacher.step_count += 1
     return teacher
 
 

@@ -39,13 +39,11 @@ from .analysis import (
 )
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import INIT_METHODS, PipelineConfig
-from .distill import EmaTeacher
 from .errors import CheckpointError, ClusterUpError, ConfigError, ShapeMismatch
-from .moe import block_from_tensors, block_params, block_structure
+from .moe import block_from_tensors, block_structure
 from .seeding import derive_seed
 from . import train  # so run_analyze looks up train.model_forward at call time
 from .train import (
-    ModelTeacher,
     ToyModel,
     grad_check,
     evaluate,
@@ -141,55 +139,30 @@ def _check_config(cfg: PipelineConfig, manifest: dict, path) -> None:
 
 def save_model_checkpoint(
     path, model: ToyModel, cfg: PipelineConfig, seeds: dict,
-    extra: dict | None = None, teacher: ModelTeacher | None = None,
-    cluster_tensors: dict[str, np.ndarray] | None = None,
+    extra: dict | None = None, cluster_tensors: dict[str, np.ndarray] | None = None,
 ) -> None:
-    tensors = dict(named_params(model))
-    meta = {"model": model_structure(model)}
-    if teacher is not None:
-        for b, site_teacher in sorted(teacher.sites.items()):
-            tensors.update(block_params(site_teacher.mirror, f"teacher.block{b}."))
-        meta["teacher"] = {
-            "beta": teacher.beta,
-            "step_counts": {str(b): t.step_count for b, t in teacher.sites.items()},
-        }
-    if cluster_tensors:
-        tensors.update(cluster_tensors)
+    tensors = {**dict(named_params(model)), **(cluster_tensors or {})}
     save_checkpoint(path, tensors, config=config_snapshot(cfg), seeds=seeds,
-                    extra={**meta, **(extra or {})})
+                    extra={"model": model_structure(model), **(extra or {})})
 
 
-def load_model_checkpoint(
-    path, cfg: PipelineConfig | None = None
-) -> tuple[ToyModel, ModelTeacher | None, dict]:
-    """The model, its EMA teacher (None if it has none) and the manifest
-    saved at ``path``; given ``cfg``, the checkpoint must have been made
-    under its model and data sections (``_check_config``)."""
+def load_model_checkpoint(path, cfg: PipelineConfig) -> ToyModel:
+    """The model saved at ``path``, made under ``cfg``'s model and data
+    sections (``_check_config``) and with that model section's sizes."""
     ckpt = load_checkpoint(path)
-    if cfg is not None:
-        _check_config(cfg, ckpt.manifest, path)
+    _check_config(cfg, ckpt.manifest, path)
     if "model" not in ckpt.extra:
         raise CheckpointError(f"{path} holds no model")
-    structure = ckpt.extra["model"]
-    model = model_from_tensors(structure, ckpt.tensors)
-    teacher = None
-    if "teacher" in ckpt.extra:
-        meta = ckpt.extra["teacher"] if isinstance(ckpt.extra["teacher"], dict) else {}
-        beta, step_counts = meta.get("beta"), meta.get("step_counts")
-        if not (isinstance(beta, (int, float)) and 0.0 <= beta <= 1.0
-                and isinstance(step_counts, dict)):
-            raise CheckpointError(f"malformed teacher metadata in {path}")
-        sites = {}
-        for b in model.moe_sites:
-            prefix = f"teacher.block{b}."
-            if prefix + "router" not in ckpt.tensors:
-                continue
-            sites[b] = EmaTeacher(
-                mirror=block_from_tensors(structure["blocks"][b], ckpt.tensors, prefix),
-                beta=beta, step_count=step_counts.get(str(b), 0),
+    model = model_from_tensors(ckpt.extra["model"], ckpt.tensors)
+    sizes = [("d", model.input_dim), ("blocks", len(model.blocks)),
+             ("n_classes", model.n_classes), *(("h", block.h) for block in model.blocks)]
+    for key, size in sizes:
+        if size != getattr(cfg.model, key):
+            raise CheckpointError(
+                f"{path} holds a model unlike its model config: model.{key} is "
+                f"{size} in its tensors and {getattr(cfg.model, key)} in its config"
             )
-        teacher = ModelTeacher(sites=sites, beta=beta)
-    return model, teacher, ckpt.manifest
+    return model
 
 
 def _require_artifact(path: Path, hint: str) -> Path:
@@ -266,10 +239,10 @@ def upcycle(cfg: PipelineConfig, dense: ToyModel, method: str, bank: ActivationB
 
 
 def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
-              log_fn=None) -> ModelTeacher | None:
-    """Train the upcycled ``model`` in place; returns its EMA teacher (``None``
-    without ``eesd``). ``log_fn`` gets each step's record; ``compare`` keeps
-    no log and passes none, which saves ~3% of each step."""
+              log_fn=None) -> None:
+    """Train the upcycled ``model`` in place, with an EMA teacher given
+    ``eesd``. ``log_fn`` gets each step's record; ``compare`` keeps no log and
+    passes none, which saves ~3% of each step."""
     dataset, _ = _datasets(cfg)
     teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
     run_training(
@@ -281,7 +254,6 @@ def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
         seed=_seeds_dict(cfg, method, trained=True)[f"moe_batches:{method}"],
         log_fn=log_fn,
     )
-    return teacher
 
 
 COMPARE_COLUMNS = (
@@ -345,7 +317,7 @@ def run_train_dense(cfg: PipelineConfig) -> Path:
 
 
 def run_capture(cfg: PipelineConfig) -> Path:
-    dense, _, _ = load_model_checkpoint(
+    dense = load_model_checkpoint(
         _require_artifact(dense_path(cfg), "train-dense"), cfg)
     bank = capture(cfg, dense)
     tensors = {f"site{b}.activations": acts for b, acts in sorted(bank.per_site.items())}
@@ -360,7 +332,7 @@ def run_capture(cfg: PipelineConfig) -> Path:
 def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
     """The activation bank at ``path``, made under ``cfg``'s model and data
     sections (``_check_config``): a (d, tokens) matrix per MoE site of
-    ``cfg``'s model."""
+    ``cfg``'s model, whose Gram over the tokens is finite."""
     ckpt = load_checkpoint(path)
     _check_config(cfg, ckpt.manifest, path)
     if "token_cap" not in ckpt.extra:
@@ -375,13 +347,18 @@ def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
                 f"{path}: MoE site {b} activations have shape {acts.shape}, "
                 f"expected {cfg.model.d} rows"
             )
+        with np.errstate(over="ignore"):
+            gram = acts @ acts.T
+        if not np.isfinite(gram).all():
+            raise CheckpointError(
+                f"{path}: MoE site {b} activations overflow their Gram over the tokens")
         per_site[b] = acts
     return ActivationBank(per_site=per_site, token_cap=ckpt.extra["token_cap"])
 
 
 def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
     method = method or cfg.init.method
-    dense, _, _ = load_model_checkpoint(
+    dense = load_model_checkpoint(
         _require_artifact(dense_path(cfg), "train-dense"), cfg)
     bank = None
     if method == "cluster":
@@ -406,14 +383,14 @@ def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:
 
 def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = False) -> Path:
     method = method or cfg.init.method
-    model, _, _ = load_model_checkpoint(
+    model = load_model_checkpoint(
         _require_artifact(moe_path(cfg, method), f"upcycle --method {method}"), cfg)
     log: list[dict] = []
-    teacher = train_moe(cfg, model, method, eesd, log.append)
+    train_moe(cfg, model, method, eesd, log.append)
     path = moe_path(cfg, method, trained=True)
     save_model_checkpoint(
         path, model, cfg, _seeds_dict(cfg, method, trained=True),
-        extra={"init_method": method, "eesd": eesd}, teacher=teacher,
+        extra={"init_method": method, "eesd": eesd},
     )
     _write_jsonl(out_dir(cfg) / f"train_log_{method}.jsonl", log)
     return path
@@ -421,7 +398,7 @@ def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = F
 
 def run_analyze(cfg: PipelineConfig, checkpoint: Path | str) -> list[Path]:
     ckpt_path = _require_artifact(Path(checkpoint), "upcycle or train-moe")
-    model, _, _ = load_model_checkpoint(ckpt_path, cfg)
+    model = load_model_checkpoint(ckpt_path, cfg)
     _, eval_set = _datasets(cfg)
     state = train.model_forward(model, eval_set.inputs, cfg.moe.capacity_eval)
     report = analyze_model(model, state)

@@ -129,14 +129,10 @@ class ModelTeacher:
     """One EMA teacher per MoE site of a model."""
 
     sites: dict[int, EmaTeacher]
-    beta: float
 
 
 def make_model_teacher(model: ToyModel, beta: float) -> ModelTeacher:
-    return ModelTeacher(
-        sites={b: make_teacher(model.blocks[b], beta) for b in model.moe_sites},
-        beta=beta,
-    )
+    return ModelTeacher(sites={b: make_teacher(model.blocks[b], beta) for b in model.moe_sites})
 
 
 def update_model_teacher(teacher: ModelTeacher, model: ToyModel) -> ModelTeacher:

@@ -14,20 +14,20 @@ from clusterup.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from clusterup.moe import block_params
 from clusterup.pipeline import (
     load_model_checkpoint,
     model_from_tensors,
     model_structure,
     save_model_checkpoint,
 )
-from clusterup.config import PipelineConfig, config_from_dict
-from clusterup.train import make_dense_model, make_model_teacher, named_params
+from clusterup.config import config_from_dict
+from clusterup.train import make_dense_model, named_params
 from clusterup.upcycle import upcycle_model
 
 
-def _f32(a):
-    return a.astype(np.float32).astype(np.float64)
+def _model_cfg(d, h, blocks, n_classes):
+    """The default config with the given model section."""
+    return config_from_dict({"model": {"d": d, "h": h, "blocks": blocks, "n_classes": n_classes}})
 
 
 def _container(manifest, blob=b""):
@@ -65,11 +65,11 @@ def fill_disk(monkeypatch, prefix=""):
 
 
 def _manifest(tensors):
-    return {"format_version": 1, "tensors": tensors, "config": {}, "seeds": {},
+    return {"format_version": 2, "tensors": tensors, "config": {}, "seeds": {},
             "extra": {}}
 
 
-ONE_TENSOR = [{"name": "a", "shape": [2], "dtype": "float32", "offset": 0}]
+ONE_TENSOR = [{"name": "a", "shape": [2], "dtype": "float64", "offset": 0}]
 
 MALFORMED = {
     "short_header": b"CKP1\x05\x00",
@@ -78,33 +78,34 @@ MALFORMED = {
     "bad_utf8": _container(b"\xff\xfe"),
     "not_an_object": _container([1, 2]),
     "missing_tensors_key": _container(
-        {k: v for k, v in _manifest(ONE_TENSOR).items() if k != "tensors"}, bytes(8)),
-    "extra_not_object": _container({**_manifest(ONE_TENSOR), "extra": []}, bytes(8)),
-    "entry_without_shape": _container(_manifest([{"name": "a", "offset": 0}]), bytes(8)),
+        {k: v for k, v in _manifest(ONE_TENSOR).items() if k != "tensors"}, bytes(16)),
+    "extra_not_object": _container({**_manifest(ONE_TENSOR), "extra": []}, bytes(16)),
+    "entry_without_shape": _container(_manifest([{"name": "a", "offset": 0}]), bytes(16)),
     "negative_dim": _container(
-        _manifest([{**ONE_TENSOR[0], "shape": [-2]}]), bytes(8)),
+        _manifest([{**ONE_TENSOR[0], "shape": [-2]}]), bytes(16)),
     "offset_past_blob": _container(
-        _manifest([{**ONE_TENSOR[0], "offset": 64}]), bytes(8)),
+        _manifest([{**ONE_TENSOR[0], "offset": 64}]), bytes(16)),
     "overlapping_offsets": _container(
-        _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "name": "b"}]), bytes(16)),
+        _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "name": "b"}]), bytes(32)),
     # Two entries named "a" that tile the blob: loading kept only the second.
     "duplicate_name": _container(
-        _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "offset": 8}]), bytes(16)),
+        _manifest([ONE_TENSOR[0], {**ONE_TENSOR[0], "offset": 16}]), bytes(32)),
     # Both tile the blob, but numpy cannot hold the shape: these escaped as
     # OverflowError and ValueError.
     "empty_shape_overflow": _container(
         _manifest([{**ONE_TENSOR[0], "shape": [0, 10 ** 30]}])),
-    "too_many_dims": _container(_manifest([{**ONE_TENSOR[0], "shape": [1] * 70}]), bytes(4)),
+    "too_many_dims": _container(_manifest([{**ONE_TENSOR[0], "shape": [1] * 70}]), bytes(8)),
+    # A well-formed file of format 1, whose tensors were float32.
+    "format_1_float32": _container(
+        {**_manifest([{**ONE_TENSOR[0], "dtype": "float32"}]), "format_version": 1},
+        np.ones(2, dtype="<f4").tobytes()),
 }
 
 
 class TestContainer:
     def test_roundtrip_values(self, tmp_path):
         rng = np.random.default_rng(0)
-        tensors = {
-            "a": rng.standard_normal((3, 4)).astype(np.float32).astype(np.float64),
-            "b": rng.standard_normal(7).astype(np.float32).astype(np.float64),
-        }
+        tensors = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(7)}
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, tensors, config={"x": 1}, seeds={"root": 5},
                         extra={"note": "hi"})
@@ -143,8 +144,10 @@ class TestContainer:
     def test_malformed_raises_checkpoint_error(self, tmp_path, raw):
         path = tmp_path / "m.ckpt"
         path.write_bytes(raw)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
+        # Only the format-1 file fails at the version check.
+        assert ("format version" in str(info.value)) == (raw is MALFORMED["format_1_float32"])
 
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -239,46 +242,26 @@ class TestByteFuzz:
 class TestModelSerialization:
     def test_dense_model_roundtrip(self, tmp_path):
         model = make_dense_model(6, 8, 3, 2, seed=0)
-        cfg = PipelineConfig()
+        cfg = _model_cfg(6, 8, 3, 2)
         path = tmp_path / "m.ckpt"
         save_model_checkpoint(path, model, cfg, {"root": 0})
-        loaded, teacher, manifest = load_model_checkpoint(path)
-        assert teacher is None
-        assert manifest["config"] == {
+        loaded = load_model_checkpoint(path, cfg)
+        assert load_checkpoint(path).config == {
             k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
         for (name, arr), (_, arr2) in zip(named_params(model), named_params(loaded)):
-            np.testing.assert_array_equal(_f32(arr), arr2)
+            np.testing.assert_array_equal(arr, arr2)
 
     def test_moe_model_roundtrip(self, tmp_path):
         dense = make_dense_model(6, 8, 4, 2, seed=1)
         moe, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
                                   capacity_factor=1.5, seed=2)
-        path = tmp_path / "moe.ckpt"
-        save_model_checkpoint(path, moe, PipelineConfig(), {"root": 0})
-        loaded, _, _ = load_model_checkpoint(path)
+        path, cfg = tmp_path / "moe.ckpt", _model_cfg(6, 8, 4, 2)
+        save_model_checkpoint(path, moe, cfg, {"root": 0})
+        loaded = load_model_checkpoint(path, cfg)
         assert loaded.moe_sites == [1, 3]
         layer = loaded.blocks[1]
         assert layer.k == 2 and layer.capacity_factor == 1.5
         assert layer.n_experts == 4
-
-    def test_teacher_roundtrip(self, tmp_path):
-        dense = make_dense_model(6, 8, 2, 2, seed=3)
-        moe, _, _ = upcycle_model(dense, "sparse", n_experts=3, k=1,
-                                  capacity_factor=1.5, seed=4)
-        teacher = make_model_teacher(moe, beta=0.99)
-        teacher.sites[1].mirror.router += 0.5
-        teacher.sites[1].step_count = 7
-        path = tmp_path / "tm.ckpt"
-        save_model_checkpoint(path, moe, PipelineConfig(), {"root": 0},
-                              teacher=teacher)
-        _, loaded_teacher, _ = load_model_checkpoint(path)
-        assert loaded_teacher is not None
-        assert loaded_teacher.beta == 0.99
-        assert loaded_teacher.sites[1].step_count == 7
-        np.testing.assert_array_equal(
-            loaded_teacher.sites[1].mirror.router,
-            _f32(teacher.sites[1].mirror.router),
-        )
 
     def test_structure_tensors_consistent(self):
         dense = make_dense_model(5, 7, 4, 3, seed=5)
@@ -316,54 +299,31 @@ class TestModelSerialization:
 
 
 class TestSingleWalk:
-    """Checkpoints, teacher mirrors and SGD all share the walk in clusterup.moe."""
+    """Checkpoints and SGD share the walk in clusterup.moe."""
 
     @pytest.fixture
     def saved(self, tmp_path):
         dense = make_dense_model(6, 8, 4, 2, seed=7)
         moe, _, _ = upcycle_model(dense, "drop", n_experts=3, k=2,
                                   capacity_factor=1.5, seed=8)
-        teacher = make_model_teacher(moe, beta=0.9)
-        for b, site_teacher in teacher.sites.items():
-            for _, arr in block_params(site_teacher.mirror):
-                arr += 0.125 * (b + 1)
-            site_teacher.step_count = 3 + b
         cluster = {"cluster.site1.centroids": np.arange(6.0).reshape(2, 3)}
         path = tmp_path / "w.ckpt"
-        save_model_checkpoint(path, moe, PipelineConfig(), {"root": 0},
-                              extra={"init_method": "drop"}, teacher=teacher,
-                              cluster_tensors=cluster)
-        return path, moe, teacher, cluster
+        save_model_checkpoint(path, moe, _model_cfg(6, 8, 4, 2), {"root": 0},
+                              extra={"init_method": "drop"}, cluster_tensors=cluster)
+        return path, moe, cluster
 
     def test_manifest_names_follow_the_walk(self, saved):
-        path, moe, teacher, cluster = saved
+        path, moe, cluster = saved
         names = [e["name"] for e in load_checkpoint(path).manifest["tensors"]]
-        teacher_names = [
-            name for b in (1, 3)
-            for name, _ in block_params(teacher.sites[b].mirror, f"teacher.block{b}.")
-        ]
-        assert names == [n for n, _ in named_params(moe)] + teacher_names + list(cluster)
-        assert teacher_names[0] == "teacher.block1.router"
-        assert teacher_names[-1] == "teacher.block3.expert2.b2"
+        assert names == [n for n, _ in named_params(moe)] + list(cluster)
 
     def test_save_load_save_byte_identical(self, saved, tmp_path):
-        path, _, _, _ = saved
-        model, teacher, manifest = load_model_checkpoint(path)
-        cluster = {k: v for k, v in load_checkpoint(path).tensors.items()
-                   if k.startswith("cluster.")}
+        path, _, _ = saved
+        cfg = _model_cfg(6, 8, 4, 2)
+        model = load_model_checkpoint(path, cfg)
+        ckpt = load_checkpoint(path)
+        cluster = {k: v for k, v in ckpt.tensors.items() if k.startswith("cluster.")}
         again = tmp_path / "again.ckpt"
-        save_model_checkpoint(again, model, PipelineConfig(), manifest["seeds"],
-                              extra={"init_method": "drop"}, teacher=teacher,
-                              cluster_tensors=cluster)
+        save_model_checkpoint(again, model, cfg, ckpt.seeds,
+                              extra={"init_method": "drop"}, cluster_tensors=cluster)
         assert again.read_bytes() == path.read_bytes()
-
-    def test_every_mirror_reloads(self, saved):
-        path, _, teacher, _ = saved
-        _, loaded, _ = load_model_checkpoint(path)
-        assert sorted(loaded.sites) == sorted(teacher.sites)
-        for b, site_teacher in teacher.sites.items():
-            assert loaded.sites[b].step_count == site_teacher.step_count
-            pairs = zip(block_params(loaded.sites[b].mirror),
-                        block_params(site_teacher.mirror))
-            for (name, got), (_, want) in pairs:
-                np.testing.assert_array_equal(got, _f32(want), err_msg=name)

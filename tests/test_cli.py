@@ -133,8 +133,8 @@ class TestCommands:
         run("--config", cfg_path, "capture")
         run("--config", cfg_path, "upcycle", "--method", "cluster")
         cfg = load_config(cfg_path)
-        dense_model, _, _ = load_model_checkpoint(out / "dense.ckpt")
-        moe_model, _, _ = load_model_checkpoint(moe_path(cfg, "cluster"))
+        dense_model = load_model_checkpoint(out / "dense.ckpt", cfg)
+        moe_model = load_model_checkpoint(moe_path(cfg, "cluster"), cfg)
         bank = load_checkpoint(out / "bank.ckpt")
         moe_ckpt = load_checkpoint(moe_path(cfg, "cluster"))
         for b in moe_model.moe_sites:
@@ -211,12 +211,25 @@ class TestCommands:
             alone = compare_run(cfg, int(row["seed"]), method, cell_eesd)
             assert row == (alone if eesd is None else {k: str(v) for k, v in alone.items()})
 
+    @pytest.mark.parametrize("eesd", [(), ("--eesd",)], ids=["plain", "eesd"])
+    def test_staged_run_matches_compare(self, workspace, capsys, eesd):
+        # Checkpoints keep every bit, so the staged CLI and compare evaluate
+        # the same trained model.
+        cfg_path, _ = workspace
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster"),
+                     ("train-moe", "--method", "cluster", *eesd)):
+            assert run("--config", cfg_path, *argv) == 0
+        cfg = load_config(cfg_path)
+        trained = load_model_checkpoint(moe_path(cfg, "cluster", trained=True), cfg)
+        staged = compare_row(cfg, trained, "cluster")
+        assert staged == _compare_rows(cfg, (cfg.root_seed,), (("cluster", bool(eesd)),))[0]
+
     def test_one_forward_pass_per_evaluation(self, workspace, monkeypatch, capsys):
         cfg_path, _ = workspace
         for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster")):
             assert run("--config", cfg_path, *argv) == 0
         cfg = load_config(cfg_path)
-        model, _, _ = load_model_checkpoint(moe_path(cfg, "cluster"))
+        model = load_model_checkpoint(moe_path(cfg, "cluster"), cfg)
         calls = []
         forward = train.model_forward
 
@@ -342,10 +355,6 @@ class TestErrors:
         assert err["error"] == "ConfigError"
 
     @pytest.mark.parametrize("name,mutate,argv", [
-        ("moe_cluster_trained.ckpt",
-         lambda tensors, extra: extra["teacher"].pop("beta"), ("analyze",)),
-        ("moe_cluster_trained.ckpt",
-         lambda tensors, extra: extra["teacher"].update(step_counts=[0]), ("analyze",)),
         ("moe_cluster.ckpt",
          lambda tensors, extra: extra["model"].update(blocks=5), ("analyze",)),
         ("bank.ckpt",
@@ -354,10 +363,13 @@ class TestErrors:
         ("moe_cluster_trained.ckpt",
          lambda tensors, extra: tensors.update(head=tensors["head"][0]), ("analyze",)),
         ("moe_cluster_trained.ckpt",
-         lambda tensors, extra: tensors.update({
-             "teacher.block1.router": tensors["teacher.block1.router"].T}), ("analyze",)),
-    ], ids=["teacher-without-beta", "step-counts-list", "blocks-int", "bank-site-name",
-            "head-1d", "teacher-router-transposed"])
+         lambda tensors, extra: tensors.update({"block1.router": tensors["block1.router"].T}),
+         ("analyze",)),
+        # Finite values whose Gram over the tokens overflows.
+        ("bank.ckpt",
+         lambda tensors, extra: tensors.update({k: v * 1e200 for k, v in tensors.items()}),
+         ("upcycle", "--method", "cluster")),
+    ], ids=["blocks-int", "bank-site-name", "head-1d", "router-transposed", "bank-gram-overflow"])
     def test_malformed_metadata_reports_json(self, trained_workspace, capsys,
                                              name, mutate, argv):
         cfg_path, out = trained_workspace
@@ -477,7 +489,8 @@ class TestErrors:
 
     def test_config_unlike_own_model_reports_json(self, workspace, capsys):
         # A checkpoint whose recorded config does not describe its own model
-        # passes the config check, and its model meets data of another width.
+        # passes the config check, and is refused before its model meets data
+        # of another width.
         cfg_path, out = workspace
         assert run("--config", cfg_path, "train-dense") == 0
         cfg_path.write_text(cfg_path.read_text().replace("d: 8,", "d: 6,"))
@@ -488,7 +501,9 @@ class TestErrors:
         capsys.readouterr()
         assert run("--config", cfg_path, "capture") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "ShapeMismatch", "message": "x has 6 rows, model expects 8"}
+        assert err == {"error": "CheckpointError", "message":
+                       f"{path} holds a model unlike its model config: "
+                       "model.d is 8 in its tensors and 6 in its config"}
 
     def test_input_made_under_other_config_reports_json(self, workspace, capsys):
         # Without the check, both stages exit 0 and mix the two configs.
@@ -755,10 +770,11 @@ class TestManifestFuzz:
         path = trained_artifacts.parent / "mutated.ckpt"
         path.write_bytes(raw[:4] + struct.pack("<Q", len(payload)) + payload + blob)
         try:
+            cfg = load_config(trained_artifacts.parent / "cfg.yaml")
             if name == "bank.ckpt":
-                pipeline.load_bank(path, load_config(trained_artifacts.parent / "cfg.yaml"))
+                pipeline.load_bank(path, cfg)
                 return
-            model, _, _ = load_model_checkpoint(path)
+            model = load_model_checkpoint(path, cfg)
         except CheckpointError:
             return
         train.model_forward(model, np.ones((model.input_dim, 5)))

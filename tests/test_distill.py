@@ -44,7 +44,6 @@ class TestEmaUpdate:
         student.router[...] = 1.0
         ema_update(teacher, student)
         np.testing.assert_allclose(teacher.mirror.router, 0.001, atol=1e-15)
-        assert teacher.step_count == 1
 
     def test_beta_one_is_frozen_bitwise(self):
         rng = np.random.default_rng(1)
@@ -88,7 +87,6 @@ class TestEmaUpdate:
                 e.w1, decay * p0[i] + (1 - decay) * student.experts[i].w1,
                 atol=1e-10,
             )
-        assert teacher.step_count == n
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(4)

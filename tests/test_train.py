@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from clusterup import train
-from clusterup.config import INIT_METHODS, PipelineConfig
+from clusterup.config import INIT_METHODS, config_from_dict
 from clusterup.moe import FFN_PARAMS, DenseFfn, MoeLayer, block_params
 from clusterup.pipeline import load_model_checkpoint, save_model_checkpoint
 from clusterup.train import (
@@ -133,12 +133,17 @@ class TestTrainStep:
         moe, _, _ = upcycle_model(dense, "sparse", n_experts=3, k=1,
                                   capacity_factor=2.0, seed=11)
         teacher = make_model_teacher(moe, beta=0.5)
+        for site_teacher in teacher.sites.values():
+            site_teacher.mirror.params += 1.0
         ds = make_synthetic_dataset(6, 3, 3, 20, 3.0, seed=12)
         before = {name: arr.copy() for name, arr in named_params(moe)}
         train_step(moe, teacher, ds.inputs, ds.labels, lr=0.0, lambda_lb=0.01)
         for name, arr in named_params(moe):
             assert np.array_equal(arr, before[name]), name
-        assert all(t.step_count == 1 for t in teacher.sites.values())
+        for b, site_teacher in teacher.sites.items():
+            student = moe.blocks[b].params
+            expected = 0.5 * (student + 1.0) + 0.5 * student
+            assert np.array_equal(site_teacher.mirror.params, expected)
 
     def test_scalar_quadratic_gradient_descent(self):
         # One-parameter surrogate: d=1 head on fixed input reproduces the
@@ -535,15 +540,13 @@ class TestParameterBuffers:
         bank = capture_activations(dense, ds.inputs, [1, 3], token_cap=200, seed=66)
         moe, _, _ = upcycle_model(dense, method, n_experts=3, k=2,
                                   capacity_factor=1.5, seed=67, bank=bank)
-        teacher = make_model_teacher(moe, beta=0.9)
         path = tmp_path / "m.ckpt"
-        save_model_checkpoint(path, moe, PipelineConfig(), {"root": 0}, teacher=teacher)
-        loaded, loaded_teacher, _ = load_model_checkpoint(path)
-        for model, site_teachers in ((moe, teacher), (loaded, loaded_teacher)):
+        cfg = config_from_dict({"model": {"d": 6, "h": 8, "blocks": 4, "n_classes": 3}})
+        save_model_checkpoint(path, moe, cfg, {"root": 0})
+        loaded = load_model_checkpoint(path, cfg)
+        for model in (moe, loaded):
             for block in model.blocks:
                 assert_buffer_views(block)
-            for site_teacher in site_teachers.sites.values():
-                assert_buffer_views(site_teacher.mirror)
 
     @pytest.mark.parametrize("beta", [0.0, 0.999, 1.0])
     def test_step_equals_per_tensor_update(self, beta):
