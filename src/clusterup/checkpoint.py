@@ -109,8 +109,8 @@ def save_checkpoint(
 
 
 def _check_tensor_table(entries, blob_bytes: int, path) -> None:
-    """Every entry is well formed with its own name, and the entries tile
-    the blob in order."""
+    """Every entry is well formed with its own name and dtype float64, and
+    the entries tile the blob in order."""
     if not isinstance(entries, list):
         raise CheckpointError(f"manifest tensor table in {path} is not a list")
     offset, names = 0, set()
@@ -122,6 +122,10 @@ def _check_tensor_table(entries, blob_bytes: int, path) -> None:
         if entry["name"] in names:
             raise CheckpointError(f"duplicate tensor name {entry['name']!r} in {path}")
         names.add(entry["name"])
+        if entry.get("dtype") != "float64":
+            raise CheckpointError(
+                f"tensor {entry['name']!r} in {path} has dtype {entry.get('dtype')!r}, not float64"
+            )
         if type(entry.get("offset")) is not int or entry["offset"] != offset:
             raise CheckpointError(
                 f"tensor {entry['name']!r} at offset {entry.get('offset')!r}, expected {offset}"

@@ -431,7 +431,7 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
         dense_model, None, dataset.inputs, dataset.labels,
         lambda_lb=0.0, lambda_eesd=0.0,
         seed=derive_seed(cfg.root_seed, "gradcheck_sample"),
-        samples_per_tensor=25,
+        samples_per_tensor=25, workers=_usable_cpus(),
     )
     moe_model, _, _ = upcycle_model(
         dense_model, "sparse",
@@ -448,7 +448,7 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
         lambda_lb=cfg.train.lambda_lb, lambda_eesd=cfg.train.lambda_eesd,
         capacity_factor=cfg.moe.capacity_train,
         seed=derive_seed(cfg.root_seed, "gradcheck_sample"),
-        samples_per_tensor=25,
+        samples_per_tensor=25, workers=_usable_cpus(),
     )
     path = out_dir(cfg) / "gradcheck.json"
     _write_json(path, {
@@ -481,7 +481,7 @@ def _cpu_quota(cgroup: Path) -> int | None:
 
 def _usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
     """The CPUs this process may run on, capped by its cgroup's CPU quota:
-    the cap on ``compare``'s workers."""
+    the cap on ``compare``'s and ``gradcheck``'s workers."""
     if hasattr(os, "sched_getaffinity"):  # Linux only
         cpus = len(os.sched_getaffinity(0))
     else:

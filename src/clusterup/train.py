@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -588,6 +590,58 @@ def evaluate(
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
+def _split_map(evaluate, n: int, workers: int) -> list[float]:
+    """``[evaluate(i) for i in range(n)]`` with item ``i`` computed by
+    process ``i % workers``: this one for share 0, and a child forked after
+    the caller's set-up for each other share, so children inherit every
+    input and nothing is pickled. Each result is one float64 written into a
+    shared anonymous ``mmap`` at its index, so it keeps every bit.
+
+    Contract: a child leaves only through ``os._exit``, from a ``finally``,
+    so it never unwinds into the caller's stack (under a test runner, say),
+    and it exits 0 only when its whole share is written. Every child is
+    reaped, even when the parent's own share raises. A share whose process
+    fails (a child that exits non-zero, a fork that fails, or the parent's
+    own share raising ``Exception``) is rerun here, in index order with the
+    other failed shares, once every child is reaped; so a failing item
+    raises the error a one-process run raises first, with its type and
+    message. Where ``os.fork`` is missing, or with one worker, every share
+    runs here through the same code."""
+    workers = min(workers, n) if hasattr(os, "fork") else 1
+    shares = [range(w, n, workers) for w in range(workers)]
+    with mmap.mmap(-1, 8 * n) as buf, memoryview(buf).cast("d") as out:
+        def run(indices) -> None:
+            for i in indices:
+                out[i] = evaluate(i)
+
+        failed, children = [], {}
+        try:
+            for share in shares[1:]:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    failed.append(share)
+                    continue
+                if pid == 0:
+                    status = 1
+                    try:
+                        run(share)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children[pid] = share
+            try:
+                run(shares[0])
+            except Exception:
+                failed.append(shares[0])
+        finally:
+            for pid, share in children.items():
+                if os.waitpid(pid, 0)[1] != 0:
+                    failed.append(share)
+        run(sorted(itertools.chain.from_iterable(failed)))
+        return out.tolist()
+
+
 def grad_check(
     model: ToyModel,
     teacher: ModelTeacher | None,
@@ -600,6 +654,7 @@ def grad_check(
     capacity_factor: float | None = None,
     samples_per_tensor: int = 50,
     seed: int = 0,
+    workers: int = 1,
 ) -> dict:
     """Compare analytic gradients against central finite differences.
 
@@ -625,9 +680,24 @@ def grad_check(
     evaluated for every teacher sample. Returns a dict with
     max_rel_error, per_tensor errors, checked/skipped counts, and
     teacher_max_quotient.
+
+    The whole sample list is drawn first, student tensors in
+    ``_staged_params`` order and then the teacher's. Each sample is a pure
+    function of the base pass, so after it the samples are split round-robin
+    over ``workers`` processes: this one and ``workers - 1`` forked children
+    (``_split_map``). Each writes one float64 per sample: a relative error
+    or teacher quotient, or -1.0 for a skipped sample, since no real value is
+    negative. The results are folded here in sample order, so they do not
+    depend on ``workers``. A child leaves only through ``os._exit``, and
+    every child is reaped, even when this process's share raises. The share
+    of a child that exits non-zero is rerun here, so an error has the type
+    and message of a one-process run. Where ``os.fork`` is missing nothing
+    is forked.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     xm = as_matrix(inputs, "inputs")
     _, grads, state, base_terms = total_loss(
         model, teacher, xm, labels,
@@ -635,7 +705,21 @@ def grad_check(
     )
     named_grads = dict(named_params(model, grads))
     frozen = None if teacher is None else {b: t.teacher_y for b, t in base_terms.items()}
-    base_decisions: dict[tuple[int, int | None], bytes] = {}
+
+    # (name, tensor, resume point); a teacher tensor has no name.
+    tensors = [(name, arr, resume) for resume, name, arr in _staged_params(model)]
+    base_decisions = {resume: _decisions(state, *resume) for resume in {r for *_, r in tensors}}
+    if teacher is not None:
+        tensors += [
+            (None, arr, (len(model.blocks), None)) for b in sorted(teacher.sites)
+            for _, arr in block_params(teacher.sites[b].mirror)
+        ]
+    rng = np.random.default_rng(seed)
+    samples = [
+        (name, arr, flat_idx, resume) for name, arr, resume in tensors
+        for flat_idx in rng.choice(arr.size, size=min(samples_per_tensor, arr.size),
+                                   replace=False)
+    ]
 
     def loss_value(forward: ForwardState) -> float:
         return _objective(
@@ -643,64 +727,43 @@ def grad_check(
             grad=False, base=base_terms,
         )[0].total
 
-    def perturbed(
-        arr: Array, flat_idx, start: int, expert: int | None = None
-    ) -> tuple[ForwardState, ForwardState]:
-        """Forward states with one entry of ``arr``, whose resume point is
-        ``(start, expert)``, at +eps and at -eps; the entry is restored
-        before returning."""
+    def sample_value(i: int) -> float:
+        """The relative error of student sample ``i``, or -1.0 where it is
+        skipped, or the quotient of teacher sample ``i``."""
+        name, arr, flat_idx, resume = samples[i]
         orig = arr.flat[flat_idx]
-        arr.flat[flat_idx] = orig + epsilon
-        state_plus = model_forward(
-            model, xm, capacity_factor, base=state, start=start, expert=expert)
-        arr.flat[flat_idx] = orig - epsilon
-        state_minus = model_forward(
-            model, xm, capacity_factor, base=state, start=start, expert=expert)
-        arr.flat[flat_idx] = orig
-        return state_plus, state_minus
+        try:
+            arr.flat[flat_idx] = orig + epsilon
+            state_plus = model_forward(
+                model, xm, capacity_factor, base=state, start=resume[0], expert=resume[1])
+            arr.flat[flat_idx] = orig - epsilon
+            state_minus = model_forward(
+                model, xm, capacity_factor, base=state, start=resume[0], expert=resume[1])
+        finally:
+            arr.flat[flat_idx] = orig
+        if name is None:
+            return abs(loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
+        if not (_decisions(state_plus, *resume) == _decisions(state_minus, *resume)
+                == base_decisions[resume]):
+            return -1.0
+        numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
+        analytic = float(named_grads[name].flat[flat_idx])
+        return abs(analytic - numeric) / max(1.0, abs(numeric))
 
-    rng = np.random.default_rng(seed)
-    per_tensor: dict[str, float] = {}
-    max_rel = 0.0
+    values = _split_map(sample_value, len(samples), workers)
+    per_tensor = {name: 0.0 for name, _, _ in tensors if name is not None}
+    teacher_max_quotient = None if teacher is None else 0.0
     checked = skipped = 0
-    for resume, name, arr in _staged_params(model):
-        if resume not in base_decisions:
-            base_decisions[resume] = _decisions(state, *resume)
-        count = min(samples_per_tensor, arr.size)
-        indices = rng.choice(arr.size, size=count, replace=False)
-        tensor_err = 0.0
-        for flat_idx in indices:
-            state_plus, state_minus = perturbed(arr, flat_idx, *resume)
-            if not (_decisions(state_plus, *resume) == _decisions(state_minus, *resume)
-                    == base_decisions[resume]):
-                skipped += 1
-                continue
-            numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
-            analytic = float(named_grads[name].flat[flat_idx])
-            rel = abs(analytic - numeric) / max(1.0, abs(numeric))
-            tensor_err = max(tensor_err, rel)
+    for (name, *_), value in zip(samples, values):
+        if name is None:
+            teacher_max_quotient = max(teacher_max_quotient, value)
+        elif value < 0.0:
+            skipped += 1
+        else:
+            per_tensor[name] = max(per_tensor[name], value)
             checked += 1
-        per_tensor[name] = tensor_err
-        max_rel = max(max_rel, tensor_err)
-
-    teacher_max_quotient = None
-    if teacher is not None:
-        teacher_max_quotient = 0.0
-        teacher_params = [
-            param for b in sorted(teacher.sites)
-            for param in block_params(teacher.sites[b].mirror, f"teacher.block{b}.")
-        ]
-        for _, arr in teacher_params:
-            count = min(samples_per_tensor, arr.size)
-            indices = rng.choice(arr.size, size=count, replace=False)
-            for flat_idx in indices:
-                state_plus, state_minus = perturbed(arr, flat_idx, len(model.blocks))
-                loss_plus, loss_minus = loss_value(state_plus), loss_value(state_minus)
-                quotient = abs(loss_plus - loss_minus) / (2.0 * epsilon)
-                teacher_max_quotient = max(teacher_max_quotient, quotient)
-
     return {
-        "max_rel_error": max_rel,
+        "max_rel_error": max(per_tensor.values()),
         "per_tensor": per_tensor,
         "checked": checked,
         "skipped": skipped,

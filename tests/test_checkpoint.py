@@ -95,6 +95,9 @@ MALFORMED = {
     "empty_shape_overflow": _container(
         _manifest([{**ONE_TENSOR[0], "shape": [0, 10 ** 30]}])),
     "too_many_dims": _container(_manifest([{**ONE_TENSOR[0], "shape": [1] * 70}]), bytes(8)),
+    # A format-2 file whose entry names another dtype: it loaded as float64.
+    "dtype_float32": _container(
+        _manifest([{**ONE_TENSOR[0], "dtype": "float32"}]), bytes(16)),
     # A well-formed file of format 1, whose tensors were float32.
     "format_1_float32": _container(
         {**_manifest([{**ONE_TENSOR[0], "dtype": "float32"}]), "format_version": 1},

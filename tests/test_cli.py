@@ -707,6 +707,59 @@ class TestComparePool:
         assert (out / "compare.csv").exists()
 
 
+class TestGradcheckWorkers:
+    """``gradcheck`` splits its samples over one process per usable CPU."""
+
+    def test_bytes_independent_of_worker_count(self, workspace, monkeypatch, capsys):
+        cfg_path, out = workspace
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            target = out / f"workers{workers}"
+            assert run("--config", cfg_path, "--out-dir", target, "gradcheck") == 0
+            written.append((target / "gradcheck.json").read_bytes())
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert written[0] == written[1]
+
+    def test_one_usable_cpu_forks_nothing(self, workspace, monkeypatch, capsys):
+        cfg_path, out = workspace
+        forks = []
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError("fork called")
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", fork)
+        assert run("--config", cfg_path, "gradcheck") == 0
+        assert forks == []
+        assert (out / "gradcheck.json").exists()
+
+    def test_sample_error_reports_json(self, workspace, monkeypatch, capsys):
+        # Every perturbed pass raises, in the workers too; the error is the
+        # one a one-process run reports.
+        cfg_path, out = workspace
+        forward = train.model_forward
+
+        def diverge(model, x, capacity_factor=None, *, base=None, start=0, expert=None):
+            if base is not None:
+                raise NonFiniteLoss(f"pass resumed at block {start}, expert {expert}")
+            return forward(model, x, capacity_factor)
+
+        monkeypatch.setattr(train, "model_forward", diverge)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            assert run("--config", cfg_path, "gradcheck") == 2
+            errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errors[0] == errors[1] == {
+            "error": "NonFiniteLoss", "message": "pass resumed at block 4, expert None"}
+        assert not (out / "gradcheck.json").exists()
+
+
 @pytest.mark.parametrize("files,expected", [
     ({}, 8),
     ({"cpu.max": "max 100000\n"}, 8),

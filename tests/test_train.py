@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import pickle
 
 import numpy as np
@@ -320,11 +321,12 @@ class TestGradCheck:
             grad_check(model, None, ds.inputs, ds.labels, epsilon=1e-2)
 
 
-def _counted_grad_check(moe, monkeypatch, *names):
+def _counted_grad_check(moe, monkeypatch, *names, **kwargs):
     """``grad_check`` on a small dense model, or its upcycled MoE model with
-    an EMA teacher, counting calls to each ``train`` attribute in ``names``;
-    returns the counts, the result, the model and how many teacher entries
-    it perturbed."""
+    an EMA teacher, counting calls made in this process to each ``train``
+    attribute in ``names``; ``kwargs`` go to ``grad_check``. Returns the
+    counts, the result, the model and how many teacher entries it
+    perturbed."""
     model = make_dense_model(6, 10, 2, 3, seed=34)
     teacher = None
     if moe:
@@ -343,7 +345,7 @@ def _counted_grad_check(moe, monkeypatch, *names):
     for name in names:
         monkeypatch.setattr(train, name, counted(name, getattr(train, name)))
     result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
-                        lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
+                        lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5, **kwargs)
     teacher_samples = 0 if teacher is None else sum(
         min(5, arr.size) for t in teacher.sites.values()
         for _, arr in block_params(t.mirror)
@@ -850,19 +852,134 @@ def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
             "skipped": skipped, "teacher_max_quotient": quotient}
 
 
+FULL_PASS_CASES = [(1, 1, 0.5), (2, 2, 1.0), (3, 3, 0.75)]
+
+
+def _skipping_moe_case(seed, k, capacity):
+    """A drop-upcycled MoE stack with a live EMA teacher, its dataset, and
+    ``grad_check`` keyword arguments under which it skips samples."""
+    dense = make_dense_model(6, 10, 4, 3, seed=80 + seed)
+    moe, _, _ = upcycle_model(dense, "drop", n_experts=4, k=k,
+                              capacity_factor=capacity, seed=81 + seed)
+    teacher = make_model_teacher(moe, beta=0.999)
+    for site_teacher in teacher.sites.values():
+        site_teacher.mirror.router += 0.05
+    ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=82 + seed)
+    kwargs = dict(epsilon=1e-3, lambda_lb=0.01, lambda_eesd=0.5, capacity_factor=capacity,
+                  samples_per_tensor=8, seed=83 + seed)
+    return moe, teacher, ds, kwargs
+
+
 class TestGradCheckMatchesFullPasses:
-    @pytest.mark.parametrize("seed,k,capacity", [(1, 1, 0.5), (2, 2, 1.0), (3, 3, 0.75)])
-    def test_same_result_as_full_passes(self, seed, k, capacity):
-        dense = make_dense_model(6, 10, 4, 3, seed=80 + seed)
-        moe, _, _ = upcycle_model(dense, "drop", n_experts=4, k=k,
-                                  capacity_factor=capacity, seed=81 + seed)
-        teacher = make_model_teacher(moe, beta=0.999)
-        for site_teacher in teacher.sites.values():
-            site_teacher.mirror.router += 0.05
-        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=82 + seed)
-        kwargs = dict(lambda_lb=0.01, lambda_eesd=0.5, capacity_factor=capacity,
-                      samples_per_tensor=8, seed=83 + seed)
-        result = grad_check(moe, teacher, ds.inputs, ds.labels, 1e-3, **kwargs)
+    def _check(self, seed, k, capacity, workers):
+        moe, teacher, ds, kwargs = _skipping_moe_case(seed, k, capacity)
+        result = grad_check(moe, teacher, ds.inputs, ds.labels, workers=workers, **kwargs)
         assert result["skipped"] > 0
-        assert result == _full_pass_grad_check(moe, teacher, ds.inputs, ds.labels, 1e-3,
-                                               **kwargs)
+        assert result == _full_pass_grad_check(moe, teacher, ds.inputs, ds.labels, **kwargs)
+
+    @pytest.mark.parametrize("seed,k,capacity", FULL_PASS_CASES)
+    def test_same_result_as_full_passes(self, seed, k, capacity):
+        self._check(seed, k, capacity, workers=1)
+
+    @pytest.mark.parametrize("seed,k,capacity", FULL_PASS_CASES)
+    def test_same_result_as_full_passes_with_two_workers(self, seed, k, capacity):
+        self._check(seed, k, capacity, workers=2)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGradCheckWorkers:
+    """``grad_check`` splits its samples over ``workers`` processes: this one
+    and forked children."""
+
+    @staticmethod
+    def _case(stack):
+        if stack == "skips":
+            model, teacher, ds, kwargs = _skipping_moe_case(1, 1, 0.5)
+            return (model, teacher, ds.inputs, ds.labels), kwargs
+        model = make_dense_model(6, 10, 2, 3, seed=27)
+        teacher, kwargs = None, dict(samples_per_tensor=30, seed=29)
+        if stack == "moe-teacher":
+            model, _, _ = upcycle_model(model, "sparse", n_experts=4, k=2,
+                                        capacity_factor=1.5, seed=35)
+            teacher = make_model_teacher(model, beta=0.999)
+            for site_teacher in teacher.sites.values():
+                site_teacher.mirror.router += 0.05
+            kwargs.update(lambda_lb=0.001, lambda_eesd=1.0, capacity_factor=1.5)
+        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=28)
+        return (model, teacher, ds.inputs, ds.labels), kwargs
+
+    @pytest.mark.parametrize("stack", ["dense", "moe-teacher", "skips"])
+    def test_result_independent_of_worker_count(self, stack):
+        args, kwargs = self._case(stack)
+        results = [grad_check(*args, workers=workers, **kwargs) for workers in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert (results[0]["skipped"] > 0) == (stack == "skips")
+        _assert_no_child_left()
+
+    def test_failed_child_share_reruns_here(self, monkeypatch):
+        # The objective raises only outside this process, so both children
+        # exit non-zero and their shares rerun here: this process evaluates
+        # the objective as often as a one-process run, with the same result.
+        calls, expected, _, _ = _counted_grad_check(True, monkeypatch, "_objective")
+        monkeypatch.undo()
+        parent, objective, fork, children = os.getpid(), train._objective, os.fork, []
+
+        def fails_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("raised outside the parent")
+            return objective(*args, **kwargs)
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(train, "_objective", fails_in_child)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        assert _counted_grad_check(True, monkeypatch, "_objective", workers=3)[:2] == (
+            calls, expected)
+        assert len(children) == 2
+        _assert_no_child_left()
+
+    def test_failing_samples_raise_the_one_process_error(self, monkeypatch):
+        # One sample per tensor: head, block0.w1, block0.b1, ... A pass with
+        # block0.w1 or block0.b1 perturbed raises. With two workers a child
+        # fails at block0.w1 and this process later at block0.b1; as in one
+        # process, block0.w1's error is the one raised.
+        model = make_dense_model(6, 10, 2, 3, seed=27)
+        ds = make_synthetic_dataset(6, 3, 3, 24, 3.0, seed=28)
+        saved = {name: arr.copy() for name, arr in named_params(model)}
+        forward = train.model_forward
+
+        def failing_forward(model_, *args, **kwargs):
+            for name, arr in named_params(model_):
+                if name in ("block0.w1", "block0.b1") and not np.array_equal(arr, saved[name]):
+                    raise NonFiniteLoss(f"{name} perturbed")
+            return forward(model_, *args, **kwargs)
+
+        monkeypatch.setattr(train, "model_forward", failing_forward)
+        for workers in (1, 2, 3):
+            with pytest.raises(NonFiniteLoss, match=r"^block0\.w1 perturbed$"):
+                grad_check(model, None, ds.inputs, ds.labels, samples_per_tensor=1,
+                           workers=workers)
+            _assert_no_child_left()
+        for name, arr in named_params(model):  # every perturbed entry was restored
+            np.testing.assert_array_equal(arr, saved[name])
+
+    def test_nothing_forked_without_os_fork(self, monkeypatch):
+        # Without fork (Windows) every sample is evaluated in this process.
+        calls, expected, _, _ = _counted_grad_check(True, monkeypatch, "_objective")
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert _counted_grad_check(True, monkeypatch, "_objective", workers=3)[:2] == (
+            calls, expected)
+
+    def test_workers_bounds(self):
+        args, kwargs = self._case("dense")
+        with pytest.raises(ValueError):
+            grad_check(*args, workers=0, **kwargs)
