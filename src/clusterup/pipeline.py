@@ -14,7 +14,7 @@ output directory:
 * ``compare``       compare.csv
 
 ``compare`` pretrains and captures once per seed for all four methods and
-runs its (seed, method, eesd) cells in worker processes.
+runs its (seed, method, eesd) cells over the usable CPUs.
 
 All randomness is derived from the config's root seed through named streams,
 so reruns with identical inputs are byte-identical.
@@ -491,10 +491,9 @@ def _usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
 
 
 def _seed_cells(cfg: PipelineConfig, root_seed: int, cells) -> list[tuple]:
-    """``_compare_cell``'s arguments for one seed's ``(method, eesd)`` cells,
-    in order. Every cell upcycles the same dense model, so the seed is
-    pretrained and captured once; upcycling copies the model and capture only
-    reads it."""
+    """``_compare_cell``'s arguments for one seed's ``(method, eesd)`` cells:
+    the seed is pretrained and captured once for all of them, since
+    upcycling copies the dense model and capture only reads it."""
     seed_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
     dense = train_dense(seed_cfg)
     bank = capture(seed_cfg, dense)
@@ -502,70 +501,41 @@ def _seed_cells(cfg: PipelineConfig, root_seed: int, cells) -> list[tuple]:
 
 
 def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
-                  method: str, eesd: bool) -> dict:
-    """One compare cell: upcycle ``dense``, train it, and evaluate it."""
+                  method: str, eesd: bool) -> list[float]:
+    """One compare cell's numeric columns, ``COMPARE_COLUMNS[2:]``: upcycle
+    ``dense``, train it, and evaluate it."""
     model, _, _ = upcycle(cfg, dense, method, bank)
     train_moe(cfg, model, method, eesd)
-    return compare_row(cfg, model, method)
-
-
-def _results(futures) -> list[dict]:
-    """The futures' results in order; raises the first failure in that order."""
-    return [future.result() for future in futures]
-
-
-def _pooled_rows(pool, cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
-    """``_compare_rows`` with the cells run in ``pool``.
-
-    The parent pretrains seed s+1 while seed s's cells run, and no further
-    ahead: seed s-1's cells finish first, so at most two seeds' dense models
-    and banks are held for pending cells. Failures surface in (seed, cell)
-    order, as in one process: a failed cell stops the run before the next
-    seed is pretrained, and a failure in the parent's own work waits for the
-    cells submitted before it.
-    """
-    futures = []
-    for root_seed in root_seeds:
-        if any(future.done() and future.exception() for future in futures):
-            _results(futures)
-        _results(futures[:-len(cells)])  # seed s-1's cells
-        try:
-            args = _seed_cells(cfg, root_seed, cells)
-        except Exception:
-            _results(futures)  # an earlier cell's failure comes first
-            raise
-        futures += [pool.submit(_compare_cell, *cell) for cell in args]
-    return _results(futures)
+    row = compare_row(cfg, model, method)
+    return [row[c] for c in COMPARE_COLUMNS[2:]]
 
 
 def _compare_rows(cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
     """Every (seed, cell) row, in seed order and then ``cells``' order; a cell
-    is a ``(method, eesd)`` pair.
+    is a ``(method, eesd)`` pair. Every seed is pretrained and captured here
+    first, so its dense model and bank (about 1.1 MiB at the defaults) are
+    held until the cells finish; ``train._split_map`` then runs the cells
+    over min(cells, usable CPUs) processes, so the rows do not depend on the
+    worker count. If a seed's pretraining raises, the earlier seeds' cells
+    run first: an earlier cell's error wins, as in one process."""
+    args = []
 
-    The cells run in a pool of min(cells, usable CPUs) forked worker
-    processes. A cell's row does not depend on the process that computes it,
-    so the rows have the same values for any worker count. With one worker,
-    or where ``fork`` is missing (Windows), the cells run in process.
-    """
-    workers = min(len(root_seeds) * len(cells), _usable_cpus())
-    if workers > 1:
-        # Imported here, so the other commands do not pay for importing them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    def rows() -> list[dict]:
+        width = len(COMPARE_COLUMNS) - 2
+        values = train._split_map(lambda i: _compare_cell(*args[i]), len(args),
+                                  _usable_cpus(), width)
+        return [dict(zip(COMPARE_COLUMNS, [seed_cfg.root_seed, method,
+                                           *values[k * width:(k + 1) * width]]))
+                for k, (seed_cfg, _, _, method, _) in enumerate(args)]
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork: workers start in milliseconds with the package already
-            # imported, and each inherits the parent's BLAS thread setting.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                try:
-                    return _pooled_rows(pool, cfg, root_seeds, cells)
-                except BaseException:
-                    # Drop the cells not yet started; leaving the block joins the workers.
-                    pool.shutdown(cancel_futures=True)
-                    raise
-    return [_compare_cell(*cell) for root_seed in root_seeds
-            for cell in _seed_cells(cfg, root_seed, cells)]
+    try:
+        for root_seed in root_seeds:
+            args += _seed_cells(cfg, root_seed, cells)
+    except Exception:
+        if args:  # an earlier cell's failure comes first
+            rows()
+        raise
+    return rows()
 
 
 def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) -> dict:

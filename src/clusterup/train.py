@@ -590,29 +590,33 @@ def evaluate(
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
-def _split_map(evaluate, n: int, workers: int) -> list[float]:
-    """``[evaluate(i) for i in range(n)]`` with item ``i`` computed by
-    process ``i % workers``: this one for share 0, and a child forked after
-    the caller's set-up for each other share, so children inherit every
-    input and nothing is pickled. Each result is one float64 written into a
-    shared anonymous ``mmap`` at its index, so it keeps every bit.
+def _split_map(evaluate, n: int, workers: int, width: int = 1) -> list[float]:
+    """``[*evaluate(0), ..., *evaluate(n - 1)]`` for ``n >= 1`` items of
+    ``width`` floats, over ``min(workers, n)`` processes, the package's only
+    fork: this one runs share 0, and one child per other share, forked after
+    the caller's set-up, inherits every input, so nothing is pickled. Item
+    ``i`` goes to share ``i % 2w`` folded at ``w`` (w = 2: 0, 1, 1, 0, 0,
+    ...), so alternating cheap and costly items are not split by kind.
+    Results are float64 in a shared anonymous ``mmap`` and keep every bit.
 
     Contract: a child leaves only through ``os._exit``, from a ``finally``,
     so it never unwinds into the caller's stack (under a test runner, say),
-    and it exits 0 only when its whole share is written. Every child is
-    reaped, even when the parent's own share raises. A share whose process
-    fails (a child that exits non-zero, a fork that fails, or the parent's
-    own share raising ``Exception``) is rerun here, in index order with the
-    other failed shares, once every child is reaped; so a failing item
-    raises the error a one-process run raises first, with its type and
-    message. Where ``os.fork`` is missing, or with one worker, every share
-    runs here through the same code."""
+    and exits 0 only when its whole share is written. Every child is reaped,
+    even when this process's share raises. Then each failed share (a child
+    exiting non-zero, a failed fork, or this process's share raising
+    ``Exception``) is rerun here in index order, so a failing item raises
+    the error a one-process run raises first. Without ``fork`` (Windows),
+    or with one worker, every share runs here through the same code."""
     workers = min(workers, n) if hasattr(os, "fork") else 1
-    shares = [range(w, n, workers) for w in range(workers)]
-    with mmap.mmap(-1, 8 * n) as buf, memoryview(buf).cast("d") as out:
+    lanes = [*range(workers), *reversed(range(workers))]
+    shares = [[i for i in range(n) if lanes[i % len(lanes)] == w] for w in range(workers)]
+    # A flat memoryview, not a numpy view: a view left alive by a raising
+    # item would make closing the mmap raise BufferError over that error.
+    with mmap.mmap(-1, 8 * n * width) as buf, memoryview(buf).cast("d") as out:
         def run(indices) -> None:
             for i in indices:
-                out[i] = evaluate(i)
+                for j, value in enumerate(evaluate(i)):
+                    out[i * width + j] = value
 
         failed, children = [], {}
         try:
@@ -682,22 +686,18 @@ def grad_check(
     teacher_max_quotient.
 
     The whole sample list is drawn first, student tensors in
-    ``_staged_params`` order and then the teacher's. Each sample is a pure
-    function of the base pass, so after it the samples are split round-robin
-    over ``workers`` processes: this one and ``workers - 1`` forked children
-    (``_split_map``). Each writes one float64 per sample: a relative error
-    or teacher quotient, or -1.0 for a skipped sample, since no real value is
-    negative. The results are folded here in sample order, so they do not
-    depend on ``workers``. A child leaves only through ``os._exit``, and
-    every child is reaped, even when this process's share raises. The share
-    of a child that exits non-zero is rerun here, so an error has the type
-    and message of a one-process run. Where ``os.fork`` is missing nothing
-    is forked.
+    ``_staged_params`` order and then the teacher's. After the base pass
+    ``_split_map`` evaluates each sample, over ``workers`` processes, to one
+    float64: a relative error or teacher quotient, or -1.0 for a skipped
+    sample, since no real value is negative. They are folded here in sample
+    order, so the result does not depend on ``workers``.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if samples_per_tensor < 1:
+        raise ValueError(f"samples_per_tensor must be >= 1, got {samples_per_tensor}")
     xm = as_matrix(inputs, "inputs")
     _, grads, state, base_terms = total_loss(
         model, teacher, xm, labels,
@@ -750,7 +750,7 @@ def grad_check(
         analytic = float(named_grads[name].flat[flat_idx])
         return abs(analytic - numeric) / max(1.0, abs(numeric))
 
-    values = _split_map(sample_value, len(samples), workers)
+    values = _split_map(lambda i: [sample_value(i)], len(samples), workers)
     per_tensor = {name: 0.0 for name, _, _ in tensors if name is not None}
     teacher_max_quotient = None if teacher is None else 0.0
     checked = skipped = 0

@@ -3,7 +3,6 @@
 import csv
 import functools
 import json
-import multiprocessing
 import operator
 import os
 import shutil
@@ -603,76 +602,75 @@ class TestErrors:
 
 
 class TestComparePool:
-    """``compare`` runs its cells in worker processes, one per usable CPU."""
+    """``compare`` runs its cells over one process per usable CPU
+    (``train._split_map``)."""
+
+    def _compare_bytes(self, cfg_path, out, monkeypatch, workers, *flags):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        target = out / f"workers{workers}"
+        assert run("--config", cfg_path, "--out-dir", target,
+                   "compare", "--seeds", "2", *flags) == 0
+        return (target / "compare.csv").read_bytes()
 
     @pytest.mark.parametrize("eesd", [(), ("--eesd",)], ids=["plain", "eesd"])
     def test_rows_independent_of_worker_count(self, workspace, monkeypatch, capsys, eesd):
         cfg_path, out = workspace
-        written = []
-        for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
-            target = out / f"workers{workers}"
-            assert run("--config", cfg_path, "--out-dir", target,
-                       "compare", "--seeds", "2", *eesd) == 0
-            written.append((target / "compare.csv").read_bytes())
-            assert not multiprocessing.active_children()
+        written = [self._compare_bytes(cfg_path, out, monkeypatch, workers, *eesd)
+                   for workers in (1, 2)]
         assert written[0] == written[1]
 
-    def test_worker_error_reports_json(self, workspace, monkeypatch, capsys):
-        # The forked workers inherit the patched train_moe; it raises only
-        # outside the parent, so exit 2 shows the cell ran in a worker.
-        cfg_path, out = workspace
-        parent, train_moe = os.getpid(), pipeline.train_moe
+    @staticmethod
+    def _diverge(monkeypatch, fails):
+        """Make the cells for which ``fails(cfg, method)`` holds raise
+        ``NonFiniteLoss``; the forked children inherit the patch."""
+        train_moe = pipeline.train_moe
 
         def diverge(cfg, model, method, eesd, log_fn=None):
-            if os.getpid() != parent and method == "drop_svd":
+            if fails(cfg, method):
                 raise NonFiniteLoss(f"seed {cfg.root_seed}: {method} diverged")
             return train_moe(cfg, model, method, eesd, log_fn)
 
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "train_moe", diverge)
-        assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
+
+    def test_worker_error_reports_json(self, workspace, monkeypatch, capsys):
+        # Every drop_svd cell fails in every process; with 1 and 2 workers
+        # the error is the one a one-process run meets first.
+        cfg_path, out = workspace
+        self._diverge(monkeypatch, lambda cfg, method: method == "drop_svd")
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
+            errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+        assert errors[0] == errors[1] == {
+            "error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
         assert not (out / "compare.csv").exists()
-        assert not multiprocessing.active_children()
 
-    def _fail_seed3_cell(self, monkeypatch):
-        """Make seed 3's drop_svd cell diverge in its worker; returns the
-        root seeds the parent pretrains, in order."""
-        parent, train_moe, train_dense = os.getpid(), pipeline.train_moe, pipeline.train_dense
-        pretrained = []
+    def test_cell_failing_only_in_a_child_reruns_here(self, workspace, monkeypatch, capsys):
+        # drop_svd cells raise only outside this process, so the child's
+        # share fails and reruns here: the run succeeds with the one-process
+        # bytes, and this process ran every drop_svd cell.
+        cfg_path, out = workspace
+        expected = self._compare_bytes(cfg_path, out, monkeypatch, 1)
+        parent, seen = os.getpid(), []
 
-        def diverge(cfg, model, method, eesd, log_fn=None):
-            if os.getpid() != parent and (cfg.root_seed, method) == (3, "drop_svd"):
-                raise NonFiniteLoss(f"seed 3: {method} diverged")
-            return train_moe(cfg, model, method, eesd, log_fn)
+        def fails_in_child(cfg, method):
+            if method == "drop_svd":
+                if os.getpid() != parent:
+                    return True
+                seen.append(cfg.root_seed)
+            return False
 
-        def pretrain(cfg, log_fn=None):
-            pretrained.append(cfg.root_seed)
-            return train_dense(cfg, log_fn)
-
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline, "train_moe", diverge)
-        monkeypatch.setattr(pipeline, "train_dense", pretrain)
-        return pretrained
-
-    def test_failed_cell_stops_pretraining(self, workspace, monkeypatch, capsys):
-        # The parent runs at most one seed ahead of the cells, so seed 3's
-        # failure surfaces before seed 5 is pretrained.
-        cfg_path, _ = workspace
-        pretrained = self._fail_seed3_cell(monkeypatch)
-        assert run("--config", cfg_path, "compare", "--seeds", "3") == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
-        assert 5 not in pretrained
-        assert not multiprocessing.active_children()
+        self._diverge(monkeypatch, fails_in_child)
+        assert self._compare_bytes(cfg_path, out, monkeypatch, 2) == expected
+        assert seen == [3, 4]
 
     def test_earlier_cell_failure_wins_over_parent_failure(self, workspace, monkeypatch, capsys):
-        # Seed 4's pretraining fails in the parent while seed 3's cells run;
-        # as in one process, seed 3's failed cell is the error reported.
+        # Seed 4's pretraining fails in this process after seed 3's; seed
+        # 3's cells then run, and as in one process its failed cell is the
+        # error reported.
         cfg_path, _ = workspace
-        self._fail_seed3_cell(monkeypatch)
+        self._diverge(monkeypatch, lambda cfg, method: (cfg.root_seed, method) == (3, "drop_svd"))
         pretrain = pipeline.train_dense
 
         def pretrain_fails_at_4(cfg, log_fn=None):
@@ -680,21 +678,21 @@ class TestComparePool:
                 raise SeparationInfeasible("seed 4: pretraining failed")
             return pretrain(cfg, log_fn)
 
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "train_dense", pretrain_fails_at_4)
         assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "NonFiniteLoss", "message": "seed 3: drop_svd diverged"}
-        assert not multiprocessing.active_children()
 
     def test_cells_run_in_process_without_fork(self, workspace, monkeypatch, capsys):
         # Without sched_getaffinity (macOS, Windows) the CPU count caps the
-        # workers; without fork (Windows) every cell runs in the parent.
+        # workers; without os.fork (Windows) every cell runs in this process.
         cfg_path, out = workspace
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(pipeline, "_cpu_quota", lambda cgroup: None)  # any host's quota
         assert pipeline._usable_cpus() == 2
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         train_moe, pids = pipeline.train_moe, []
 
         def record_pid(cfg, model, method, eesd, log_fn=None):
@@ -718,8 +716,6 @@ class TestGradcheckWorkers:
             target = out / f"workers{workers}"
             assert run("--config", cfg_path, "--out-dir", target, "gradcheck") == 0
             written.append((target / "gradcheck.json").read_bytes())
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
         assert written[0] == written[1]
 
     def test_one_usable_cpu_forks_nothing(self, workspace, monkeypatch, capsys):
@@ -753,8 +749,6 @@ class TestGradcheckWorkers:
             monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
             assert run("--config", cfg_path, "gradcheck") == 2
             errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
         assert errors[0] == errors[1] == {
             "error": "NonFiniteLoss", "message": "pass resumed at block 4, expert None"}
         assert not (out / "gradcheck.json").exists()
