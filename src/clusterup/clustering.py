@@ -122,8 +122,9 @@ def spherical_kmeans(
     Columns are expected to be normalized by the caller. Iteration stops on an
     assignment fixpoint or after ``max_iters`` centroid updates; either way the
     returned assignments are the argmax against the returned centroids and no
-    cluster is empty. ``init_centroids`` (n_clusters x d) warm-starts the
-    iteration in place of k-means++ seeding.
+    cluster is empty (``InsufficientData`` if too few distinct directions
+    fill them). ``init_centroids`` (n_clusters x d) warm-starts the iteration
+    in place of k-means++ seeding.
     """
     x_cols = as_matrix(x, "x")
     _, n_points = x_cols.shape
@@ -157,12 +158,17 @@ def spherical_kmeans(
 
     # Re-seeding guarantee: repair any cluster the final pass left empty.
     for _ in range(n_clusters):
-        counts = np.bincount(assignments, minlength=n_clusters)
-        if counts.min() > 0:
+        if np.bincount(assignments, minlength=n_clusters).min() > 0:
             break
         centroids = _update_centroids(x_cols, assignments, centroids)
         assignments = _assign_all(centroids, x_cols)
         trace.append(_objective(centroids, x_cols))
+    filled = np.count_nonzero(np.bincount(assignments, minlength=n_clusters))
+    if filled < n_clusters:
+        raise InsufficientData(
+            f"{n_points} points filled only {filled} of {n_clusters} clusters: "
+            "too few distinct directions"
+        )
 
     return ClusterModel(
         centroids=centroids,

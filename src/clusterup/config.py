@@ -161,7 +161,8 @@ def _validate(cfg: PipelineConfig) -> None:
     m, d, moe, init, tr, cal = cfg.model, cfg.data, cfg.moe, cfg.init, cfg.train, cfg.calibration
     _require(m.d >= 1, "model.d must be >= 1")
     _require(m.h >= 1, "model.h must be >= 1")
-    _require(m.blocks >= 1, "model.blocks must be >= 1")
+    # One block has no MoE site (every other block from the second).
+    _require(m.blocks >= 2, "model.blocks must be >= 2")
     _require(m.n_classes >= 2, "model.n_classes must be >= 2")
     _require(d.n >= 1, "data.n must be >= 1")
     _require(d.n_eval >= 1, "data.n_eval must be >= 1")

@@ -22,6 +22,7 @@ so reruns with identical inputs are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -490,16 +491,6 @@ def _usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
-def _seed_cells(cfg: PipelineConfig, root_seed: int, cells) -> list[tuple]:
-    """``_compare_cell``'s arguments for one seed's ``(method, eesd)`` cells:
-    the seed is pretrained and captured once for all of them, since
-    upcycling copies the dense model and capture only reads it."""
-    seed_cfg = replace(cfg, data=replace(cfg.data, seed=root_seed))
-    dense = train_dense(seed_cfg)
-    bank = capture(seed_cfg, dense)
-    return [(seed_cfg, dense, bank, method, eesd) for method, eesd in cells]
-
-
 def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
                   method: str, eesd: bool) -> list[float]:
     """One compare cell's numeric columns, ``COMPARE_COLUMNS[2:]``: upcycle
@@ -512,30 +503,32 @@ def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
 
 def _compare_rows(cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
     """Every (seed, cell) row, in seed order and then ``cells``' order; a cell
-    is a ``(method, eesd)`` pair. Every seed is pretrained and captured here
-    first, so its dense model and bank (about 1.1 MiB at the defaults) are
-    held until the cells finish; ``train._split_map`` then runs the cells
-    over min(cells, usable CPUs) processes, so the rows do not depend on the
-    worker count. If a seed's pretraining raises, the earlier seeds' cells
-    run first: an earlier cell's error wins, as in one process."""
-    args = []
+    is a ``(method, eesd)`` pair. ``seed_state`` pretrains and captures a
+    seed the first time it is asked, since upcycling copies the dense model
+    and capture only reads it. Every seed is warmed here in order, so the
+    processes of ``train._split_map`` inherit the cache and each seed's model
+    and bank (about 1.1 MiB at the defaults) are held until the cells finish.
+    Warming stops at a failing seed; its cells pretrain it again, so its
+    error comes in cell order, as in one process."""
+    items = [(seed, method, eesd) for seed in root_seeds for method, eesd in cells]
+    states = {}
 
-    def rows() -> list[dict]:
-        width = len(COMPARE_COLUMNS) - 2
-        values = train._split_map(lambda i: _compare_cell(*args[i]), len(args),
-                                  _usable_cpus(), width)
-        return [dict(zip(COMPARE_COLUMNS, [seed_cfg.root_seed, method,
-                                           *values[k * width:(k + 1) * width]]))
-                for k, (seed_cfg, _, _, method, _) in enumerate(args)]
+    def seed_state(seed: int) -> tuple[PipelineConfig, ToyModel, ActivationBank]:
+        if seed not in states:
+            seed_cfg = replace(cfg, data=replace(cfg.data, seed=seed))
+            dense = train_dense(seed_cfg)
+            states[seed] = seed_cfg, dense, capture(seed_cfg, dense)
+        return states[seed]
 
-    try:
-        for root_seed in root_seeds:
-            args += _seed_cells(cfg, root_seed, cells)
-    except Exception:
-        if args:  # an earlier cell's failure comes first
-            rows()
-        raise
-    return rows()
+    with contextlib.suppress(Exception):
+        for seed in root_seeds:
+            seed_state(seed)
+    width = len(COMPARE_COLUMNS) - 2
+    values = train._split_map(
+        lambda i: _compare_cell(*seed_state(items[i][0]), *items[i][1:]),
+        len(items), _usable_cpus(), width)
+    return [dict(zip(COMPARE_COLUMNS, [seed, method, *values[k * width:(k + 1) * width]]))
+            for k, (seed, method, _) in enumerate(items)]
 
 
 def compare_run(cfg: PipelineConfig, root_seed: int, method: str, eesd: bool) -> dict:

@@ -11,6 +11,7 @@ differences.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import mmap
@@ -597,52 +598,49 @@ def _split_map(evaluate, n: int, workers: int, width: int = 1) -> list[float]:
     the caller's set-up, inherits every input, so nothing is pickled. Item
     ``i`` goes to share ``i % 2w`` folded at ``w`` (w = 2: 0, 1, 1, 0, 0,
     ...), so alternating cheap and costly items are not split by kind.
-    Results are float64 in a shared anonymous ``mmap`` and keep every bit.
+    Results are float64 in a shared anonymous ``mmap`` and keep every bit,
+    and each item sets its done byte there after its columns.
 
-    Contract: a child leaves only through ``os._exit``, from a ``finally``,
-    so it never unwinds into the caller's stack (under a test runner, say),
-    and exits 0 only when its whole share is written. Every child is reaped,
-    even when this process's share raises. Then each failed share (a child
-    exiting non-zero, a failed fork, or this process's share raising
-    ``Exception``) is rerun here in index order, so a failing item raises
-    the error a one-process run raises first. Without ``fork`` (Windows),
-    or with one worker, every share runs here through the same code."""
+    Contract: a child leaves only through ``os._exit(0)``, from a
+    ``finally``, so it never unwinds into the caller's stack (under a test
+    runner, say). One rule covers every failure (a failed fork, a child that
+    raises or dies, this process's share raising ``Exception``): once every
+    child is reaped, the items no process marked done are rerun here in
+    index order, so a failing item raises the error a one-process run raises
+    first. Without ``fork`` (Windows), or with one worker, every share runs
+    here through the same code."""
     workers = min(workers, n) if hasattr(os, "fork") else 1
     lanes = [*range(workers), *reversed(range(workers))]
     shares = [[i for i in range(n) if lanes[i % len(lanes)] == w] for w in range(workers)]
-    # A flat memoryview, not a numpy view: a view left alive by a raising
-    # item would make closing the mmap raise BufferError over that error.
-    with mmap.mmap(-1, 8 * n * width) as buf, memoryview(buf).cast("d") as out:
+    # Flat memoryviews, not numpy views: a view left alive by a raising item
+    # would make closing the mmap raise BufferError over that error.
+    with (mmap.mmap(-1, (8 * width + 1) * n) as buf, memoryview(buf) as view,
+          view[:-n].cast("d") as out, view[-n:] as done):
         def run(indices) -> None:
             for i in indices:
                 for j, value in enumerate(evaluate(i)):
                     out[i * width + j] = value
+                done[i] = 1
 
-        failed, children = [], {}
+        children = []
         try:
             for share in shares[1:]:
                 try:
                     pid = os.fork()
                 except OSError:
-                    failed.append(share)
                     continue
                 if pid == 0:
-                    status = 1
                     try:
                         run(share)
-                        status = 0
                     finally:
-                        os._exit(status)
-                children[pid] = share
-            try:
+                        os._exit(0)
+                children.append(pid)
+            with contextlib.suppress(Exception):
                 run(shares[0])
-            except Exception:
-                failed.append(shares[0])
         finally:
-            for pid, share in children.items():
-                if os.waitpid(pid, 0)[1] != 0:
-                    failed.append(share)
-        run(sorted(itertools.chain.from_iterable(failed)))
+            for pid in children:
+                os.waitpid(pid, 0)
+        run([i for i in range(n) if not done[i]])
         return out.tolist()
 
 

@@ -576,7 +576,15 @@ class TestErrors:
          "InsufficientData"),
         # One expert has no inter-expert similarity for analyze and compare.
         ({"n_experts: 4, k: 2": "n_experts: 1, k: 1"}, [("train-dense",)], "ConfigError"),
-    ], ids=["separation-infeasible", "insufficient-data", "one-expert"])
+        # One block has no MoE site to analyze or compare.
+        ({"blocks: 4,": "blocks: 1,"}, [("compare", "--seeds", "1")], "ConfigError"),
+        # In one dimension the bank holds two directions, too few for four
+        # experts' clusters.
+        ({"d: 8,": "d: 1,", "n_clusters: 4,": "n_clusters: 2,"},
+         [("train-dense",), ("capture",), ("upcycle", "--method", "cluster")],
+         "InsufficientData"),
+    ], ids=["separation-infeasible", "insufficient-data", "one-expert", "one-block",
+            "too-few-directions"])
     def test_error_class_reports_json(self, tmp_path, capsys, edits, argvs, error):
         text = SMALL_CFG.format(out=tmp_path / "runs", tau=0.95)
         for old, new in edits.items():
@@ -602,8 +610,8 @@ class TestErrors:
 
 
 class TestComparePool:
-    """``compare`` runs its cells over one process per usable CPU
-    (``train._split_map``)."""
+    """``compare`` runs its cells over one process per usable CPU through
+    ``train._split_map``'s fork map; there is no process pool."""
 
     def _compare_bytes(self, cfg_path, out, monkeypatch, workers, *flags):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
@@ -647,23 +655,26 @@ class TestComparePool:
         assert not (out / "compare.csv").exists()
 
     def test_cell_failing_only_in_a_child_reruns_here(self, workspace, monkeypatch, capsys):
-        # drop_svd cells raise only outside this process, so the child's
-        # share fails and reruns here: the run succeeds with the one-process
-        # bytes, and this process ran every drop_svd cell.
+        # drop_svd cells raise only outside this process. The child's share
+        # is seed 3's and seed 4's drop and drop_svd cells: it finishes seed
+        # 3's drop cell and fails at its drop_svd cell. Only the cells no
+        # process finished rerun here: the run succeeds with the one-process
+        # bytes, this process ran every drop_svd cell, and it did not run
+        # seed 3's drop cell again.
         cfg_path, out = workspace
         expected = self._compare_bytes(cfg_path, out, monkeypatch, 1)
         parent, seen = os.getpid(), []
 
         def fails_in_child(cfg, method):
-            if method == "drop_svd":
-                if os.getpid() != parent:
-                    return True
-                seen.append(cfg.root_seed)
+            if os.getpid() != parent:
+                return method == "drop_svd"
+            seen.append((cfg.root_seed, method))
             return False
 
         self._diverge(monkeypatch, fails_in_child)
         assert self._compare_bytes(cfg_path, out, monkeypatch, 2) == expected
-        assert seen == [3, 4]
+        assert [seed for seed, method in seen if method == "drop_svd"] == [3, 4]
+        assert (3, "drop") not in seen
 
     def test_earlier_cell_failure_wins_over_parent_failure(self, workspace, monkeypatch, capsys):
         # Seed 4's pretraining fails in this process after seed 3's; seed

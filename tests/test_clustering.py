@@ -213,6 +213,11 @@ class TestSphericalKmeans:
         with pytest.raises(InsufficientData):
             spherical_kmeans(np.eye(3), 4, seed=0)
 
+    def test_too_few_distinct_directions(self):
+        # Ten points but two directions: no repair can fill four clusters.
+        with pytest.raises(InsufficientData, match="filled only 2 of 4 clusters"):
+            spherical_kmeans([[1.0] * 5 + [-1.0] * 5], 4, seed=0)
+
     def test_warm_start_centroids(self):
         rng = np.random.default_rng(18)
         x = rng.standard_normal((3, 50))

@@ -520,8 +520,8 @@ class TestParameterBuffers:
         experts = [ffn.copy() for _ in range(3)]
         before = [e.params.copy() for e in experts]
         layer = MoeLayer(experts, rng.standard_normal((3, 3)), k=2, capacity_factor=1.0)
-        # Pickling (compare sends the dense model to its workers) rebuilds
-        # each block around one buffer, with equal values.
+        # __reduce__ makes pickle and copy.deepcopy rebuild each block
+        # around one buffer, with equal values.
         pickled = [pickle.loads(pickle.dumps(block)) for block in (ffn, layer)]
         for block in (ffn, ffn.copy(), layer, layer.copy(), *pickled):
             assert_buffer_views(block)
@@ -916,8 +916,9 @@ class TestGradCheckWorkers:
 
     def test_failed_child_share_reruns_here(self, monkeypatch):
         # The objective raises only outside this process, so both children
-        # exit non-zero and their shares rerun here: this process evaluates
-        # the objective as often as a one-process run, with the same result.
+        # finish no sample and their whole shares rerun here: this process
+        # evaluates the objective as often as a one-process run, with the
+        # same result.
         calls, expected, _, _ = _counted_grad_check(True, monkeypatch, "_objective")
         monkeypatch.undo()
         parent, objective, fork, children = os.getpid(), train._objective, os.fork, []
@@ -939,13 +940,44 @@ class TestGradCheckWorkers:
             calls, expected)
         assert len(children) == 2
 
+    def test_child_dying_partway_leaves_only_its_unfinished_samples(self, monkeypatch):
+        # With two workers the child's share is the samples i with i % 4 in
+        # (1, 2). It finishes three of them and then dies with status 1: the
+        # result is the one-process result, and this process evaluated its
+        # own share and then only the child's unfinished samples.
+        args, kwargs = self._case("dense")
+        expected = grad_check(*args, workers=1, **kwargs)
+        parent, split_map, sizes, evaluated = os.getpid(), train._split_map, [], []
+
+        def split_map_with_dying_child(evaluate, n, workers, width=1):
+            finished = []
+
+            def recorded(i):
+                if os.getpid() == parent:
+                    evaluated.append(i)
+                elif len(finished) == 3:
+                    os._exit(1)
+                else:
+                    finished.append(i)
+                return evaluate(i)
+
+            sizes.append(n)
+            return split_map(recorded, n, workers, width)
+
+        monkeypatch.setattr(train, "_split_map", split_map_with_dying_child)
+        assert grad_check(*args, workers=2, **kwargs) == expected
+        shares = [[i for i in range(sizes[0]) if (i % 4 in (1, 2)) == child]
+                  for child in (False, True)]
+        assert evaluated == shares[0] + shares[1][3:]
+
     def test_failing_samples_raise_the_one_process_error(self, monkeypatch):
         # One sample per tensor: head, block0.w1, block0.b1, ... A pass with
         # block0.w1 or block0.b1 perturbed raises. In snake order, with two
         # workers the one child's share holds both and it fails at
         # block0.w1; with three, one child fails at block0.w1 and the other
-        # at block0.b1. Either way the failed shares rerun here and, as in
-        # one process, block0.w1's error is the one raised.
+        # at block0.b1. Either way the samples no process finished rerun
+        # here in index order and, as in one process, block0.w1's error is
+        # the one raised.
         model = make_dense_model(6, 10, 2, 3, seed=27)
         ds = make_synthetic_dataset(6, 3, 3, 24, 3.0, seed=28)
         saved = {name: arr.copy() for name, arr in named_params(model)}
