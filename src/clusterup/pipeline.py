@@ -240,10 +240,13 @@ def upcycle(cfg: PipelineConfig, dense: ToyModel, method: str, bank: ActivationB
 
 
 def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
-              log_fn=None) -> None:
+              log_fn=None, workers: int = 1) -> None:
     """Train the upcycled ``model`` in place, with an EMA teacher given
     ``eesd``. ``log_fn`` gets each step's record; ``compare`` keeps no log and
-    passes none, which saves ~3% of each step."""
+    passes none, which saves ~3% of each step. With ``eesd`` and ``workers
+    >= 2``, a forked replica runs the teacher's ensemble alongside the
+    student (``run_training``), with the same bits; ``compare``'s cells keep
+    one worker, since ``train._split_map`` already fills the usable CPUs."""
     dataset, _ = _datasets(cfg)
     teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
     run_training(
@@ -253,7 +256,7 @@ def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
         lambda_eesd=cfg.train.lambda_eesd if eesd else 0.0,
         capacity_factor=cfg.moe.capacity_train,
         seed=_seeds_dict(cfg, method, trained=True)[f"moe_batches:{method}"],
-        log_fn=log_fn,
+        log_fn=log_fn, workers=workers,
     )
 
 
@@ -387,7 +390,7 @@ def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = F
     model = load_model_checkpoint(
         _require_artifact(moe_path(cfg, method), f"upcycle --method {method}"), cfg)
     log: list[dict] = []
-    train_moe(cfg, model, method, eesd, log.append)
+    train_moe(cfg, model, method, eesd, log.append, workers=_usable_cpus())
     path = moe_path(cfg, method, trained=True)
     save_model_checkpoint(
         path, model, cfg, _seeds_dict(cfg, method, trained=True),
@@ -482,7 +485,7 @@ def _cpu_quota(cgroup: Path) -> int | None:
 
 def _usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
     """The CPUs this process may run on, capped by its cgroup's CPU quota:
-    the cap on ``compare``'s and ``gradcheck``'s workers."""
+    the cap on ``compare``'s, ``gradcheck``'s and ``train-moe``'s workers."""
     if hasattr(os, "sched_getaffinity"):  # Linux only
         cpus = len(os.sched_getaffinity(0))
     else:

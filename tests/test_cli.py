@@ -749,10 +749,11 @@ class TestGradcheckWorkers:
         cfg_path, out = workspace
         forward = train.model_forward
 
-        def diverge(model, x, capacity_factor=None, *, base=None, start=0, expert=None):
+        def diverge(model, x, capacity_factor=None, *, base=None, start=0, expert=None,
+                    on_input=None):
             if base is not None:
                 raise NonFiniteLoss(f"pass resumed at block {start}, expert {expert}")
-            return forward(model, x, capacity_factor)
+            return forward(model, x, capacity_factor, on_input=on_input)
 
         monkeypatch.setattr(train, "model_forward", diverge)
         errors = []
@@ -763,6 +764,51 @@ class TestGradcheckWorkers:
         assert errors[0] == errors[1] == {
             "error": "NonFiniteLoss", "message": "pass resumed at block 4, expert None"}
         assert not (out / "gradcheck.json").exists()
+
+
+class TestTrainMoeWorkers:
+    """``train-moe --eesd`` runs the teacher's ensemble in one forked replica
+    when a second CPU is usable."""
+
+    OUTPUTS = ("moe_cluster_trained.ckpt", "train_log_cluster.jsonl")
+
+    @staticmethod
+    def _train_moe(cfg_path, monkeypatch, workers, fork):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(os, "fork", fork)
+        assert run("--config", cfg_path, "train-moe", "--method", "cluster", "--eesd") == 0
+
+    def test_bytes_independent_of_worker_count(self, workspace, monkeypatch, capsys):
+        cfg_path, out = workspace
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster")):
+            assert run("--config", cfg_path, *argv) == 0
+        fork, forks, written = os.fork, [], []
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        for workers in (1, 2):
+            self._train_moe(cfg_path, monkeypatch, workers, recorded_fork)
+            written.append([(out / name).read_bytes() for name in self.OUTPUTS])
+            assert len(forks) == workers - 1
+        assert written[0] == written[1]
+
+    def test_one_usable_cpu_forks_nothing(self, workspace, monkeypatch, capsys):
+        cfg_path, out = workspace
+        for argv in (("train-dense",), ("capture",), ("upcycle", "--method", "cluster")):
+            assert run("--config", cfg_path, *argv) == 0
+        forks = []
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError("fork called")
+
+        self._train_moe(cfg_path, monkeypatch, 1, fork)
+        assert forks == []
+        assert all((out / name).exists() for name in self.OUTPUTS)
 
 
 @pytest.mark.parametrize("files,expected", [

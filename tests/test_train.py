@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -1012,3 +1013,143 @@ class TestGradCheckWorkers:
                             ("samples_per_tensor", -1)]:
             with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
                 grad_check(*args, **{**kwargs, name: value})
+
+
+class TestSplitMap:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_item_of_this_process_is_evaluated_once(self, workers):
+        # Item 3 falls in this process's share (0, 3, 4 with two workers) and
+        # raises; the rerun of unfinished items raises its error again
+        # without evaluating it a second time.
+        parent, evaluated = os.getpid(), []
+
+        def evaluate(i):
+            if os.getpid() == parent:
+                evaluated.append(i)
+            if i == 3:
+                raise ValueError("item 3 failed")
+            return [float(i)]
+
+        with pytest.raises(ValueError, match="^item 3 failed$"):
+            train._split_map(evaluate, 6, workers)
+        assert evaluated == ([0, 1, 2, 3] if workers == 1 else [0, 3])
+
+
+class TestTeacherReplica:
+    """With a teacher and two workers, ``run_training`` computes each MoE
+    site's teacher ensemble in one forked replica; every result keeps the
+    one-process bits."""
+
+    STEPS = 6
+
+    @staticmethod
+    def _case(first_block_site=False):
+        model, teacher, ds = _moe_and_teacher()
+        if first_block_site:
+            # Sites 0 and 2: block 0's input is the batch itself, which is not
+            # C-contiguous, so its ensemble runs in this process.
+            model = ToyModel(6, [model.blocks[b].copy() for b in (1, 0, 3)], model.head)
+            teacher = make_model_teacher(model, beta=0.999)
+            for site_teacher in teacher.sites.values():
+                site_teacher.mirror.params += 0.01
+        return model, teacher, ds
+
+    def _train(self, case, monkeypatch, workers, **kwargs):
+        """The reports, the model and teacher buffers after ``run_training``
+        (or the error it raised), and the ``teacher_forward`` calls made in
+        this process."""
+        model, teacher, ds = case
+        parent, calls, forward = os.getpid(), [], train.teacher_forward
+
+        def counted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(train, "teacher_forward", counted)
+        try:
+            outcome = run_training(model, teacher, ds, steps=self.STEPS, batch_size=16,
+                                   lr=0.05, lambda_lb=0.001, lambda_eesd=1.0,
+                                   capacity_factor=1.5, seed=63, workers=workers, **kwargs)
+        except NonFiniteLoss as exc:
+            outcome = str(exc)
+        monkeypatch.setattr(train, "teacher_forward", forward)
+        buffers = param_buffers(model) + [t.mirror.params for t in teacher.sites.values()]
+        return outcome, [arr.tobytes() for arr in buffers], len(calls)
+
+    @pytest.mark.parametrize("first_block_site", [False, True], ids=["sites-1-3", "sites-0-2"])
+    def test_same_bits_as_one_process(self, monkeypatch, first_block_site):
+        logs = [[], []]
+        one, two = (self._train(self._case(first_block_site), monkeypatch, workers,
+                                log_fn=logs[workers - 1].append) for workers in (1, 2))
+        assert one[:2] == two[:2]
+        assert logs[0] == logs[1]
+        assert one[2] == 2 * self.STEPS
+        assert two[2] == (self.STEPS if first_block_site else 0)
+
+    def test_non_finite_loss_partway_leaves_the_same_state(self, monkeypatch):
+        # The fourth step's task loss is NaN in this process: the run stops
+        # there under either worker count, after three SGD and EMA steps.
+        cross_entropy, seen = train._cross_entropy, []
+
+        def nan_at_fourth_step(*args, **kwargs):
+            loss, grad = cross_entropy(*args, **kwargs)
+            seen.append(1)
+            return (math.nan if len(seen) == 4 else loss), grad
+
+        monkeypatch.setattr(train, "_cross_entropy", nan_at_fourth_step)
+        outcomes = []
+        for workers in (1, 2):
+            seen.clear()
+            outcomes.append(self._train(self._case(), monkeypatch, workers))
+        assert outcomes[0][:2] == outcomes[1][:2]
+        assert outcomes[0][0].startswith("non-finite loss")
+
+    @pytest.mark.parametrize("dies_in,sent", [("teacher_forward", 5),
+                                               ("update_model_teacher", 4)])
+    def test_child_dying_partway_leaves_only_its_unsent_outputs(self, monkeypatch,
+                                                               dies_in, sent):
+        # The replica exits with status 1 in its sixth ensemble, after
+        # sending five outputs (steps 0 and 1, and site 1 of step 2), or in
+        # its second EMA step, after sending four (steps 0 and 1); the pipe
+        # then reads EOF or refuses the next command. Either way this
+        # process computes every output it did not receive, and the run
+        # keeps the one-process bits.
+        expected = self._train(self._case(), monkeypatch, 1)
+        parent, original, replica_calls = os.getpid(), getattr(train, dies_in), []
+
+        def dies_in_replica(*args):
+            if os.getpid() != parent:
+                if len(replica_calls) == (sent if dies_in == "teacher_forward" else 1):
+                    os._exit(1)
+                replica_calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(train, dies_in, dies_in_replica)
+        outcome, buffers, calls = self._train(self._case(), monkeypatch, 2)
+        assert (outcome, buffers) == expected[:2]
+        assert calls == 2 * self.STEPS - sent
+
+    def test_command_to_an_exited_replica_gives_it_up(self):
+        # Once the replica has exited, a command meets BrokenPipeError: the
+        # site is not submitted, and nothing more is sent to the replica.
+        model, teacher, _ = self._case()
+        with train._teacher_replica(model, teacher, 16, 2) as replica:
+            os.kill(replica.pid, signal.SIGKILL)
+            assert os.read(replica.reply, 1) == b""  # its end of the pipes is closed
+            replica.submit(1, np.zeros((6, 16)))
+            assert not replica.live
+            assert replica.pending == [] and replica.receive() == {}
+
+    @pytest.mark.parametrize("no_fork", ["raises", "missing"])
+    def test_runs_in_process_without_a_fork(self, monkeypatch, no_fork):
+        expected = self._train(self._case(), monkeypatch, 1)
+
+        def fork():
+            raise OSError("no fork here")
+
+        if no_fork == "raises":
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        assert self._train(self._case(), monkeypatch, 2) == expected
