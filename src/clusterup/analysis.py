@@ -133,7 +133,8 @@ def analyze_model(model, state) -> AnalysisReport:
     per_site = {}
     for b in model.moe_sites:
         layer, cache = model.blocks[b], state.caches[b]
-        populated = [m for m in cache.expert_outputs if m is not None and m.shape[1] >= 2]
+        off = cache.plan.offsets
+        populated = [cache.outputs[:, lo:hi] for lo, hi in zip(off, off[1:]) if hi - lo >= 2]
         try:
             rc = relative_compactness(populated)
         except InsufficientTokens:

@@ -149,6 +149,13 @@ def block_params(block: DenseFfn | MoeLayer, prefix: str = "", buf: Array | None
         yield prefix + name, buf[part].reshape(shape)
 
 
+def param_views(block: DenseFfn | MoeLayer, buf: Array) -> list[Array]:
+    """``block_params``' views of ``buf`` without the names, from one
+    ``_layout`` lookup: what a backward pass fills."""
+    n_e = block.n_experts if isinstance(block, MoeLayer) else 0
+    return [buf[part].reshape(shape) for _, part, shape in _layout(n_e, block.h, block.d)]
+
+
 def block_structure(block: DenseFfn | MoeLayer) -> dict:
     """The non-tensor description ``block_from_tensors`` needs to rebuild a block."""
     if isinstance(block, MoeLayer):
@@ -201,65 +208,61 @@ class RoutingRecord:
 
 
 @dataclass
+class DispatchPlan:
+    """One call's dispatch: a permutation of the kept slots into expert order.
+
+    Column ``c`` of a plan-ordered matrix (the gathered tokens, the expert
+    outputs) is kept slot ``c``: token ``rows[c]``'s top-k slot ``slots[c]``
+    with gate ``gates[c]``. Expert ``i`` owns columns
+    ``offsets[i]:offsets[i + 1]``, its kept slots in token order. Row ``t``
+    of ``columns`` is token ``t``'s kept columns in expert order, padded with
+    ``n_kept`` per dropped slot: column ``r`` is scatter pass ``r``.
+    """
+
+    rows: np.ndarray     # (n_kept,) int
+    slots: np.ndarray    # (n_kept,) int
+    gates: Array         # (n_kept,)
+    offsets: list[int]   # n_experts + 1 column offsets
+    columns: np.ndarray  # (T, k) int
+
+    def gated(self, outputs: Array) -> Array:
+        """``outputs`` (d x n_kept) times their gates, then a zero column."""
+        gated = np.zeros((outputs.shape[0], self.offsets[-1] + 1))
+        np.multiply(outputs, self.gates[None, :], out=gated[:, :-1])
+        return gated
+
+
+def _add_ranks(acc: Array, cols: Array, columns: np.ndarray) -> Array:
+    """Add to ``acc`` (d x m), in place and one rank at a time, the columns
+    of ``cols`` that row i of ``columns`` (m x k) names for column i. Padding
+    names the zero last column of ``cols``: a sum begun at +0.0 is never
+    -0.0, so adding +0.0 keeps its bits."""
+    for col in columns.T:
+        acc += cols[:, col]
+    return acc
+
+
+@dataclass
 class MoeForwardCache:
-    """Intermediates retained for the backward pass; ``expert_cols``,
-    ``expert_slots`` and ``expert_gates`` are ``_route``'s dispatch plan."""
+    """Intermediates retained for the backward pass, each stored once.
+
+    ``plan`` is ``_route``'s dispatch plan. A routed pass gathers ``x`` once
+    in plan order and runs each expert on its column slice:
+    ``expert_caches[i]`` is expert ``i``'s ``FfnCache`` (None when it kept no
+    slot), whose ``x`` is a view of the gather, and ``outputs`` (d x n_kept,
+    C order) holds every expert's outputs in plan order. ``moe_backward``
+    gathers ``dy`` the same way, takes the gate gradients with one einsum,
+    and recomputes those of an expert that kept one slot on contiguous
+    (d, 1) operands, which einsum reduces in another order.
+    """
 
     x: Array
     record: RoutingRecord
     denom: Array                    # (T,)
-    expert_cols: list[np.ndarray]   # token indices routed to each expert (kept slots)
-    expert_slots: list[np.ndarray]  # matching slot position within the top-k row
-    expert_gates: list[Array]       # matching gates
+    plan: DispatchPlan
     expert_caches: list["FfnCache | None"]
-    expert_outputs: list[Array | None]
+    outputs: Array
     y: Array
-
-    @functools.cached_property
-    def _resum_plans(self) -> dict[int, tuple]:
-        """``resummed``'s plan per expert, each built on its first use, so a
-        routed pass never builds one."""
-        return {}
-
-    def _resum_plan(self, expert: int) -> tuple[Array, list[tuple[np.ndarray, Array]]]:
-        """For expert ``expert``'s tokens, the sum of the gated outputs of
-        their kept slots that precede its slot in expert order, added from
-        +0.0 (d x tokens), and per later rank the tokens with a kept slot
-        there and its gated output."""
-        gated = np.concatenate([out * g[None, :] for out, g in
-                                zip(self.expert_outputs, self.expert_gates) if out is not None],
-                               axis=1)
-        starts = [0, *itertools.accumulate(rows.size for rows in self.expert_cols)]
-        columns = np.full(self.record.topk_indices.shape, starts[-1])
-        for start, rows, slots in zip(starts, self.expert_cols, self.expert_slots):
-            columns[rows, slots] = np.arange(start, start + rows.size)
-        # An expert's columns all precede the next expert's, so sorting a
-        # token's columns puts its kept slots in expert order, padding last.
-        columns = np.sort(columns[self.expert_cols[expert]], axis=1)
-        rank = np.argmax(columns >= starts[expert], axis=1)  # the slot of ``expert``
-        before = np.zeros((gated.shape[0], columns.shape[0]))
-        after = []
-        for r, col in enumerate(columns.T):
-            kept = col < starts[-1]
-            tokens = kept & (r < rank)
-            before[:, tokens] += gated[:, col[tokens]]
-            tokens = kept & (r > rank)
-            if tokens.any():
-                after.append((tokens, gated[:, col[tokens]]))
-        return before, after
-
-    def resummed(self, expert: int, out: Array) -> Array:
-        """The output columns of expert ``expert``'s tokens with its output
-        replaced by ``out``: each token's kept slots' gated outputs added in
-        expert order from +0.0, as ``moe_forward_cached`` sums them, so the
-        columns equal a full pass's bit for bit for any ``k`` and drops."""
-        if expert not in self._resum_plans:
-            self._resum_plans[expert] = self._resum_plan(expert)
-        before, after = self._resum_plans[expert]
-        acc = before + out * self.expert_gates[expert][None, :]
-        for tokens, gated in after:
-            acc[:, tokens] += gated
-        return acc
 
 
 @dataclass
@@ -291,22 +294,18 @@ def ffn_forward_cached(ffn: DenseFfn, x) -> tuple[Array, FfnCache]:
     return y, FfnCache(x=xm, pre=pre, act=act)
 
 
-def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array, out: Array | None = None):
-    """Gradients of a cached forward pass.
-
-    Returns (dx, grads): ``grads`` is ``out``, or a new buffer when it is
-    None, laid out like ``ffn.params`` and filled with the gradients.
-    """
-    grads = np.empty_like(ffn.params) if out is None else out
-    g_w1, g_b1, g_w2, g_b2 = [g for _, g in block_params(ffn, buf=grads)]
+def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array, grads: list[Array]) -> Array:
+    """Gradients of a cached forward pass: fills ``grads``, the four
+    ``param_views`` of a gradient buffer laid out like ``ffn.params``, and
+    returns dx."""
+    g_w1, g_b1, g_w2, g_b2 = grads
     d_pre = ffn.w2.T @ dy
     d_pre *= cache.pre > 0.0
     np.matmul(dy, cache.act.T, out=g_w2)
     np.add.reduce(dy, axis=1, out=g_b2)
     np.matmul(d_pre, cache.x.T, out=g_w1)
     np.add.reduce(d_pre, axis=1, out=g_b1)
-    dx = ffn.w1.T @ d_pre
-    return dx, grads
+    return ffn.w1.T @ d_pre
 
 
 def router_probs(router, x) -> Array:
@@ -336,8 +335,10 @@ def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int)
 
 
 def _route(layer: MoeLayer, x: Array, capacity_factor: float):
-    """The routing record, the gate denominators and the dispatch plan: per
-    expert, its kept slots' tokens, top-k positions and gates, in token order."""
+    """The routing record, the gate denominators and the ``DispatchPlan``,
+    all from one stable sort of the flat expert ids: the kept part of its
+    permutation, each expert's offsets into it, and its inverse, sorted per
+    token, as the per-rank scatter passes."""
     t_tokens = x.shape[1]
     n_e, k = layer.n_experts, layer.k
     probs = router_probs(layer.router, x)
@@ -349,36 +350,32 @@ def _route(layer: MoeLayer, x: Array, capacity_factor: float):
     cap = expert_capacity(capacity_factor, t_tokens, k, n_e)
     # Capacity fills in token order, then slot order within a token: the
     # row-major ravel of the (T, k) index matrix. A stable sort groups the
-    # slots by expert and keeps that order within each group, so each
-    # expert's first ``cap`` slots are kept and the rest dropped. The ids are
-    # sorted in the smallest integer type that holds them, which numpy sorts
-    # by radix.
+    # slots by expert and keeps that order within each group, so a slot is
+    # kept when it is among its expert's first ``cap``. The ids are sorted in
+    # the smallest integer type that holds them, which numpy sorts by radix.
     flat = topk.ravel()
     order = np.argsort(flat.astype(np.min_scalar_type(n_e)), kind="stable")
     counts = np.bincount(flat, minlength=n_e)
-    rows, slots = np.divmod(order, k)
-    sorted_gates = gates.ravel()[order]
-    dropped_flat = np.zeros(flat.size, dtype=bool)
-    expert_rows, expert_slots, expert_gates = [], [], []
-    start = 0
-    for stop in itertools.accumulate(counts.tolist()):
-        kept_stop = min(stop, start + cap)
-        if kept_stop < stop:
-            dropped_flat[order[kept_stop:stop]] = True
-        expert_rows.append(rows[start:kept_stop])
-        expert_slots.append(slots[start:kept_stop])
-        expert_gates.append(sorted_gates[start:kept_stop])
-        start = stop
+    kept = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts) < cap
+    perm = order[kept]
+    # The inverse permutation, each token's columns sorted: an expert's
+    # columns all precede the next expert's, so a token's kept slots come in
+    # expert order, the dropped ones (padded with ``perm.size``) last.
+    columns = np.full(flat.size, perm.size)
+    columns[perm] = np.arange(perm.size)
+    dropped = columns == perm.size
+    columns = np.sort(columns.reshape(t_tokens, k), axis=1)
+    offsets = [0, *itertools.accumulate(np.minimum(counts, cap).tolist())]
 
     record = RoutingRecord(
         probs=probs,
         topk_indices=topk,
         gates=gates,
-        dropped=dropped_flat.reshape(t_tokens, k),
+        dropped=dropped.reshape(t_tokens, k),
         per_expert_fraction=counts.astype(np.float64) / (t_tokens * k),
         per_expert_mean_prob=probs.mean(axis=0),
     )
-    return record, denom, (expert_rows, expert_slots, expert_gates)
+    return record, denom, DispatchPlan(*np.divmod(perm, k), gates.ravel()[perm], offsets, columns)
 
 
 def moe_forward_cached(
@@ -391,51 +388,48 @@ def moe_forward_cached(
 ) -> tuple[Array, RoutingRecord, MoeForwardCache]:
     """``moe_forward`` keeping the intermediates ``moe_backward`` needs.
 
+    A routed pass runs each expert on its column slice of one gather of
+    ``x``, gates all outputs at once and adds them up in k passes, one per
+    rank (``_add_ranks``), so each token sums its slots in expert order.
+
     With ``base``, a cache of this layer on the same ``x`` from before only
     expert ``expert``'s tensors changed, the routing record, the gate
     denominators, the dispatch plan and the other experts' caches and outputs
     are ``base``'s, and only expert ``expert`` runs. ``y`` is a copy of
-    ``base.y`` whose columns of that expert's tokens are summed again
-    (``MoeForwardCache.resummed``), in the same order as a full pass, so it
-    equals a full pass bit for bit.
+    ``base.y`` whose columns of that expert's tokens are summed again the
+    same way, so it equals a full pass bit for bit. ``base`` and ``expert``
+    come together, and ``expert`` must index one of the layer's experts
+    (``ValueError`` otherwise).
     """
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != layer.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
+    if (base is None) != (expert is None):
+        raise ValueError("an expert resume needs both base and expert")
     if base is not None:
-        expert_caches, expert_outputs = list(base.expert_caches), list(base.expert_outputs)
-        y = base.y.copy()
-        rows = base.expert_cols[expert]
-        if rows.size:
-            out, expert_caches[expert] = ffn_forward_cached(layer.experts[expert], xm[:, rows])
-            expert_outputs[expert] = out
-            y[:, rows] = base.resummed(expert, out)
-        cache = MoeForwardCache(
-            x=xm, record=base.record, denom=base.denom, expert_cols=base.expert_cols,
-            expert_slots=base.expert_slots, expert_gates=base.expert_gates,
-            expert_caches=expert_caches, expert_outputs=expert_outputs, y=y,
-        )
-        return y, base.record, cache
+        if not 0 <= expert < layer.n_experts:
+            raise ValueError(f"expert must lie in [0, {layer.n_experts}), got {expert}")
+        plan, caches, outputs, y = base.plan, list(base.expert_caches), base.outputs, base.y.copy()
+        lo, hi = plan.offsets[expert:expert + 2]
+        if hi > lo:
+            outputs, rows = outputs.copy(), plan.rows[lo:hi]
+            outputs[:, lo:hi], caches[expert] = ffn_forward_cached(
+                layer.experts[expert], caches[expert].x)
+            y[:, rows] = _add_ranks(np.zeros((layer.d, hi - lo)), plan.gated(outputs),
+                                    plan.columns[rows])
+        return y, base.record, MoeForwardCache(
+            xm, base.record, base.denom, plan, caches, outputs, y)
 
     cf = layer.capacity_factor if capacity_factor is None else capacity_factor
-    record, denom, (expert_cols, expert_slots, expert_gates) = _route(layer, xm, cf)
-    y = np.zeros_like(xm)
-    expert_caches: list[FfnCache | None] = []
-    expert_outputs: list[Array | None] = []
-    for ffn, rows, g in zip(layer.experts, expert_cols, expert_gates):
-        out = cache = None
-        if rows.size:
-            out, cache = ffn_forward_cached(ffn, xm[:, rows])
-            y[:, rows] += out * g[None, :]
-        expert_caches.append(cache)
-        expert_outputs.append(out)
-
-    cache = MoeForwardCache(
-        x=xm, record=record, denom=denom,
-        expert_cols=expert_cols, expert_slots=expert_slots, expert_gates=expert_gates,
-        expert_caches=expert_caches, expert_outputs=expert_outputs, y=y,
-    )
-    return y, record, cache
+    record, denom, plan = _route(layer, xm, cf)
+    gathered = xm[:, plan.rows]
+    outputs = np.empty(gathered.shape)  # C order, as each expert's output is
+    caches: list[FfnCache | None] = [None] * layer.n_experts
+    for i, (lo, hi) in enumerate(zip(plan.offsets, plan.offsets[1:])):
+        if hi > lo:
+            outputs[:, lo:hi], caches[i] = ffn_forward_cached(layer.experts[i], gathered[:, lo:hi])
+    y = _add_ranks(np.zeros_like(xm), plan.gated(outputs), plan.columns)
+    return y, record, MoeForwardCache(xm, record, denom, plan, caches, outputs, y)
 
 
 def moe_forward(
@@ -465,26 +459,29 @@ def moe_backward(
     Returns (dx, grads) with ``grads`` a new buffer laid out like
     ``layer.params``.
     """
-    record = cache.record
-    t_tokens, k = record.gates.shape
+    record, plan = cache.record, cache.plan
     grads = np.empty_like(layer.params)
-    dx = np.zeros_like(cache.x)
-    dgates = np.zeros((t_tokens, k))
-
-    n_router, size = layer.router.size, layer.experts[0].params.size
-    for i, expert in enumerate(layer.experts):
-        rows = cache.expert_cols[i]
-        expert_grads = grads[n_router + i * size:n_router + (i + 1) * size]
-        if rows.size == 0:
-            expert_grads[...] = 0.0
+    views = param_views(layer, grads)  # the router's, then each expert's four
+    dy_gathered = dy[:, plan.rows]
+    d_out = dy_gathered * plan.gates[None, :]
+    dgate = np.einsum("dt,dt->t", dy_gathered, cache.outputs)
+    dx_gathered = np.zeros((layer.d, plan.offsets[-1] + 1))
+    for i, (lo, hi) in enumerate(zip(plan.offsets, plan.offsets[1:])):
+        expert_views = views[1 + 4 * i:5 + 4 * i]
+        if hi == lo:
+            for g in expert_views:
+                g[...] = 0.0
             continue
-        dy_rows = dy[:, rows]
-        d_out = dy_rows * cache.expert_gates[i][None, :]
-        dgates[rows, cache.expert_slots[i]] = np.einsum(
-            "dt,dt->t", dy_rows, cache.expert_outputs[i]
-        )
-        dxi, _ = ffn_backward(expert, cache.expert_caches[i], d_out, expert_grads)
-        dx[:, rows] += dxi
+        if hi - lo == 1:
+            # einsum reduces a contiguous (d, 1) pair in another order than
+            # the grouped one: keep each width-1 expert's bits.
+            dgate[lo] = np.einsum("dt,dt->t", dy_gathered[:, lo:hi],
+                                  np.ascontiguousarray(cache.outputs[:, lo:hi]))[0]
+        dx_gathered[:, lo:hi] = ffn_backward(
+            layer.experts[i], cache.expert_caches[i], d_out[:, lo:hi], expert_views)
+    dx = _add_ranks(np.zeros_like(cache.x), dx_gathered, plan.columns)
+    dgates = np.zeros_like(record.gates)
+    dgates[plan.rows, plan.slots] = dgate
 
     # gates = sel_probs / denom; dropped slots received zero gate gradient.
     vdotg = np.einsum("tk,tk->t", dgates, record.gates)
@@ -497,7 +494,7 @@ def moe_backward(
     # softmax backward, rowwise
     dot = np.einsum("te,te->t", dprobs, record.probs)
     dlogits = record.probs * (dprobs - dot[:, None])  # (T, n_experts)
-    np.matmul(dlogits.T, cache.x.T, out=grads[:n_router].reshape(layer.router.shape))
+    np.matmul(dlogits.T, cache.x.T, out=views[0])
     dx += layer.router.T @ dlogits.T
     return dx, grads
 

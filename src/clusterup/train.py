@@ -36,6 +36,7 @@ from .moe import (
     load_balance_loss,
     moe_backward,
     moe_forward_cached,
+    param_views,
 )
 
 
@@ -335,7 +336,7 @@ def model_forward(
                 on_input(b, cur)
             y, _, cache = moe_forward_cached(
                 block, cur, capacity_factor, base=resumed, expert=expert)
-            resumed = None
+            resumed = expert = None
         else:
             y, cache = ffn_forward_cached(block, cur)
         caches.append(cache)
@@ -490,7 +491,8 @@ def total_loss(
                 dprobs_extra = lambda_lb * fraction / t_tokens
             dxi, buffers[b + 1] = moe_backward(block, cache, dy, dprobs_extra)
         else:
-            dxi, buffers[b + 1] = ffn_backward(block, cache, dx)
+            buffers[b + 1] = np.empty_like(block.params)
+            dxi = ffn_backward(block, cache, dx, param_views(block, buffers[b + 1]))
         dx = dx + dxi
     return report, buffers, state, terms
 

@@ -609,7 +609,7 @@ class TestErrors:
         assert not (out / "dense.ckpt").exists()
 
 
-class TestComparePool:
+class TestCompareWorkers:
     """``compare`` runs its cells over one process per usable CPU through
     ``train._split_map``'s fork map; there is no process pool."""
 

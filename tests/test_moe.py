@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from clusterup.errors import ShapeMismatch
 from clusterup.moe import (
     DenseFfn,
     MoeLayer,
+    block_params,
     dense_ensemble_forward,
     expert_capacity,
     ffn_forward,
+    ffn_forward_cached,
     load_balance_loss,
+    moe_backward,
     moe_forward,
     moe_forward_cached,
     router_probs,
@@ -354,8 +357,153 @@ class TestRoutingProperties:
 
         # The dispatch plan holds each expert's kept slots in token-then-slot
         # order, with their gates.
+        plan = cache.plan
         for e in range(n_e):
             rows, slots = np.nonzero((topk == e) & ~dropped)
-            assert np.array_equal(cache.expert_cols[e], rows)
-            assert np.array_equal(cache.expert_slots[e], slots)
-            assert np.array_equal(cache.expert_gates[e], record.gates[rows, slots])
+            span = slice(*plan.offsets[e:e + 2])
+            assert np.array_equal(plan.rows[span], rows)
+            assert np.array_equal(plan.slots[span], slots)
+            assert np.array_equal(plan.gates[span], record.gates[rows, slots])
+        assert plan.offsets[-1] == plan.rows.size == (~dropped).sum()
+
+
+def reference_moe(layer, x, capacity_factor, dy, dprobs_extra):
+    """The MoE layer as a loop over the experts, each gathering its own
+    tokens, scattering its gated outputs and its dx in expert order, and
+    writing its gradient views by name: the oracle for the grouped dispatch.
+    Returns (y, dx, grads, (topk, gates, dropped))."""
+    t_tokens, n_e, k = x.shape[1], layer.n_experts, layer.k
+    probs = router_probs(layer.router, x)
+    topk = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    sel_probs = probs[np.arange(t_tokens)[:, None], topk]
+    denom = sel_probs.sum(axis=1)
+    gates = sel_probs / denom[:, None]
+    cap = expert_capacity(capacity_factor, t_tokens, k, n_e)
+    dropped = np.zeros((t_tokens, k), dtype=bool)
+    plan = []
+    for e in range(n_e):
+        rows, slots = np.nonzero(topk == e)
+        dropped[rows[cap:], slots[cap:]] = True
+        plan.append((rows[:cap], slots[:cap], gates[rows[:cap], slots[:cap]]))
+
+    y, dx = np.zeros_like(x), np.zeros_like(x)
+    dgates = np.zeros((t_tokens, k))
+    grads = np.empty_like(layer.params)
+    n_router, size = layer.router.size, layer.experts[0].params.size
+    for i, (ffn, (rows, slots, g)) in enumerate(zip(layer.experts, plan)):
+        expert_grads = grads[n_router + i * size:n_router + (i + 1) * size]
+        if rows.size == 0:
+            expert_grads[...] = 0.0
+            continue
+        out, cache = ffn_forward_cached(ffn, x[:, rows])
+        y[:, rows] += out * g[None, :]
+        dy_rows = dy[:, rows]
+        d_out = dy_rows * g[None, :]
+        dgates[rows, slots] = np.einsum("dt,dt->t", dy_rows, out)
+        views = dict(block_params(ffn, buf=expert_grads))
+        d_pre = ffn.w2.T @ d_out
+        d_pre *= cache.pre > 0.0
+        np.matmul(d_out, cache.act.T, out=views["w2"])
+        np.add.reduce(d_out, axis=1, out=views["b2"])
+        np.matmul(d_pre, cache.x.T, out=views["w1"])
+        np.add.reduce(d_pre, axis=1, out=views["b1"])
+        dx[:, rows] += ffn.w1.T @ d_pre
+
+    vdotg = np.einsum("tk,tk->t", dgates, gates)
+    dsel = (dgates - vdotg[:, None]) / denom[:, None]
+    dprobs = np.zeros_like(probs)
+    np.put_along_axis(dprobs, topk, dsel, axis=1)
+    if dprobs_extra is not None:
+        dprobs = dprobs + dprobs_extra
+    dot = np.einsum("te,te->t", dprobs, probs)
+    dlogits = probs * (dprobs - dot[:, None])
+    np.matmul(dlogits.T, x.T, out=grads[:n_router].reshape(layer.router.shape))
+    dx += layer.router.T @ dlogits.T
+    return y, dx, grads, (topk, gates, dropped)
+
+
+@st.composite
+def dispatch_cases(draw):
+    """A layer, tokens (first row >= 1), output gradient, capacity factor and
+    optional ``dprobs_extra``. Half the draws set the capacity to one slot,
+    so every routed expert keeps exactly one token; a drawn number of
+    experts, at most ``n_experts - k``, get a router weight of -1000 on the
+    first row and are never selected, so they stay empty; any other capacity
+    below the load drops slots."""
+    n_e = draw(st.integers(1, 6), label="n_experts")
+    k = draw(st.integers(1, n_e), label="k")
+    d = draw(st.integers(1, 5), label="d")
+    t = draw(st.integers(1, 24), label="T")
+    cap = draw(st.one_of(st.just(1), st.integers(1, t)), label="capacity")
+    shunned = draw(st.integers(0, n_e - k), label="empty experts")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    router = rng.standard_normal((n_e, d))
+    router[n_e - shunned:, 0] = -1000.0
+    layer = MoeLayer([random_ffn(rng, d, 3) for _ in range(n_e)],
+                     router[rng.permutation(n_e)], k, 1.0)
+    x = rng.standard_normal((d, t))
+    x[0] = np.abs(x[0]) + 1.0
+    if draw(st.booleans(), label="F-ordered x"):
+        x = np.asfortranarray(x)
+    extra = rng.standard_normal((t, n_e)) if draw(st.booleans(), label="dprobs_extra") else None
+    return layer, x, cap * n_e / (t * k), rng.standard_normal((d, t)), extra
+
+
+class TestGroupedDispatchOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(dispatch_cases())
+    def test_matches_per_expert_loop_bit_for_bit(self, case):
+        layer, x, capacity_factor, dy, extra = case
+        y, record, cache = moe_forward_cached(layer, x, capacity_factor)
+        dx, grads = moe_backward(layer, cache, dy, extra)
+        ref_y, ref_dx, ref_grads, (topk, gates, dropped) = reference_moe(
+            layer, x, capacity_factor, dy, extra)
+        assert np.array_equal(record.topk_indices, topk)
+        assert np.array_equal(record.gates, gates)
+        assert np.array_equal(record.dropped, dropped)
+        for got, want in ((y, ref_y), (dx, ref_dx), (grads, ref_grads)):
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_strategy_reaches_every_forced_case(self):
+        def widths(case):
+            layer, x, capacity_factor, _, _ = case
+            return np.diff(moe_forward_cached(layer, x, capacity_factor)[2].plan.offsets)
+
+        for holds in (lambda case: 1 in widths(case), lambda case: 0 in widths(case),
+                      lambda case: moe_forward(*case[:3])[1].dropped.any(),
+                      lambda case: case[0].k == case[0].n_experts > 1,
+                      lambda case: case[4] is not None):
+            find(dispatch_cases(), holds, settings=settings(max_examples=300, database=None))
+
+
+class TestResumeArguments:
+    """``moe_forward_cached``'s ``base`` and ``expert`` come together, and
+    ``expert`` indexes one of the layer's experts."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(40)
+        layer = random_layer(rng, n_experts=3, k=2, capacity_factor=1.0)
+        x = rng.standard_normal((4, 10))
+        return layer, x, moe_forward_cached(layer, x)[2]
+
+    def test_expert_without_base(self, case):
+        layer, x, _ = case
+        with pytest.raises(ValueError, match="both base and expert"):
+            moe_forward_cached(layer, x, expert=0)
+
+    def test_base_without_expert(self, case):
+        layer, x, base = case
+        with pytest.raises(ValueError, match="both base and expert"):
+            moe_forward_cached(layer, x, base=base)
+
+    def test_expert_past_the_last(self, case):
+        layer, x, base = case
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            moe_forward_cached(layer, x, base=base, expert=7)
+
+    def test_negative_expert(self, case):
+        layer, x, base = case
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            moe_forward_cached(layer, x, base=base, expert=-1)

@@ -422,9 +422,8 @@ class TestStopGradient:
             dxi, grads = f(layer, cache, dy, dprobs_extra)
             return np.zeros_like(dxi), grads
 
-        def ffn_backward(ffn, cache, dy, f=train.ffn_backward):
-            dxi, grads = f(ffn, cache, dy)
-            return np.zeros_like(dxi), grads
+        def ffn_backward(ffn, cache, dy, grads, f=train.ffn_backward):
+            return np.zeros_like(f(ffn, cache, dy, grads))
 
         monkeypatch.setattr(train, "moe_backward", moe_backward)
         monkeypatch.setattr(train, "ffn_backward", ffn_backward)
@@ -615,16 +614,21 @@ class TestParameterBuffers:
 
 def _state_bytes(node) -> list:
     """Every array of a forward state (or of any cache within it) as
-    (dtype, shape, bytes), in walk order, with None kept as None: equal lists
-    mean equal states bit for bit."""
-    if node is None:
-        return [None]
+    (dtype, shape, bytes), in walk order, with None and integers kept as
+    they are: equal lists mean equal states bit for bit."""
+    if node is None or isinstance(node, int):
+        return [node]
     if isinstance(node, np.ndarray):
         return [(node.dtype.str, node.shape, node.tobytes())]
     if isinstance(node, (list, tuple)):
         return [part for item in node for part in _state_bytes(item)]
     return [part for field in dataclasses.fields(node)
             for part in _state_bytes(getattr(node, field.name))]
+
+
+def _expert_width(cache, expert: int) -> int:
+    """The number of slots expert ``expert`` kept in an MoE cache."""
+    return int(np.diff(cache.plan.offsets)[expert])
 
 
 def _random_ffn(rng, d, h):
@@ -656,7 +660,7 @@ class TestExpertResume:
         model, x = _resume_model(k)
         base = model_forward(model, x)
         assert all(r.dropped.any() for r in base.records.values())
-        assert base.caches[0].expert_cols[-1].size == 0
+        assert _expert_width(base.caches[0], -1) == 0
         experts = 0
         for (start, expert), name, arr in train._staged_params(model):
             if expert is None:
@@ -681,10 +685,10 @@ class TestExpertResume:
                                                           base.caches[:start + 1]))
                     site, base_site = resumed.caches[start], base.caches[start]
                     assert site.record is base_site.record
-                    assert site.expert_cols is base_site.expert_cols
+                    assert site.plan is base_site.plan
                     assert all(c is b for i, (c, b) in enumerate(
                         zip(site.expert_caches, base_site.expert_caches)) if i != expert)
-                    if base_site.expert_cols[expert].size == 0:
+                    if _expert_width(base_site, expert) == 0:
                         assert _state_bytes(resumed) == _state_bytes(base), name
         assert experts == 2 * 4 * len(FFN_PARAMS)
 
@@ -717,7 +721,7 @@ class TestExpertResumeProperties:
         base = model_forward(model, x)
         assume(all(r.dropped.any() for r in base.records.values()))
         if k < n_e:
-            assert base.caches[0].expert_cols[-1].size == 0
+            assert _expert_width(base.caches[0], -1) == 0
         rng = np.random.default_rng(seed)
         for (start, expert), name, arr in train._staged_params(model):
             if expert is None or not name.endswith(".w1"):
