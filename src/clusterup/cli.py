@@ -3,8 +3,9 @@
 Usage: ``clusterup <command> --config config.yaml [options]``
 
 Commands: train-dense, capture, upcycle, train-moe, analyze, gradcheck,
-compare. Failures from missing inputs, config validation, or non-finite
-losses exit nonzero with a one-line JSON error on stderr.
+compare. Failures from missing or unreadable inputs, unwritable outputs,
+config validation, or non-finite losses exit 2 with a one-line JSON error
+on stderr.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
         print(path)
         return 0
-    except (ClusterUpError, FileNotFoundError) as exc:
+    except (ClusterUpError, OSError) as exc:
         return _fail(exc)
 
 

@@ -14,7 +14,8 @@ output directory:
 * ``compare``       compare.csv
 
 ``compare`` pretrains and captures once per seed for all four methods and
-runs its (seed, method, eesd) cells over the usable CPUs.
+runs its (seed, method, eesd) cells over the usable CPUs; ``workers``
+counts them and forks the processes.
 
 All randomness is derived from the config's root seed through named streams,
 so reruns with identical inputs are byte-identical.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import os
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from .errors import CheckpointError, ClusterUpError, ConfigError, ShapeMismatch
 from .moe import block_from_tensors, block_structure
 from .seeding import derive_seed
 from . import train  # so run_analyze looks up train.model_forward at call time
+from . import workers as _workers  # aliased: ``workers`` is also a parameter here
 from .train import (
     ToyModel,
     grad_check,
@@ -246,7 +247,7 @@ def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
     passes none, which saves ~3% of each step. With ``eesd`` and ``workers
     >= 2``, a forked replica runs the teacher's ensemble alongside the
     student (``run_training``), with the same bits; ``compare``'s cells keep
-    one worker, since ``train._split_map`` already fills the usable CPUs."""
+    one worker, since ``workers.split_map`` already fills the usable CPUs."""
     dataset, _ = _datasets(cfg)
     teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
     run_training(
@@ -390,7 +391,7 @@ def run_train_moe(cfg: PipelineConfig, method: str | None = None, eesd: bool = F
     model = load_model_checkpoint(
         _require_artifact(moe_path(cfg, method), f"upcycle --method {method}"), cfg)
     log: list[dict] = []
-    train_moe(cfg, model, method, eesd, log.append, workers=_usable_cpus())
+    train_moe(cfg, model, method, eesd, log.append, workers=_workers.usable_cpus())
     path = moe_path(cfg, method, trained=True)
     save_model_checkpoint(
         path, model, cfg, _seeds_dict(cfg, method, trained=True),
@@ -435,7 +436,7 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
         dense_model, None, dataset.inputs, dataset.labels,
         lambda_lb=0.0, lambda_eesd=0.0,
         seed=derive_seed(cfg.root_seed, "gradcheck_sample"),
-        samples_per_tensor=25, workers=_usable_cpus(),
+        samples_per_tensor=25, workers=_workers.usable_cpus(),
     )
     moe_model, _, _ = upcycle_model(
         dense_model, "sparse",
@@ -452,7 +453,7 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
         lambda_lb=cfg.train.lambda_lb, lambda_eesd=cfg.train.lambda_eesd,
         capacity_factor=cfg.moe.capacity_train,
         seed=derive_seed(cfg.root_seed, "gradcheck_sample"),
-        samples_per_tensor=25, workers=_usable_cpus(),
+        samples_per_tensor=25, workers=_workers.usable_cpus(),
     )
     path = out_dir(cfg) / "gradcheck.json"
     _write_json(path, {
@@ -465,34 +466,6 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
-
-def _cpu_quota(cgroup: Path) -> int | None:
-    """The CPU quota of the cgroup mounted at ``cgroup`` in whole CPUs,
-    rounded up: v2 ``cpu.max``, else v1 ``cpu.cfs_quota_us`` over
-    ``cpu.cfs_period_us``. None when neither file sets one ("max", -1)."""
-    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
-        try:
-            fields = " ".join((cgroup / name).read_text() for name in names).split()
-        except OSError:
-            continue
-        try:
-            quota, period = map(int, fields)
-        except ValueError:
-            return None
-        return -(-quota // period) if quota > 0 and period > 0 else None
-    return None
-
-
-def _usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
-    """The CPUs this process may run on, capped by its cgroup's CPU quota:
-    the cap on ``compare``'s, ``gradcheck``'s and ``train-moe``'s workers."""
-    if hasattr(os, "sched_getaffinity"):  # Linux only
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota(cgroup)
-    return cpus if quota is None else min(cpus, quota)
-
 
 def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
                   method: str, eesd: bool) -> list[float]:
@@ -509,7 +482,7 @@ def _compare_rows(cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
     is a ``(method, eesd)`` pair. ``seed_state`` pretrains and captures a
     seed the first time it is asked, since upcycling copies the dense model
     and capture only reads it. Every seed is warmed here in order, so the
-    processes of ``train._split_map`` inherit the cache and each seed's model
+    processes of ``workers.split_map`` inherit the cache and each seed's model
     and bank (about 1.1 MiB at the defaults) are held until the cells finish.
     Warming stops at a failing seed; its cells pretrain it again, so its
     error comes in cell order, as in one process."""
@@ -527,9 +500,9 @@ def _compare_rows(cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
         for seed in root_seeds:
             seed_state(seed)
     width = len(COMPARE_COLUMNS) - 2
-    values = train._split_map(
+    values = _workers.split_map(
         lambda i: _compare_cell(*seed_state(items[i][0]), *items[i][1:]),
-        len(items), _usable_cpus(), width)
+        len(items), _workers.usable_cpus(), width)
     return [dict(zip(COMPARE_COLUMNS, [seed, method, *values[k * width:(k + 1) * width]]))
             for k, (seed, method, _) in enumerate(items)]
 

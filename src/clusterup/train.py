@@ -11,15 +11,13 @@ differences.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import mmap
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers as _workers  # aliased: ``workers`` is also a parameter here
 from .analysis import routing_entropy
 from .distill import EmaTeacher, eesd_terms, ema_update, make_teacher, teacher_forward
 from .errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
@@ -369,7 +367,7 @@ def _cross_entropy(
 
 def _teacher_outputs(
     teacher: ModelTeacher | None, state: ForwardState, sites: list[int],
-    replica: _TeacherReplica | None = None,
+    replica: _workers.TeacherReplica | None = None,
 ) -> dict[int, Array] | None:
     """Each site's teacher ensemble output: the one ``replica`` sent, where
     it sent one, else computed here from ``teacher``."""
@@ -455,7 +453,7 @@ def total_loss(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-    replica: _TeacherReplica | None = None,
+    replica: _workers.TeacherReplica | None = None,
 ) -> tuple[LossReport, list[Array], ForwardState, dict[int, SiteTerms]]:
     """Combined objective (see ``_objective``), its gradients as buffers laid
     out like ``param_buffers(model)`` (``named_params(model, grads)`` names
@@ -463,8 +461,9 @@ def total_loss(
     ``SiteTerms``.
 
     Teacher predictions are constants under differentiation. With
-    ``replica``, a ``_TeacherReplica`` of ``teacher``, each site's ensemble
-    starts in the replica as soon as the forward pass reaches the site.
+    ``replica``, a ``workers.TeacherReplica`` of ``teacher``, each site's
+    ensemble starts in the replica as soon as the forward pass reaches the
+    site.
     """
     xm = as_matrix(inputs, "inputs")
     state = model_forward(model, xm, capacity_factor,
@@ -524,146 +523,6 @@ def _decisions(state: ForwardState, start: int = 0, expert: int | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# forked processes
-# ---------------------------------------------------------------------------
-
-def _fork(child) -> int | None:
-    """Run ``child()`` in a forked process and return its pid, or None where
-    ``fork`` fails or is missing (Windows); the package's only fork. The
-    child inherits every input, so nothing is pickled, and leaves only
-    through ``os._exit(0)``, from a ``finally``, so it never unwinds into the
-    caller's stack (under a test runner, say). The caller reaps it."""
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        try:
-            child()
-        finally:
-            os._exit(0)
-    return pid
-
-
-_EMA = 255  # the command byte "the student's params are ready; run the EMA"
-
-
-class _TeacherReplica:
-    """A forked copy of a model and its teacher that computes each MoE
-    site's ``teacher_forward`` while this process runs the rest of the
-    student's forward pass.
-
-    One shared anonymous ``mmap`` holds, for each site ``b``, its input
-    ``x[b]`` and ensemble output ``y[b]`` (d x batch) and a copy of the
-    student block's ``params[b]``. One-byte commands go down one pipe: ``b``
-    ("``x[b]`` is ready; compute ``y[b]``"), answered with the same byte up
-    the other pipe, or ``_EMA``. The child's model and teacher have the
-    caller's bits at the fork, and on ``_EMA`` it copies the student's site
-    params into its model and runs the same ``update_model_teacher`` as the
-    caller does on its own teacher, so its outputs equal ``teacher_forward``
-    on the caller's teacher bit for bit.
-
-    The caller's teacher stays the authoritative copy: a child that raises
-    or dies (its reply pipe at EOF, or ``BrokenPipeError`` on a command) is
-    given up, and only outputs whose reply byte arrived are trusted. The
-    others are computed here, from the caller's teacher, as are those of an
-    input that is not C-contiguous, since the ensemble's bits depend on the
-    layout of its input.
-    """
-
-    def __init__(self, model: ToyModel, teacher: ModelTeacher, batch: int):
-        self.sites = sorted(teacher.sites)
-        d = model.input_dim
-        sizes = [size for b in self.sites
-                 for size in (d * batch, d * batch, model.blocks[b].params.size)]
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
-        parts = iter(np.split(flat, list(itertools.accumulate(sizes))))
-        self.x, self.y, self.params = {}, {}, {}
-        for b in self.sites:
-            self.x[b], self.y[b] = next(parts).reshape(d, batch), next(parts).reshape(d, batch)
-            self.params[b] = next(parts)
-        self.pending: list[int] = []  # sites submitted and not yet received
-        cmd_r, self.cmd = os.pipe()
-        self.reply, reply_w = os.pipe()
-        self.pid = _fork(lambda: self._serve(model, teacher, cmd_r, reply_w))
-        os.close(cmd_r)
-        os.close(reply_w)
-        self.live = self.pid is not None
-
-    def _serve(self, model: ToyModel, teacher: ModelTeacher, cmd: int, reply: int) -> None:
-        """The child: answer commands until the command pipe closes."""
-        os.close(self.cmd)
-        os.close(self.reply)
-        while command := os.read(cmd, 1):
-            if command[0] == _EMA:
-                for b in self.sites:
-                    model.blocks[b].params = self.params[b]
-                update_model_teacher(teacher, model)
-            else:
-                b = command[0]
-                self.y[b][...] = teacher_forward(teacher.sites[b], self.x[b])
-                os.write(reply, command)
-
-    def _send(self, command: int) -> bool:
-        try:
-            os.write(self.cmd, bytes([command]))
-        except BrokenPipeError:
-            self.live = False
-        return self.live
-
-    def submit(self, b: int, x: Array) -> None:
-        """Start site ``b``'s ensemble on its input ``x`` (``model_forward``'s
-        ``on_input``)."""
-        if self.live and x.flags.c_contiguous:
-            self.x[b][...] = x
-            if self._send(b):
-                self.pending.append(b)
-
-    def receive(self) -> dict[int, Array]:
-        """A copy of each submitted site's output whose reply byte arrives."""
-        received = {}
-        for b in self.pending:
-            if os.read(self.reply, 1):
-                received[b] = self.y[b].copy()
-            else:
-                self.live = False
-        self.pending = []
-        return received
-
-    def update(self, model: ToyModel) -> None:
-        """Hand ``model``'s site params to the child's EMA step."""
-        if self.live:
-            for b in self.sites:
-                self.params[b][...] = model.blocks[b].params
-            self._send(_EMA)
-
-    def close(self) -> None:
-        """End the child, if any, and reap it."""
-        os.close(self.cmd)
-        if self.pid is not None:
-            os.waitpid(self.pid, 0)
-        os.close(self.reply)
-
-
-@contextlib.contextmanager
-def _teacher_replica(model: ToyModel, teacher: ModelTeacher | None, batch: int, workers: int):
-    """A ``_TeacherReplica`` of ``model`` and ``teacher`` for the ``with``
-    block, closed on every exit; None without a teacher site or a second
-    worker, where a site's block index does not fit a command byte, or
-    where the fork fails."""
-    if teacher is None or not teacher.sites or workers < 2 or max(teacher.sites) >= _EMA:
-        yield None
-        return
-    replica = _TeacherReplica(model, teacher, batch)
-    try:
-        yield replica if replica.live else None
-    finally:
-        replica.close()
-
-
-# ---------------------------------------------------------------------------
 # SGD
 # ---------------------------------------------------------------------------
 
@@ -677,7 +536,7 @@ def train_step(
     lambda_lb: float = 0.0,
     lambda_eesd: float = 0.0,
     capacity_factor: float | None = None,
-    replica: _TeacherReplica | None = None,
+    replica: _workers.TeacherReplica | None = None,
 ) -> tuple[LossReport, ForwardState]:
     """One plain gradient-descent step on ``model`` followed by the EMA update
     of ``teacher``, both in place and whole-buffer; returns the loss report
@@ -718,16 +577,19 @@ def run_training(
 ) -> list[LossReport]:
     """SGD over randomly drawn batches; one log record per step via log_fn.
 
-    With a teacher and ``workers >= 2``, one forked ``_TeacherReplica``
-    computes each MoE site's teacher ensemble while this process runs the
-    rest of the student's forward pass. ``teacher`` is still updated here,
-    in place, every step, and the reports, ``model`` and ``teacher`` have
-    the same bits as with one worker."""
+    With a teacher and ``workers >= 2``, one forked replica
+    (``workers.teacher_replica``) computes each MoE site's teacher ensemble
+    while this process runs the rest of the student's forward pass. The
+    replica runs ``teacher_forward`` and ``update_model_teacher`` as this
+    module holds them when the run starts. ``teacher`` is still updated
+    here, in place, every step, and the reports, ``model`` and ``teacher``
+    have the same bits as with one worker."""
     rng = np.random.default_rng(seed)
     n = dataset.n
     batch = min(batch_size, n)
     reports = []
-    with _teacher_replica(model, teacher, batch, workers) as replica:
+    with _workers.teacher_replica(model, teacher, batch, workers,
+                                  teacher_forward, update_model_teacher) as replica:
         for step in range(steps):
             idx = rng.choice(n, size=batch, replace=False)
             report, state = train_step(
@@ -762,56 +624,6 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # finite-difference verification
 # ---------------------------------------------------------------------------
-
-def _split_map(evaluate, n: int, workers: int, width: int = 1) -> list[float]:
-    """``[*evaluate(0), ..., *evaluate(n - 1)]`` for ``n >= 1`` items of
-    ``width`` floats, over ``min(workers, n)`` processes: this one runs
-    share 0, and one child per other share, forked (``_fork``) after the
-    caller's set-up. Item ``i`` goes to share ``i % 2w`` folded at ``w``
-    (w = 2: 0, 1, 1, 0, 0, ...), so alternating cheap and costly items are
-    not split by kind. Results are float64 in a shared anonymous ``mmap``
-    and keep every bit, and each item sets its done byte there after its
-    columns.
-
-    One rule covers every failure (a failed fork, a child that raises or
-    dies, this process's share raising ``Exception``): once every child is
-    reaped, the items no process marked done are rerun here in index order,
-    so a failing item raises the error a one-process run raises first. The
-    item this process's share failed at is not evaluated again: its error is
-    raised when the rerun reaches it. Without ``fork`` (Windows), or with one
-    worker, every share runs here through the same code."""
-    workers = min(workers, n)
-    lanes = [*range(workers), *reversed(range(workers))]
-    shares = [[i for i in range(n) if lanes[i % len(lanes)] == w] for w in range(workers)]
-    # Flat memoryviews, not numpy views: a view left alive by a raising item
-    # would make closing the mmap raise BufferError over that error.
-    with (mmap.mmap(-1, (8 * width + 1) * n) as buf, memoryview(buf) as view,
-          view[:-n].cast("d") as out, view[-n:] as done):
-        def run(indices) -> None:
-            for i in indices:
-                for j, value in enumerate(evaluate(i)):
-                    out[i * width + j] = value
-                done[i] = 1
-
-        children, failed = [], None  # failed: (index, error) of this process's share
-        try:
-            for share in shares[1:]:
-                pid = _fork(lambda share=share: run(share))
-                if pid is not None:
-                    children.append(pid)
-            try:
-                run(shares[0])
-            except Exception as exc:
-                failed = next(i for i in shares[0] if not done[i]), exc
-        finally:
-            for pid in children:
-                os.waitpid(pid, 0)
-        for i in [i for i in range(n) if not done[i]]:
-            if failed is not None and i == failed[0]:
-                raise failed[1]
-            run([i])
-        return out.tolist()
-
 
 def grad_check(
     model: ToyModel,
@@ -854,9 +666,9 @@ def grad_check(
 
     The whole sample list is drawn first, student tensors in
     ``_staged_params`` order and then the teacher's. After the base pass
-    ``_split_map`` evaluates each sample, over ``workers`` processes, to one
-    float64: a relative error or teacher quotient, or -1.0 for a skipped
-    sample, since no real value is negative. They are folded here in sample
+    ``workers.split_map`` evaluates each sample, over ``workers`` processes,
+    to one float64: a relative error or teacher quotient, or -1.0 for a
+    skipped sample, since no real value is negative. They are folded here in sample
     order, so the result does not depend on ``workers``.
     """
     if not 1e-6 <= epsilon <= 1e-3:
@@ -917,7 +729,7 @@ def grad_check(
         analytic = float(named_grads[name].flat[flat_idx])
         return abs(analytic - numeric) / max(1.0, abs(numeric))
 
-    values = _split_map(lambda i: [sample_value(i)], len(samples), workers)
+    values = _workers.split_map(lambda i: [sample_value(i)], len(samples), workers)
     per_tensor = {name: 0.0 for name, _, _ in tensors if name is not None}
     teacher_max_quotient = None if teacher is None else 0.0
     checked = skipped = 0

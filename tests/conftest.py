@@ -6,8 +6,9 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail any test that leaves a child process, running or unreaped: the
-    package forks through ``train._fork``, in ``train._split_map`` and for
-    ``run_training``'s teacher replica, and both must reap every child.
+    package forks through ``workers.fork``, in ``workers.split_map`` and for
+    ``run_training``'s teacher replica (``workers.teacher_replica``), and
+    both must reap every child.
     Every exited child is reaped here, so the next test starts clean."""
     yield
     if not hasattr(os, "fork"):

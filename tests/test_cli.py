@@ -16,6 +16,7 @@ from clusterup.cli import main
 from clusterup.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible
 from clusterup import pipeline, train, upcycle
+import clusterup.workers
 from clusterup.pipeline import (
     _compare_rows,
     compare_row,
@@ -303,6 +304,24 @@ class TestErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("case", ["out_dir_is_a_file", "config_is_a_directory",
+                                      "checkpoint_is_a_directory"])
+    def test_os_error_reports_json(self, workspace, tmp_path, capsys, case):
+        # Any OSError on a named path, not only a missing file, exits 2 with
+        # one JSON line.
+        cfg_path, _ = workspace
+        argv, error = {
+            "out_dir_is_a_file": (("--out-dir", cfg_path, "train-dense"), "FileExistsError"),
+            "config_is_a_directory": (("train-dense",), "IsADirectoryError"),
+            "checkpoint_is_a_directory": (("analyze", "--checkpoint", tmp_path),
+                                          "IsADirectoryError"),
+        }[case]
+        config = tmp_path if case == "config_is_a_directory" else cfg_path
+        assert run("--config", config, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
 
     def test_non_finite_loss_reports_json(self, tmp_path, capsys, recwarn):
         out = tmp_path / "runs"
@@ -611,10 +630,10 @@ class TestErrors:
 
 class TestCompareWorkers:
     """``compare`` runs its cells over one process per usable CPU through
-    ``train._split_map``'s fork map; there is no process pool."""
+    ``workers.split_map``'s fork map; there is no process pool."""
 
     def _compare_bytes(self, cfg_path, out, monkeypatch, workers, *flags):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda: workers)
         target = out / f"workers{workers}"
         assert run("--config", cfg_path, "--out-dir", target,
                    "compare", "--seeds", "2", *flags) == 0
@@ -647,7 +666,7 @@ class TestCompareWorkers:
         self._diverge(monkeypatch, lambda cfg, method: method == "drop_svd")
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda n=workers: n)
             assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
             errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
         assert errors[0] == errors[1] == {
@@ -689,7 +708,7 @@ class TestCompareWorkers:
                 raise SeparationInfeasible("seed 4: pretraining failed")
             return pretrain(cfg, log_fn)
 
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "train_dense", pretrain_fails_at_4)
         assert run("--config", cfg_path, "compare", "--seeds", "2") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -701,8 +720,9 @@ class TestCompareWorkers:
         cfg_path, out = workspace
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(pipeline, "_cpu_quota", lambda cgroup: None)  # any host's quota
-        assert pipeline._usable_cpus() == 2
+        # Ignore the host's CPU quota.
+        monkeypatch.setattr(clusterup.workers, "cpu_quota", lambda cgroup: None)
+        assert clusterup.workers.usable_cpus() == 2
         monkeypatch.delattr(os, "fork")
         train_moe, pids = pipeline.train_moe, []
 
@@ -723,7 +743,7 @@ class TestGradcheckWorkers:
         cfg_path, out = workspace
         written = []
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda n=workers: n)
             target = out / f"workers{workers}"
             assert run("--config", cfg_path, "--out-dir", target, "gradcheck") == 0
             written.append((target / "gradcheck.json").read_bytes())
@@ -737,7 +757,7 @@ class TestGradcheckWorkers:
             forks.append(os.getpid())
             raise OSError("fork called")
 
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda: 1)
         monkeypatch.setattr(os, "fork", fork)
         assert run("--config", cfg_path, "gradcheck") == 0
         assert forks == []
@@ -758,7 +778,7 @@ class TestGradcheckWorkers:
         monkeypatch.setattr(train, "model_forward", diverge)
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=workers: n)
+            monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda n=workers: n)
             assert run("--config", cfg_path, "gradcheck") == 2
             errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
         assert errors[0] == errors[1] == {
@@ -774,7 +794,7 @@ class TestTrainMoeWorkers:
 
     @staticmethod
     def _train_moe(cfg_path, monkeypatch, workers, fork):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda: workers)
         monkeypatch.setattr(os, "fork", fork)
         assert run("--config", cfg_path, "train-moe", "--method", "cluster", "--eesd") == 0
 
@@ -830,7 +850,7 @@ def test_usable_cpus_capped_by_cgroup_quota(tmp_path, monkeypatch, files, expect
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
-    assert pipeline._usable_cpus(tmp_path) == expected
+    assert clusterup.workers.usable_cpus(tmp_path) == expected
 
 
 def _json_paths(node, path=()):

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from clusterup import train
+import clusterup.workers
 from clusterup.config import INIT_METHODS, config_from_dict
 from clusterup.moe import FFN_PARAMS, DenseFfn, MoeLayer, block_params
 from clusterup.pipeline import load_model_checkpoint, save_model_checkpoint
@@ -952,7 +953,7 @@ class TestGradCheckWorkers:
         # own share and then only the child's unfinished samples.
         args, kwargs = self._case("dense")
         expected = grad_check(*args, workers=1, **kwargs)
-        parent, split_map, sizes, evaluated = os.getpid(), train._split_map, [], []
+        parent, split_map, sizes, evaluated = os.getpid(), clusterup.workers.split_map, [], []
 
         def split_map_with_dying_child(evaluate, n, workers, width=1):
             finished = []
@@ -969,7 +970,7 @@ class TestGradCheckWorkers:
             sizes.append(n)
             return split_map(recorded, n, workers, width)
 
-        monkeypatch.setattr(train, "_split_map", split_map_with_dying_child)
+        monkeypatch.setattr(clusterup.workers, "split_map", split_map_with_dying_child)
         assert grad_check(*args, workers=2, **kwargs) == expected
         shares = [[i for i in range(sizes[0]) if (i % 4 in (1, 2)) == child]
                   for child in (False, True)]
@@ -1035,7 +1036,7 @@ class TestSplitMap:
             return [float(i)]
 
         with pytest.raises(ValueError, match="^item 3 failed$"):
-            train._split_map(evaluate, 6, workers)
+            clusterup.workers.split_map(evaluate, 6, workers)
         assert evaluated == ([0, 1, 2, 3] if workers == 1 else [0, 3])
 
 
@@ -1138,7 +1139,8 @@ class TestTeacherReplica:
         # Once the replica has exited, a command meets BrokenPipeError: the
         # site is not submitted, and nothing more is sent to the replica.
         model, teacher, _ = self._case()
-        with train._teacher_replica(model, teacher, 16, 2) as replica:
+        with clusterup.workers.teacher_replica(model, teacher, 16, 2, train.teacher_forward,
+                                               train.update_model_teacher) as replica:
             os.kill(replica.pid, signal.SIGKILL)
             assert os.read(replica.reply, 1) == b""  # its end of the pipes is closed
             replica.submit(1, np.zeros((6, 16)))
