@@ -88,9 +88,17 @@ def routing_entropy(probs) -> float:
     sums = p.sum(axis=1)
     if float(np.abs(sums - 1.0).max()) > 1e-6:
         raise ValueError("probability rows must sum to 1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
-    return float(-terms.sum(axis=1).mean())
+    return _routing_entropy(p)
+
+
+def _routing_entropy(p: Array) -> float:
+    """``routing_entropy`` of a float64 (T x n) matrix of finite,
+    non-negative probability rows, unchecked (a zero entry adds 0.0)."""
+    terms = np.zeros_like(p)
+    np.log(p, out=terms, where=p > 0)
+    terms *= p
+    rows = np.add.reduce(terms, axis=1)
+    return float(-(np.add.reduce(rows) / rows.size))
 
 
 @dataclass

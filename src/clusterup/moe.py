@@ -115,16 +115,21 @@ class MoeLayer:
             raise ValueError(f"capacity_factor must be finite and > 0, got {capacity_factor}")
         self.k, self.capacity_factor = k, capacity_factor
         self.n_experts, self.d, self.h = n_e, d, h
-        size = experts[0].params.size
-        buf = np.empty(n_e * (d + size))
-        self.__dict__.update(router=buf[:n_e * d].reshape(n_e, d), params=buf)
+        self.experts = tuple(DenseFfn.__new__(DenseFfn) for _ in experts)
+        self._view(np.empty(n_e * (d + experts[0].params.size)))
         self.router = router
-        self.experts = tuple(
-            DenseFfn.__new__(DenseFfn)._view(buf[start:start + size], h, d)
-            for start in range(n_e * d, buf.size, size)
-        )
         for mine, given in zip(self.experts, experts):
             mine.params = given.params
+
+    def _view(self, buf: Array) -> "MoeLayer":
+        """Make ``buf`` this layer's buffer, without copying: the router and
+        each expert (the same objects) become views of it."""
+        n_e, d = self.n_experts, self.d
+        size = buf.size // n_e - d
+        self.__dict__.update(router=buf[:n_e * d].reshape(n_e, d), params=buf)
+        for start, expert in zip(range(n_e * d, buf.size, size), self.experts):
+            expert._view(buf[start:start + size], self.h, d)
+        return self
 
     def copy(self) -> "MoeLayer":
         return MoeLayer(self.experts, self.router, self.k, self.capacity_factor)
@@ -225,20 +230,27 @@ class DispatchPlan:
     offsets: list[int]   # n_experts + 1 column offsets
     columns: np.ndarray  # (T, k) int
 
-    def gated(self, outputs: Array) -> Array:
-        """``outputs`` (d x n_kept) times their gates, then a zero column."""
-        gated = np.zeros((outputs.shape[0], self.offsets[-1] + 1))
-        np.multiply(outputs, self.gates[None, :], out=gated[:, :-1])
-        return gated
+    def gated(self, outputs: Array, columns: np.ndarray | None = None) -> Array:
+        """``outputs`` (d x n_kept) times their gates, gathered at
+        ``columns`` (m x k; by default ``self.columns``) into k ranks of
+        d x m, rank r from column r of ``columns``. Padding gives +0.0 (it
+        is clipped to a kept column, then masked)."""
+        columns = self.columns if columns is None else columns
+        block = np.zeros((outputs.shape[0], *columns.shape))
+        if self.offsets[-1]:
+            np.multiply(outputs.take(columns, axis=1, mode="clip"),
+                        self.gates.take(columns, mode="clip"),
+                        out=block, where=columns < self.offsets[-1])
+        return block.transpose(2, 0, 1)
 
 
-def _add_ranks(acc: Array, cols: Array, columns: np.ndarray) -> Array:
-    """Add to ``acc`` (d x m), in place and one rank at a time, the columns
-    of ``cols`` that row i of ``columns`` (m x k) names for column i. Padding
-    names the zero last column of ``cols``: a sum begun at +0.0 is never
-    -0.0, so adding +0.0 keeps its bits."""
-    for col in columns.T:
-        acc += cols[:, col]
+def _add_ranks(acc: Array, ranks) -> Array:
+    """Add to ``acc`` (d x m), in place and in order, each d x m array of
+    ``ranks``, so each column sums its terms in rank order. Padding is
+    +0.0: a sum begun at +0.0 is never -0.0, so adding +0.0 keeps its
+    bits."""
+    for rank in ranks:
+        acc += rank
     return acc
 
 
@@ -336,9 +348,9 @@ def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int)
 
 def _route(layer: MoeLayer, x: Array, capacity_factor: float):
     """The routing record, the gate denominators and the ``DispatchPlan``,
-    all from one stable sort of the flat expert ids: the kept part of its
-    permutation, each expert's offsets into it, and its inverse, sorted per
-    token, as the per-rank scatter passes."""
+    all from one stable sort of the flat expert ids, whose kept part is the
+    plan's permutation, and one stable sort of the tokens of every slot,
+    kept slots first, as the per-rank scatter passes."""
     t_tokens = x.shape[1]
     n_e, k = layer.n_experts, layer.k
     probs = router_probs(layer.router, x)
@@ -351,21 +363,28 @@ def _route(layer: MoeLayer, x: Array, capacity_factor: float):
     # Capacity fills in token order, then slot order within a token: the
     # row-major ravel of the (T, k) index matrix. A stable sort groups the
     # slots by expert and keeps that order within each group, so a slot is
-    # kept when it is among its expert's first ``cap``. The ids are sorted in
-    # the smallest integer type that holds them, which numpy sorts by radix.
+    # kept when it is among its expert's first ``cap``. Small integers (the
+    # ids, the tokens) are sorted in the smallest type that holds them,
+    # which numpy sorts by radix.
     flat = topk.ravel()
     order = np.argsort(flat.astype(np.min_scalar_type(n_e)), kind="stable")
     counts = np.bincount(flat, minlength=n_e)
-    kept = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts) < cap
-    perm = order[kept]
-    # The inverse permutation, each token's columns sorted: an expert's
-    # columns all precede the next expert's, so a token's kept slots come in
-    # expert order, the dropped ones (padded with ``perm.size``) last.
-    columns = np.full(flat.size, perm.size)
-    columns[perm] = np.arange(perm.size)
-    dropped = columns == perm.size
-    columns = np.sort(columns.reshape(t_tokens, k), axis=1)
     offsets = [0, *itertools.accumulate(np.minimum(counts, cap).tolist())]
+    n_kept = offsets[-1]
+    if n_kept < flat.size:  # move each expert's slots past its first cap last
+        lost, sizes = np.zeros(flat.size, dtype=bool), counts.tolist()
+        for end, count in zip(itertools.accumulate(sizes), sizes):
+            if count > cap:
+                lost[end - count + cap:end] = True
+        order = order[np.argsort(lost, kind="stable")]
+    tokens, slots = np.divmod(order, k)
+    # Each token's slots in plan order: its kept columns, which come in
+    # expert order, then its dropped slots, padded with ``n_kept``.
+    columns = np.argsort(tokens.astype(np.min_scalar_type(t_tokens - 1)), kind="stable")
+    np.minimum(columns, n_kept, out=columns)
+    dropped = np.zeros(flat.size, dtype=bool)
+    dropped[order[n_kept:]] = True
+    perm = order[:n_kept]
 
     record = RoutingRecord(
         probs=probs,
@@ -375,7 +394,8 @@ def _route(layer: MoeLayer, x: Array, capacity_factor: float):
         per_expert_fraction=counts.astype(np.float64) / (t_tokens * k),
         per_expert_mean_prob=probs.mean(axis=0),
     )
-    return record, denom, DispatchPlan(*np.divmod(perm, k), gates.ravel()[perm], offsets, columns)
+    return record, denom, DispatchPlan(tokens[:n_kept], slots[:n_kept], gates.ravel()[perm],
+                                       offsets, columns.reshape(t_tokens, k))
 
 
 def moe_forward_cached(
@@ -389,17 +409,18 @@ def moe_forward_cached(
     """``moe_forward`` keeping the intermediates ``moe_backward`` needs.
 
     A routed pass runs each expert on its column slice of one gather of
-    ``x``, gates all outputs at once and adds them up in k passes, one per
-    rank (``_add_ranks``), so each token sums its slots in expert order.
+    ``x``, gathers every token's slots from the outputs and gates them at
+    once (``DispatchPlan.gated``), and adds them up in k passes, one per rank
+    (``_add_ranks``), so each token sums its slots in expert order.
 
     With ``base``, a cache of this layer on the same ``x`` from before only
     expert ``expert``'s tensors changed, the routing record, the gate
     denominators, the dispatch plan and the other experts' caches and outputs
     are ``base``'s, and only expert ``expert`` runs. ``y`` is a copy of
     ``base.y`` whose columns of that expert's tokens are summed again the
-    same way, so it equals a full pass bit for bit. ``base`` and ``expert``
-    come together, and ``expert`` must index one of the layer's experts
-    (``ValueError`` otherwise).
+    same way, from the slots of those tokens alone, so it equals a full pass
+    bit for bit. ``base`` and ``expert`` come together, and ``expert`` must
+    index one of the layer's experts (``ValueError`` otherwise).
     """
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != layer.d:
@@ -415,8 +436,8 @@ def moe_forward_cached(
             outputs, rows = outputs.copy(), plan.rows[lo:hi]
             outputs[:, lo:hi], caches[expert] = ffn_forward_cached(
                 layer.experts[expert], caches[expert].x)
-            y[:, rows] = _add_ranks(np.zeros((layer.d, hi - lo)), plan.gated(outputs),
-                                    plan.columns[rows])
+            y[:, rows] = _add_ranks(np.zeros((layer.d, hi - lo)),
+                                    plan.gated(outputs, plan.columns[rows]))
         return y, base.record, MoeForwardCache(
             xm, base.record, base.denom, plan, caches, outputs, y)
 
@@ -428,7 +449,7 @@ def moe_forward_cached(
     for i, (lo, hi) in enumerate(zip(plan.offsets, plan.offsets[1:])):
         if hi > lo:
             outputs[:, lo:hi], caches[i] = ffn_forward_cached(layer.experts[i], gathered[:, lo:hi])
-    y = _add_ranks(np.zeros_like(xm), plan.gated(outputs), plan.columns)
+    y = _add_ranks(np.zeros_like(xm), plan.gated(outputs))
     return y, record, MoeForwardCache(xm, record, denom, plan, caches, outputs, y)
 
 
@@ -479,7 +500,7 @@ def moe_backward(
                                   np.ascontiguousarray(cache.outputs[:, lo:hi]))[0]
         dx_gathered[:, lo:hi] = ffn_backward(
             layer.experts[i], cache.expert_caches[i], d_out[:, lo:hi], expert_views)
-    dx = _add_ranks(np.zeros_like(cache.x), dx_gathered, plan.columns)
+    dx = _add_ranks(np.zeros_like(cache.x), (dx_gathered[:, col] for col in plan.columns.T))
     dgates = np.zeros_like(record.gates)
     dgates[plan.rows, plan.slots] = dgate
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers as _workers  # aliased: ``workers`` is also a parameter here
-from .analysis import routing_entropy
+from .analysis import _routing_entropy
 from .distill import EmaTeacher, eesd_terms, ema_update, make_teacher, teacher_forward
 from .errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from .linalg import Array, as_matrix
@@ -370,10 +370,13 @@ def _teacher_outputs(
     replica: _workers.TeacherReplica | None = None,
 ) -> dict[int, Array] | None:
     """Each site's teacher ensemble output: the one ``replica`` sent, where
-    it sent one, else computed here from ``teacher``."""
+    it sent one, else computed here from ``teacher``, brought up to date
+    first (``replica.sync``)."""
     if teacher is None:
         return None
     received = {} if replica is None else replica.receive()
+    if replica is not None and len(received) < len(sites):
+        replica.sync()
     return {
         b: received[b] if b in received else teacher_forward(teacher.sites[b], state.caches[b].x)
         for b in sites
@@ -540,8 +543,9 @@ def train_step(
 ) -> tuple[LossReport, ForwardState]:
     """One plain gradient-descent step on ``model`` followed by the EMA update
     of ``teacher``, both in place and whole-buffer; returns the loss report
-    and forward state. With ``replica`` (see ``total_loss``), the student's
-    site params go to the replica for its own EMA step before ``teacher``'s."""
+    and forward state. With a live ``replica`` (see ``total_loss``), the
+    replica runs the EMA step instead, and ``teacher`` is brought up to date
+    only where it is read (``TeacherReplica.sync``)."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     report, grads, state, _ = total_loss(
@@ -553,9 +557,7 @@ def train_step(
         raise NonFiniteLoss(f"non-finite loss at report {report}", report=report)
     for arr, grad in zip(param_buffers(model), grads):
         arr -= lr * grad
-    if teacher is not None:
-        if replica is not None:
-            replica.update(model)
+    if teacher is not None and (replica is None or not replica.update()):
         update_model_teacher(teacher, model)
     return report, state
 
@@ -578,12 +580,14 @@ def run_training(
     """SGD over randomly drawn batches; one log record per step via log_fn.
 
     With a teacher and ``workers >= 2``, one forked replica
-    (``workers.teacher_replica``) computes each MoE site's teacher ensemble
-    while this process runs the rest of the student's forward pass. The
-    replica runs ``teacher_forward`` and ``update_model_teacher`` as this
-    module holds them when the run starts. ``teacher`` is still updated
-    here, in place, every step, and the reports, ``model`` and ``teacher``
-    have the same bits as with one worker."""
+    (``workers.teacher_replica``) owns the teacher's EMA and computes each
+    MoE site's teacher ensemble while this process runs the rest of the
+    student's forward pass. The replica runs ``teacher_forward`` and
+    ``update_model_teacher`` as this module holds them when the run starts.
+    ``teacher`` is brought up to date in place where this process reads it,
+    and holds its final bits when the run returns or raises; the reports,
+    the log, ``model`` and ``teacher`` have the same bits as with one
+    worker."""
     rng = np.random.default_rng(seed)
     n = dataset.n
     batch = min(batch_size, n)
@@ -599,14 +603,14 @@ def run_training(
             )
             reports.append(report)
             if log_fn is not None:
-                record = {"step": step}
-                record.update(vars(report))
-                entropies = [routing_entropy(r.probs) for r in state.records.values()]
-                record["routing_entropy"] = float(np.mean(entropies)) if entropies else 0.0
-                record["drop_rate"] = {
-                    str(b): float(r.dropped.mean()) for b, r in state.records.items()
-                }
-                log_fn(record)
+                records = state.records
+                entropies = [_routing_entropy(r.probs) for r in records.values()]
+                log_fn({
+                    "step": step, **vars(report),
+                    "routing_entropy": float(np.mean(entropies)) if entropies else 0.0,
+                    "drop_rate": {str(b): np.count_nonzero(r.dropped) / r.dropped.size
+                                  for b, r in records.items()},
+                })
     return reports
 
 

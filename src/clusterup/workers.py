@@ -2,9 +2,10 @@
 
 ``fork`` is the package's only fork. ``split_map`` maps a function over
 items on forked children (``grad_check``'s samples, ``compare``'s cells),
-``teacher_replica`` runs an EMA teacher's ensemble in one forked child
-(``run_training``), and ``usable_cpus`` caps the worker count. Any failure
-falls back to this process, with the bits of a one-process run.
+``teacher_replica`` runs an EMA teacher, its EMA steps and its ensembles,
+in one forked child (``run_training``), and ``usable_cpus`` caps the worker
+count. Any failure falls back to this process, with the bits of a
+one-process run.
 
 This module imports no other ``clusterup`` module: callers pass in the
 functions a child runs, and look these names up through the module, so one
@@ -97,68 +98,112 @@ EMA = 255  # the command byte "the student's params are ready; run the EMA"
 
 class TeacherReplica:
     """A forked copy of a model and its teacher (a ``train.ToyModel`` and
-    its ``train.ModelTeacher``) that computes each MoE site's ensemble,
-    ``forward(teacher.sites[b], x)``, while this process runs the rest of
-    the student's forward pass.
+    its ``train.ModelTeacher``) that owns the teacher's EMA and computes each
+    MoE site's ensemble, ``forward(teacher.sites[b], x)``, while this process
+    runs the rest of the student's forward pass.
 
     One shared anonymous ``mmap`` holds, for each site ``b``, its input
-    ``x[b]`` and ensemble output ``y[b]`` (d x batch) and a copy of the
-    student block's ``params[b]``. One-byte commands go down one pipe: ``b``
-    ("``x[b]`` is ready; compute ``y[b]``"), answered with the same byte up
-    the other pipe, or ``EMA``. The child's model and teacher have the
-    caller's bits at the fork, and on ``EMA`` it copies the student's site
-    params into its model and runs the same ``update_teacher(teacher,
-    model)`` as the caller does on its own teacher, so its outputs equal
-    ``forward`` on the caller's teacher bit for bit.
+    ``x[b]`` and ensemble output ``y[b]`` (d x batch), the student block's
+    buffer ``params[b]``, and two publication slots ``slots[0][b]`` and
+    ``slots[1][b]``. For the replica's lifetime ``model.blocks[b]`` is a view
+    of ``params[b]`` (``MoeLayer._view``), so this process's SGD writes it in
+    place and the child's EMA reads it there. One-byte commands go down one
+    pipe, each answered with the same byte up the other: ``b`` ("``x[b]`` is
+    ready; compute ``y[b]``"), or ``EMA``, on which the child runs
+    ``update_teacher(teacher, model)``, the same step this process would run
+    on its own teacher, and copies its teacher into slot ``s % 2`` (EMA step
+    ``s``) before it answers. Its outputs equal ``forward`` on a one-process
+    teacher bit for bit.
 
-    The caller's teacher stays the authoritative copy: a child that raises
-    or dies (its reply pipe at EOF, or ``BrokenPipeError`` on a command) is
-    given up, and only outputs whose reply byte arrived are trusted. The
-    others are computed here, from the caller's teacher, as are those of an
-    input that is not C-contiguous, since the ensemble's bits depend on the
-    layout of its input.
+    This process's ``teacher`` is brought up to date only where it is read
+    (``sync``). Every EMA reply ("ack") is read before the next SGD step
+    writes the student's buffers, so a child that raises or dies (its reply
+    pipe at EOF, or ``BrokenPipeError`` on a command) loses at most the one
+    EMA step it did not ack: ``sync`` copies the last published slot and
+    replays that step on the student's buffers, which still hold what the
+    child read. The child is then given up, and only outputs whose reply
+    byte arrived are trusted. The others are computed here, as are those of
+    an input that is not C-contiguous, since the ensemble's bits depend on
+    the layout of its input. ``close`` gives the student its private
+    buffers back, so no later fork can write them.
     """
 
     def __init__(self, model, teacher, batch: int, forward, update_teacher):
+        self.model, self.teacher = model, teacher
+        self.forward, self.update_teacher = forward, update_teacher
         self.sites = sorted(teacher.sites)
         d = model.input_dim
         sizes = [size for b in self.sites
-                 for size in (d * batch, d * batch, model.blocks[b].params.size)]
+                 for size in (d * batch, d * batch, *[model.blocks[b].params.size] * 3)]
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
         parts = iter(np.split(flat, list(itertools.accumulate(sizes))))
-        self.x, self.y, self.params = {}, {}, {}
+        self.x, self.y, self.params, self.slots = {}, {}, {}, ({}, {})
         for b in self.sites:
             self.x[b], self.y[b] = next(parts).reshape(d, batch), next(parts).reshape(d, batch)
-            self.params[b] = next(parts)
+            self.params[b], self.slots[0][b], self.slots[1][b] = itertools.islice(parts, 3)
         self.pending: list[int] = []  # sites submitted and not yet received
+        self.sent = self.acked = self.synced = 0  # EMA steps sent, acked, in ``teacher``
         cmd_r, self.cmd = os.pipe()
         self.reply, reply_w = os.pipe()
-        self.pid = fork(lambda: self._serve(model, teacher, forward, update_teacher,
-                                            cmd_r, reply_w))
+        for b in self.sites:  # last, after what can raise: ``close`` gives them back
+            self.params[b][...] = model.blocks[b].params
+            model.blocks[b]._view(self.params[b])
+        self.pid = fork(lambda: self._serve(cmd_r, reply_w))
         os.close(cmd_r)
         os.close(reply_w)
         self.live = self.pid is not None
 
-    def _serve(self, model, teacher, forward, update_teacher, cmd: int, reply: int) -> None:
+    def _serve(self, cmd: int, reply: int) -> None:
         """The child: answer commands until the command pipe closes."""
         os.close(self.cmd)
         os.close(self.reply)
+        step = 0
         while command := os.read(cmd, 1):
             if command[0] == EMA:
-                for b in self.sites:
-                    model.blocks[b].params = self.params[b]
-                update_teacher(teacher, model)
+                self.update_teacher(self.teacher, self.model)
+                self._publish(step)
+                step += 1
             else:
                 b = command[0]
-                self.y[b][...] = forward(teacher.sites[b], self.x[b])
-                os.write(reply, command)
+                self.y[b][...] = self.forward(self.teacher.sites[b], self.x[b])
+            os.write(reply, command)
+
+    def _publish(self, step: int) -> None:
+        """The child: copy its teacher after EMA step ``step`` into slot
+        ``step % 2``."""
+        for b in self.sites:
+            self.slots[step % 2][b][...] = self.teacher.sites[b].mirror.params
 
     def _send(self, command: int) -> bool:
         try:
             os.write(self.cmd, bytes([command]))
         except BrokenPipeError:
             self.live = False
+            self.sync()
         return self.live
+
+    def _read_ack(self) -> None:
+        """Read the ack of the last EMA step sent, if it is still unread."""
+        if self.acked < self.sent:
+            if os.read(self.reply, 1):
+                self.acked += 1
+            else:
+                self.live = False
+
+    def sync(self) -> None:
+        """Bring ``teacher`` up to the last EMA step sent: copy the last
+        published slot into it and, where the child died before it acked
+        that step, replay it here."""
+        if self.synced == self.sent:
+            return
+        self._read_ack()
+        if self.synced < self.acked:
+            for b in self.sites:
+                self.teacher.sites[b].mirror.params = self.slots[(self.acked - 1) % 2][b]
+            self.synced = self.acked
+        if self.synced < self.sent:
+            self.update_teacher(self.teacher, self.model)
+            self.synced = self.sent
 
     def submit(self, b: int, x: np.ndarray) -> None:
         """Start site ``b``'s ensemble on its input ``x`` (``model_forward``'s
@@ -169,7 +214,10 @@ class TeacherReplica:
                 self.pending.append(b)
 
     def receive(self) -> dict[int, np.ndarray]:
-        """A copy of each submitted site's output whose reply byte arrives."""
+        """Read the last EMA step's ack, then return a copy of each submitted
+        site's output whose reply byte arrives. Called before every SGD step;
+        where the child has died, ``teacher`` is brought up to date first."""
+        self._read_ack()
         received = {}
         for b in self.pending:
             if os.read(self.reply, 1):
@@ -177,21 +225,30 @@ class TeacherReplica:
             else:
                 self.live = False
         self.pending = []
+        if not self.live:
+            self.sync()
         return received
 
-    def update(self, model) -> None:
-        """Hand ``model``'s site params to the child's EMA step."""
-        if self.live:
-            for b in self.sites:
-                self.params[b][...] = model.blocks[b].params
-            self._send(EMA)
+    def update(self) -> bool:
+        """Whether the child takes the EMA step on the student's buffers as
+        they now stand; else the caller runs it on ``teacher``, which is up
+        to date."""
+        if self.live and self._send(EMA):
+            self.sent += 1
+        return self.live
 
     def close(self) -> None:
-        """End the child, if any, and reap it."""
-        os.close(self.cmd)
-        if self.pid is not None:
-            os.waitpid(self.pid, 0)
-        os.close(self.reply)
+        """Bring ``teacher`` up to date, end the child, if any, and reap it,
+        and give each student site a private copy of its buffer."""
+        try:
+            self.sync()
+        finally:
+            os.close(self.cmd)
+            if self.pid is not None:
+                os.waitpid(self.pid, 0)
+            os.close(self.reply)
+            for b in self.sites:
+                self.model.blocks[b]._view(self.params[b].copy())
 
 
 @contextlib.contextmanager

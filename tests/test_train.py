@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from clusterup.analysis import routing_entropy
 from clusterup.clustering import spherical_kmeans
 from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from clusterup import train
@@ -1159,3 +1160,125 @@ class TestTeacherReplica:
         else:
             monkeypatch.delattr(os, "fork")
         assert self._train(self._case(), monkeypatch, 2) == expected
+
+    @staticmethod
+    def _count_emas(monkeypatch, replica_calls):
+        """Count ``update_model_teacher`` calls: this process's in the list
+        returned, the replica's as bytes appended to the file
+        ``replica_calls``."""
+        parent, original, here = os.getpid(), train.update_model_teacher, []
+
+        def counted(*args):
+            if os.getpid() == parent:
+                here.append(1)
+            else:
+                with open(replica_calls, "ab") as fh:
+                    fh.write(b".")
+            return original(*args)
+
+        monkeypatch.setattr(train, "update_model_teacher", counted)
+        return here
+
+    def test_only_the_replica_runs_the_ema(self, monkeypatch, tmp_path):
+        # With a live replica each EMA step runs once, in the replica.
+        expected = self._train(self._case(), monkeypatch, 1)
+        here = self._count_emas(monkeypatch, tmp_path / "replica")
+        assert self._train(self._case(), monkeypatch, 2)[:2] == expected[:2]
+        assert len(here) == 0
+        assert (tmp_path / "replica").read_bytes() == b"." * self.STEPS
+
+    @pytest.mark.parametrize("point", ["before", "midway", "after"])
+    def test_child_dying_while_it_publishes_costs_one_replayed_step(
+            self, monkeypatch, tmp_path, point):
+        # The replica exits with status 1 in its third EMA step (step 2):
+        # after the EMA but before publishing it, after publishing the first
+        # site's slot only, or after publishing both but before the ack. The
+        # ack never arrives, so this process copies step 1's slot, replays
+        # step 2 on the student's buffers and runs steps 3-5 itself, with the
+        # one-process model, teacher, reports and log.
+        logs = [[], []]
+        expected = self._train(self._case(), monkeypatch, 1, log_fn=logs[0].append)
+        parent, publish = os.getpid(), clusterup.workers.TeacherReplica._publish
+
+        def dies_in_step_2(replica, step):
+            if os.getpid() != parent and step == 2:
+                if point == "midway":
+                    replica.sites = replica.sites[:1]
+                if point != "before":
+                    publish(replica, step)
+                os._exit(1)
+            publish(replica, step)
+
+        monkeypatch.setattr(clusterup.workers.TeacherReplica, "_publish", dies_in_step_2)
+        here = self._count_emas(monkeypatch, tmp_path / "replica")
+        outcome, buffers, calls = self._train(self._case(), monkeypatch, 2,
+                                              log_fn=logs[1].append)
+        assert (outcome, buffers) == expected[:2]
+        assert logs[0] == logs[1]
+        assert calls == 2 * (self.STEPS - 3)  # steps 3-5's ensembles
+        assert len(here) == 1 + self.STEPS - 3  # step 2's replay, then steps 3-5
+        assert (tmp_path / "replica").read_bytes() == b"..."
+
+    @pytest.mark.parametrize("nan_at", [None, 4], ids=["returns", "raises"])
+    def test_student_buffers_are_private_after_the_run(self, monkeypatch, nan_at):
+        # During the run the student's site buffers are views of the
+        # replica's shared mapping. Once run_training returns, or raises
+        # NonFiniteLoss (at step 4), they are private again: a forked child's
+        # writes to them are not seen here. The experts stay the same objects,
+        # each a view of its layer's buffer.
+        model, teacher, ds = self._case()
+        experts = {b: model.blocks[b].experts for b in model.moe_sites}
+        cross_entropy, seen = train._cross_entropy, []
+
+        def nan_at_step(*args, **kwargs):
+            loss, grad = cross_entropy(*args, **kwargs)
+            seen.append(1)
+            return (math.nan if len(seen) == nan_at else loss), grad
+
+        monkeypatch.setattr(train, "_cross_entropy", nan_at_step)
+        try:
+            run_training(model, teacher, ds, steps=self.STEPS, batch_size=16, lr=0.05,
+                         lambda_eesd=1.0, seed=63, workers=2)
+        except NonFiniteLoss:
+            assert nan_at is not None
+        before = [model.blocks[b].params.copy() for b in model.moe_sites]
+
+        def scribble():
+            for b in model.moe_sites:
+                model.blocks[b].params[...] = 0.0
+
+        os.waitpid(clusterup.workers.fork(scribble), 0)
+        for b, params in zip(model.moe_sites, before):
+            block = model.blocks[b]
+            assert block.params.tobytes() == params.tobytes()
+            assert block.experts is experts[b]
+            assert all(np.shares_memory(e.params, block.params) for e in block.experts)
+            assert np.shares_memory(block.router, block.params)
+
+
+class TestTrainingLog:
+    def test_entropy_and_drop_rate_match_the_step_records(self, monkeypatch):
+        # Each record's routing_entropy is the mean over the step's routing
+        # records of analysis.routing_entropy, and each site's drop_rate the
+        # mean of its dropped mask (some slots drop at capacity 0.75).
+        model, teacher, ds = _moe_and_teacher()
+        states, step = [], train.train_step
+
+        def keeping_state(*args, **kwargs):
+            report, state = step(*args, **kwargs)
+            states.append(state)
+            return report, state
+
+        monkeypatch.setattr(train, "train_step", keeping_state)
+        log = []
+        run_training(model, teacher, ds, steps=6, batch_size=16, lr=0.05,
+                     lambda_lb=0.001, lambda_eesd=1.0, capacity_factor=0.75, seed=63,
+                     log_fn=log.append)
+        assert len(log) == len(states) == 6
+        assert any(rate > 0.0 for record in log for rate in record["drop_rate"].values())
+        for record, state in zip(log, states):
+            records = state.records
+            entropies = [routing_entropy(r.probs) for r in records.values()]
+            assert record["routing_entropy"] == float(np.mean(entropies))
+            assert record["drop_rate"] == {
+                str(b): float(r.dropped.mean()) for b, r in records.items()}
