@@ -244,10 +244,11 @@ def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
               log_fn=None, workers: int = 1) -> None:
     """Train the upcycled ``model`` in place, with an EMA teacher given
     ``eesd``. ``log_fn`` gets each step's record; ``compare`` keeps no log and
-    passes none, which saves ~3% of each step. With ``eesd`` and ``workers
-    >= 2``, a forked replica runs the teacher's ensemble alongside the
-    student (``run_training``), with the same bits; ``compare``'s cells keep
-    one worker, since ``workers.split_map`` already fills the usable CPUs."""
+    passes none. With ``eesd`` and ``workers >= 2``, a forked replica runs
+    the teacher's EMA and ensembles alongside the student (``run_training``,
+    which redoes the run here if the replica's child fails), with the same
+    bits; ``compare``'s cells keep one worker, since ``workers.split_map``
+    already fills the usable CPUs."""
     dataset, _ = _datasets(cfg)
     teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
     run_training(

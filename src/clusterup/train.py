@@ -370,13 +370,11 @@ def _teacher_outputs(
     replica: _workers.TeacherReplica | None = None,
 ) -> dict[int, Array] | None:
     """Each site's teacher ensemble output: the one ``replica`` sent, where
-    it sent one, else computed here from ``teacher``, brought up to date
-    first (``replica.sync``)."""
+    it sent one, else computed here from ``teacher``, once every reply is
+    read (``replica.receive``)."""
     if teacher is None:
         return None
     received = {} if replica is None else replica.receive()
-    if replica is not None and len(received) < len(sites):
-        replica.sync()
     return {
         b: received[b] if b in received else teacher_forward(teacher.sites[b], state.caches[b].x)
         for b in sites
@@ -543,9 +541,9 @@ def train_step(
 ) -> tuple[LossReport, ForwardState]:
     """One plain gradient-descent step on ``model`` followed by the EMA update
     of ``teacher``, both in place and whole-buffer; returns the loss report
-    and forward state. With a live ``replica`` (see ``total_loss``), the
-    replica runs the EMA step instead, and ``teacher`` is brought up to date
-    only where it is read (``TeacherReplica.sync``)."""
+    and forward state. With ``replica`` (see ``total_loss``), the replica
+    runs the EMA step instead, on ``teacher``'s shared buffers; its reply is
+    read before the next step reads the teacher or writes the student."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
     report, grads, state, _ = total_loss(
@@ -557,7 +555,9 @@ def train_step(
         raise NonFiniteLoss(f"non-finite loss at report {report}", report=report)
     for arr, grad in zip(param_buffers(model), grads):
         arr -= lr * grad
-    if teacher is not None and (replica is None or not replica.update()):
+    if replica is not None:
+        replica.update()
+    elif teacher is not None:
         update_model_teacher(teacher, model)
     return report, state
 
@@ -580,27 +580,29 @@ def run_training(
     """SGD over randomly drawn batches; one log record per step via log_fn.
 
     With a teacher and ``workers >= 2``, one forked replica
-    (``workers.teacher_replica``) owns the teacher's EMA and computes each
+    (``workers.teacher_replica``) runs the teacher's EMA and computes each
     MoE site's teacher ensemble while this process runs the rest of the
     student's forward pass. The replica runs ``teacher_forward`` and
     ``update_model_teacher`` as this module holds them when the run starts.
-    ``teacher`` is brought up to date in place where this process reads it,
-    and holds its final bits when the run returns or raises; the reports,
-    the log, ``model`` and ``teacher`` have the same bits as with one
-    worker."""
-    rng = np.random.default_rng(seed)
-    n = dataset.n
-    batch = min(batch_size, n)
+    If the replica's child fails, this process restores ``model`` and
+    ``teacher`` from a copy taken at the fork and redoes the run itself,
+    reporting and logging only the steps it had not reported yet. The
+    reports, the log, ``model`` and ``teacher`` have the same bits as with
+    one worker, whether the run returns or raises."""
+    batch = min(batch_size, dataset.n)
     reports = []
-    with _workers.teacher_replica(model, teacher, batch, workers,
-                                  teacher_forward, update_model_teacher) as replica:
+
+    def run(replica) -> None:
+        rng = np.random.default_rng(seed)
         for step in range(steps):
-            idx = rng.choice(n, size=batch, replace=False)
+            idx = rng.choice(dataset.n, size=batch, replace=False)
             report, state = train_step(
                 model, teacher, dataset.inputs[:, idx], dataset.labels[idx], lr,
                 lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
                 capacity_factor=capacity_factor, replica=replica,
             )
+            if step < len(reports):  # reported before a redo
+                continue
             reports.append(report)
             if log_fn is not None:
                 records = state.records
@@ -611,6 +613,19 @@ def run_training(
                     "drop_rate": {str(b): np.count_nonzero(r.dropped) / r.dropped.size
                                   for b, r in records.items()},
                 })
+
+    def buffers() -> list[Array]:
+        return param_buffers(model) + [t.mirror.params for t in teacher.sites.values()]
+
+    try:
+        with _workers.teacher_replica(model, teacher, batch, workers,
+                                      teacher_forward, update_model_teacher) as replica:
+            snapshot = None if replica is None else [arr.copy() for arr in buffers()]
+            run(replica)
+    except _workers.ReplicaLost:
+        for arr, saved in zip(buffers(), snapshot):
+            arr[...] = saved
+        run(None)
     return reports
 
 

@@ -4,8 +4,8 @@
 items on forked children (``grad_check``'s samples, ``compare``'s cells),
 ``teacher_replica`` runs an EMA teacher, its EMA steps and its ensembles,
 in one forked child (``run_training``), and ``usable_cpus`` caps the worker
-count. Any failure falls back to this process, with the bits of a
-one-process run.
+count. One rule covers a failure of either: the work a child lost is redone
+in this process, with the bits of a one-process run.
 
 This module imports no other ``clusterup`` module: callers pass in the
 functions a child runs, and look these names up through the module, so one
@@ -96,159 +96,114 @@ def split_map(evaluate, n: int, workers: int, width: int = 1) -> list[float]:
 EMA = 255  # the command byte "the student's params are ready; run the EMA"
 
 
+class ReplicaLost(Exception):
+    """The replica's child is gone: a command met a closed pipe, or a reply is at EOF."""
+
+
 class TeacherReplica:
     """A forked copy of a model and its teacher (a ``train.ToyModel`` and
-    its ``train.ModelTeacher``) that owns the teacher's EMA and computes each
+    its ``train.ModelTeacher``) that runs the teacher's EMA and computes each
     MoE site's ensemble, ``forward(teacher.sites[b], x)``, while this process
     runs the rest of the student's forward pass.
 
     One shared anonymous ``mmap`` holds, for each site ``b``, its input
-    ``x[b]`` and ensemble output ``y[b]`` (d x batch), the student block's
-    buffer ``params[b]``, and two publication slots ``slots[0][b]`` and
-    ``slots[1][b]``. For the replica's lifetime ``model.blocks[b]`` is a view
-    of ``params[b]`` (``MoeLayer._view``), so this process's SGD writes it in
-    place and the child's EMA reads it there. One-byte commands go down one
+    ``x[b]`` and ensemble output ``y[b]`` (d x batch) and the buffers of the
+    student block and of the teacher's mirror. For the replica's lifetime
+    both blocks are views of the mapping (``MoeLayer._view``), so this
+    process's SGD writes the student in place, and the child's EMA reads it
+    there and writes the teacher in place. One-byte commands go down one
     pipe, each answered with the same byte up the other: ``b`` ("``x[b]`` is
     ready; compute ``y[b]``"), or ``EMA``, on which the child runs
-    ``update_teacher(teacher, model)``, the same step this process would run
-    on its own teacher, and copies its teacher into slot ``s % 2`` (EMA step
-    ``s``) before it answers. Its outputs equal ``forward`` on a one-process
-    teacher bit for bit.
+    ``update_teacher(teacher, model)``, the same step this process would run.
+    Its outputs equal ``forward`` on a one-process teacher bit for bit.
 
-    This process's ``teacher`` is brought up to date only where it is read
-    (``sync``). Every EMA reply ("ack") is read before the next SGD step
-    writes the student's buffers, so a child that raises or dies (its reply
-    pipe at EOF, or ``BrokenPipeError`` on a command) loses at most the one
-    EMA step it did not ack: ``sync`` copies the last published slot and
-    replays that step on the student's buffers, which still hold what the
-    child read. The child is then given up, and only outputs whose reply
-    byte arrived are trusted. The others are computed here, as are those of
-    an input that is not C-contiguous, since the ensemble's bits depend on
-    the layout of its input. ``close`` gives the student its private
-    buffers back, so no later fork can write them.
+    ``pending`` lists every command whose reply is unread, and ``receive``
+    reads them all before this process reads the teacher or writes the
+    student. Any failure of the child raises ``ReplicaLost``; the teacher may
+    then be torn, so the caller redoes its work without the replica. An
+    input that is not C-contiguous is not sent, since the ensemble's bits
+    depend on the layout of its input: the caller computes it. ``close``
+    gives both blocks private buffers back, so no later fork can write them.
     """
 
     def __init__(self, model, teacher, batch: int, forward, update_teacher):
         self.model, self.teacher = model, teacher
         self.forward, self.update_teacher = forward, update_teacher
         self.sites = sorted(teacher.sites)
-        d = model.input_dim
-        sizes = [size for b in self.sites
-                 for size in (d * batch, d * batch, *[model.blocks[b].params.size] * 3)]
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
-        parts = iter(np.split(flat, list(itertools.accumulate(sizes))))
-        self.x, self.y, self.params, self.slots = {}, {}, {}, ({}, {})
-        for b in self.sites:
-            self.x[b], self.y[b] = next(parts).reshape(d, batch), next(parts).reshape(d, batch)
-            self.params[b], self.slots[0][b], self.slots[1][b] = itertools.islice(parts, 3)
-        self.pending: list[int] = []  # sites submitted and not yet received
-        self.sent = self.acked = self.synced = 0  # EMA steps sent, acked, in ``teacher``
+        self.blocks = [block for b in self.sites  # each site's student, then its teacher
+                       for block in (model.blocks[b], teacher.sites[b].mirror)]
+        d, n = model.input_dim, len(self.sites)
+        sizes = [d * batch] * 2 * n + [block.params.size for block in self.blocks]
+        parts = np.split(np.frombuffer(mmap.mmap(-1, 8 * sum(sizes))),
+                         list(itertools.accumulate(sizes)))
+        self.x = {b: part.reshape(d, batch) for b, part in zip(self.sites, parts[:n])}
+        self.y = {b: part.reshape(d, batch) for b, part in zip(self.sites, parts[n:])}
+        self.pending: list[int] = []  # every command whose reply is unread
         cmd_r, self.cmd = os.pipe()
         self.reply, reply_w = os.pipe()
-        for b in self.sites:  # last, after what can raise: ``close`` gives them back
-            self.params[b][...] = model.blocks[b].params
-            model.blocks[b]._view(self.params[b])
+        # Last, after what can raise: ``close`` gives the blocks their buffers back.
+        for block, buf in zip(self.blocks, parts[2 * n:]):
+            buf[...] = block.params
+            block._view(buf)
         self.pid = fork(lambda: self._serve(cmd_r, reply_w))
         os.close(cmd_r)
         os.close(reply_w)
-        self.live = self.pid is not None
 
     def _serve(self, cmd: int, reply: int) -> None:
         """The child: answer commands until the command pipe closes."""
         os.close(self.cmd)
         os.close(self.reply)
-        step = 0
         while command := os.read(cmd, 1):
             if command[0] == EMA:
                 self.update_teacher(self.teacher, self.model)
-                self._publish(step)
-                step += 1
             else:
                 b = command[0]
                 self.y[b][...] = self.forward(self.teacher.sites[b], self.x[b])
             os.write(reply, command)
 
-    def _publish(self, step: int) -> None:
-        """The child: copy its teacher after EMA step ``step`` into slot
-        ``step % 2``."""
-        for b in self.sites:
-            self.slots[step % 2][b][...] = self.teacher.sites[b].mirror.params
-
-    def _send(self, command: int) -> bool:
+    def _send(self, command: int) -> None:
         try:
             os.write(self.cmd, bytes([command]))
         except BrokenPipeError:
-            self.live = False
-            self.sync()
-        return self.live
-
-    def _read_ack(self) -> None:
-        """Read the ack of the last EMA step sent, if it is still unread."""
-        if self.acked < self.sent:
-            if os.read(self.reply, 1):
-                self.acked += 1
-            else:
-                self.live = False
-
-    def sync(self) -> None:
-        """Bring ``teacher`` up to the last EMA step sent: copy the last
-        published slot into it and, where the child died before it acked
-        that step, replay it here."""
-        if self.synced == self.sent:
-            return
-        self._read_ack()
-        if self.synced < self.acked:
-            for b in self.sites:
-                self.teacher.sites[b].mirror.params = self.slots[(self.acked - 1) % 2][b]
-            self.synced = self.acked
-        if self.synced < self.sent:
-            self.update_teacher(self.teacher, self.model)
-            self.synced = self.sent
+            raise ReplicaLost from None
+        self.pending.append(command)
 
     def submit(self, b: int, x: np.ndarray) -> None:
         """Start site ``b``'s ensemble on its input ``x`` (``model_forward``'s
-        ``on_input``)."""
-        if self.live and x.flags.c_contiguous:
+        ``on_input``), unless ``x`` is not C-contiguous."""
+        if x.flags.c_contiguous:
             self.x[b][...] = x
-            if self._send(b):
-                self.pending.append(b)
+            self._send(b)
 
     def receive(self) -> dict[int, np.ndarray]:
-        """Read the last EMA step's ack, then return a copy of each submitted
-        site's output whose reply byte arrives. Called before every SGD step;
-        where the child has died, ``teacher`` is brought up to date first."""
-        self._read_ack()
-        received = {}
-        for b in self.pending:
-            if os.read(self.reply, 1):
-                received[b] = self.y[b].copy()
-            else:
-                self.live = False
-        self.pending = []
-        if not self.live:
-            self.sync()
+        """Read every outstanding reply, EMA steps included, and return a copy
+        of each submitted site's output. Called before every SGD step."""
+        received, pending, self.pending = {}, self.pending, []
+        for command in pending:
+            if not os.read(self.reply, 1):
+                raise ReplicaLost
+            if command != EMA:
+                received[command] = self.y[command].copy()
         return received
 
-    def update(self) -> bool:
-        """Whether the child takes the EMA step on the student's buffers as
-        they now stand; else the caller runs it on ``teacher``, which is up
-        to date."""
-        if self.live and self._send(EMA):
-            self.sent += 1
-        return self.live
+    def update(self) -> None:
+        """Have the child take the EMA step on the student's buffers as they
+        now stand."""
+        self._send(EMA)
 
-    def close(self) -> None:
-        """Bring ``teacher`` up to date, end the child, if any, and reap it,
-        and give each student site a private copy of its buffer."""
+    def close(self, read: bool = True) -> None:
+        """Read the outstanding replies (with ``read``), end and reap the child,
+        if any, and give every student and teacher site a private buffer."""
         try:
-            self.sync()
+            if read:
+                self.receive()
         finally:
             os.close(self.cmd)
             if self.pid is not None:
                 os.waitpid(self.pid, 0)
             os.close(self.reply)
-            for b in self.sites:
-                self.model.blocks[b]._view(self.params[b].copy())
+            for block in self.blocks:
+                block._view(block.params.copy())
 
 
 @contextlib.contextmanager
@@ -256,15 +211,18 @@ def teacher_replica(model, teacher, batch: int, workers: int, forward, update_te
     """A ``TeacherReplica`` of ``model`` and ``teacher`` for the ``with``
     block, closed on every exit; None without a teacher site or a second
     worker, where a site's block index does not fit a command byte, or
-    where the fork fails."""
+    where the fork fails. An interrupt, which the child may have taken too,
+    leaves the replies unread, so it never becomes ``ReplicaLost``."""
     if teacher is None or not teacher.sites or workers < 2 or max(teacher.sites) >= EMA:
         yield None
         return
     replica = TeacherReplica(model, teacher, batch, forward, update_teacher)
     try:
-        yield replica if replica.live else None
-    finally:
-        replica.close()
+        yield replica if replica.pid is not None else None
+    except BaseException as exc:
+        replica.close(read=isinstance(exc, Exception))
+        raise
+    replica.close()
 
 
 def cpu_quota(cgroup: Path) -> int | None:

@@ -1119,8 +1119,9 @@ class TestTeacherReplica:
         # sending five outputs (steps 0 and 1, and site 1 of step 2), or in
         # its second EMA step, after sending four (steps 0 and 1); the pipe
         # then reads EOF or refuses the next command. Either way this
-        # process computes every output it did not receive, and the run
-        # keeps the one-process bits.
+        # process restores the model and teacher and redoes the run, so it
+        # computes all 2 * STEPS ensembles itself, and the run keeps the
+        # one-process bits.
         expected = self._train(self._case(), monkeypatch, 1)
         parent, original, replica_calls = os.getpid(), getattr(train, dies_in), []
 
@@ -1134,18 +1135,25 @@ class TestTeacherReplica:
         monkeypatch.setattr(train, dies_in, dies_in_replica)
         outcome, buffers, calls = self._train(self._case(), monkeypatch, 2)
         assert (outcome, buffers) == expected[:2]
-        assert calls == 2 * self.STEPS - sent
+        assert calls == 2 * self.STEPS
 
     def test_command_to_an_exited_replica_gives_it_up(self):
-        # Once the replica has exited, a command meets BrokenPipeError: the
-        # site is not submitted, and nothing more is sent to the replica.
+        # A command the replica took but died before answering leaves its
+        # reply at EOF, and a command sent once it has exited meets
+        # BrokenPipeError: both raise ReplicaLost, and neither stays pending.
         model, teacher, _ = self._case()
         with clusterup.workers.teacher_replica(model, teacher, 16, 2, train.teacher_forward,
                                                train.update_model_teacher) as replica:
-            os.kill(replica.pid, signal.SIGKILL)
-            assert os.read(replica.reply, 1) == b""  # its end of the pipes is closed
+            os.kill(replica.pid, signal.SIGSTOP)
+            os.waitpid(replica.pid, os.WUNTRACED)  # stopped before it reads the command
             replica.submit(1, np.zeros((6, 16)))
-            assert not replica.live
+            assert replica.pending == [1]
+            os.kill(replica.pid, signal.SIGKILL)
+            with pytest.raises(clusterup.workers.ReplicaLost):
+                replica.receive()
+            assert os.read(replica.reply, 1) == b""  # its end of the pipes is closed
+            with pytest.raises(clusterup.workers.ReplicaLost):
+                replica.submit(1, np.zeros((6, 16)))
             assert replica.pending == [] and replica.receive() == {}
 
     @pytest.mark.parametrize("no_fork", ["raises", "missing"])
@@ -1187,73 +1195,114 @@ class TestTeacherReplica:
         assert len(here) == 0
         assert (tmp_path / "replica").read_bytes() == b"." * self.STEPS
 
-    @pytest.mark.parametrize("point", ["before", "midway", "after"])
-    def test_child_dying_while_it_publishes_costs_one_replayed_step(
-            self, monkeypatch, tmp_path, point):
-        # The replica exits with status 1 in its third EMA step (step 2):
-        # after the EMA but before publishing it, after publishing the first
-        # site's slot only, or after publishing both but before the ack. The
-        # ack never arrives, so this process copies step 1's slot, replays
-        # step 2 on the student's buffers and runs steps 3-5 itself, with the
-        # one-process model, teacher, reports and log.
+    @staticmethod
+    def _dies_in_ema(monkeypatch, step, point):
+        """Make the replica exit with status 1 in EMA step ``step``: before
+        it touches the teacher, after it has updated the first site only
+        (a torn teacher), or after the whole EMA but before its reply."""
+        parent, original, taken = os.getpid(), train.update_model_teacher, []
+
+        def dies(teacher, model):
+            if os.getpid() != parent:
+                if len(taken) == step:
+                    if point == "torn":
+                        first = min(teacher.sites)
+                        original(train.ModelTeacher({first: teacher.sites[first]}), model)
+                    elif point == "after":
+                        original(teacher, model)
+                    os._exit(1)
+                taken.append(1)
+            return original(teacher, model)
+
+        monkeypatch.setattr(train, "update_model_teacher", dies)
+
+    @pytest.mark.parametrize("point,step", [("before", 2), ("torn", 2), ("after", 2),
+                                            ("torn", STEPS - 1)],
+                             ids=["before", "torn", "after", "last"])
+    def test_child_dying_in_an_ema_step_is_redone_here(self, monkeypatch, point, step):
+        # The replica exits in step 2's EMA at one of three points, or
+        # leaves a torn teacher in the last step's, whose reply only
+        # ``close`` reads. This process
+        # restores the model and teacher from the fork and redoes the run
+        # without the replica: the one-process model, teacher, reports and
+        # log, each step logged once, and run_training returns normally.
         logs = [[], []]
         expected = self._train(self._case(), monkeypatch, 1, log_fn=logs[0].append)
-        parent, publish = os.getpid(), clusterup.workers.TeacherReplica._publish
-
-        def dies_in_step_2(replica, step):
-            if os.getpid() != parent and step == 2:
-                if point == "midway":
-                    replica.sites = replica.sites[:1]
-                if point != "before":
-                    publish(replica, step)
-                os._exit(1)
-            publish(replica, step)
-
-        monkeypatch.setattr(clusterup.workers.TeacherReplica, "_publish", dies_in_step_2)
-        here = self._count_emas(monkeypatch, tmp_path / "replica")
+        self._dies_in_ema(monkeypatch, step, point)
         outcome, buffers, calls = self._train(self._case(), monkeypatch, 2,
                                               log_fn=logs[1].append)
         assert (outcome, buffers) == expected[:2]
         assert logs[0] == logs[1]
-        assert calls == 2 * (self.STEPS - 3)  # steps 3-5's ensembles
-        assert len(here) == 1 + self.STEPS - 3  # step 2's replay, then steps 3-5
-        assert (tmp_path / "replica").read_bytes() == b"..."
+        assert calls == 2 * self.STEPS
 
-    @pytest.mark.parametrize("nan_at", [None, 4], ids=["returns", "raises"])
-    def test_student_buffers_are_private_after_the_run(self, monkeypatch, nan_at):
-        # During the run the student's site buffers are views of the
-        # replica's shared mapping. Once run_training returns, or raises
-        # NonFiniteLoss (at step 4), they are private again: a forked child's
-        # writes to them are not seen here. The experts stay the same objects,
-        # each a view of its layer's buffer.
+    def test_interrupt_is_not_redone(self, monkeypatch):
+        # An interrupt in step 3's forward pass, after site 1 was submitted,
+        # while the replica dies in that site's ensemble (as a child of the
+        # same terminal would on Ctrl-C): the interrupt leaves run_training,
+        # and the run is not redone.
+        parent, forward, moe_forward = os.getpid(), train.teacher_forward, train.moe_forward_cached
+        replica_calls, student_calls = [], []
+
+        def dies_in_step_3(*args):
+            if os.getpid() != parent:
+                if len(replica_calls) == 6:
+                    os._exit(1)
+                replica_calls.append(1)
+            return forward(*args)
+
+        def interrupted_in_step_3(*args, **kwargs):
+            student_calls.append(1)
+            if len(student_calls) == 7:
+                raise KeyboardInterrupt
+            return moe_forward(*args, **kwargs)
+
+        monkeypatch.setattr(train, "teacher_forward", dies_in_step_3)
+        monkeypatch.setattr(train, "moe_forward_cached", interrupted_in_step_3)
         model, teacher, ds = self._case()
-        experts = {b: model.blocks[b].experts for b in model.moe_sites}
+        with pytest.raises(KeyboardInterrupt):
+            run_training(model, teacher, ds, steps=self.STEPS, batch_size=16, lr=0.05,
+                         lambda_eesd=1.0, seed=63, workers=2)
+        assert len(student_calls) == 7
+
+    @pytest.mark.parametrize("end", ["returns", "raises", "redone"])
+    def test_student_buffers_are_private_after_the_run(self, monkeypatch, end):
+        # During the run the student's and the teacher's site buffers are
+        # views of the replica's shared mapping. Once run_training returns,
+        # raises NonFiniteLoss (at step 4), or has redone the run after the
+        # replica died (in step 2's EMA), they are private again: a forked
+        # child's writes to them are not seen here. The experts stay the
+        # same objects, each a view of its layer's buffer.
+        model, teacher, ds = self._case()
+        layers = [layer for b in model.moe_sites
+                  for layer in (model.blocks[b], teacher.sites[b].mirror)]
+        experts = [layer.experts for layer in layers]
         cross_entropy, seen = train._cross_entropy, []
 
         def nan_at_step(*args, **kwargs):
             loss, grad = cross_entropy(*args, **kwargs)
             seen.append(1)
-            return (math.nan if len(seen) == nan_at else loss), grad
+            return (math.nan if end == "raises" and len(seen) == 4 else loss), grad
 
         monkeypatch.setattr(train, "_cross_entropy", nan_at_step)
+        if end == "redone":
+            self._dies_in_ema(monkeypatch, 2, "after")
         try:
             run_training(model, teacher, ds, steps=self.STEPS, batch_size=16, lr=0.05,
                          lambda_eesd=1.0, seed=63, workers=2)
         except NonFiniteLoss:
-            assert nan_at is not None
-        before = [model.blocks[b].params.copy() for b in model.moe_sites]
+            assert end == "raises"
+        before = [layer.params.copy() for layer in layers]
 
         def scribble():
-            for b in model.moe_sites:
-                model.blocks[b].params[...] = 0.0
+            for layer in layers:
+                layer.params[...] = 0.0
 
         os.waitpid(clusterup.workers.fork(scribble), 0)
-        for b, params in zip(model.moe_sites, before):
-            block = model.blocks[b]
-            assert block.params.tobytes() == params.tobytes()
-            assert block.experts is experts[b]
-            assert all(np.shares_memory(e.params, block.params) for e in block.experts)
-            assert np.shares_memory(block.router, block.params)
+        for layer, params, layer_experts in zip(layers, before, experts):
+            assert layer.params.tobytes() == params.tobytes()
+            assert layer.experts is layer_experts
+            assert all(np.shares_memory(e.params, layer.params) for e in layer.experts)
+            assert np.shares_memory(layer.router, layer.params)
 
 
 class TestTrainingLog:
