@@ -34,10 +34,6 @@ class ClusterModel:
     pca_projection: Array | None
     seed: int
 
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
-
 
 def normalize_rows(x) -> tuple[Array, int]:
     """Scale each row to unit L2 norm.

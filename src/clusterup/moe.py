@@ -9,7 +9,6 @@ is the teacher-side computation for self-distillation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,20 +21,22 @@ from .linalg import Array, as_matrix
 FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 
-@functools.cache
-def _layout(n_experts: int, h: int, d: int) -> tuple:
-    """(name, slice of ``params``, shape) of each tensor of a block, in walk
-    order: a ``DenseFfn``'s (``n_experts == 0``) ``FFN_PARAMS``, or an
-    ``MoeLayer``'s ``router`` and then each expert's under ``expert{i}.``."""
-    ffn = [("w1", (h, d)), ("b1", (h,)), ("w2", (d, h)), ("b2", (d,))]
-    named = ffn if n_experts == 0 else [("router", (n_experts, d))] + [
-        (f"expert{i}.{key}", shape) for i in range(n_experts) for key, shape in ffn
-    ]
-    stops = itertools.accumulate(math.prod(shape) for _, shape in named)
-    return tuple(
-        (name, slice(stop - math.prod(shape), stop), shape)
-        for (name, shape), stop in zip(named, stops)
-    )
+def ffn_views(buf: Array, h: int, d: int) -> tuple[Array, Array, Array, Array]:
+    """The tensors of an FFN buffer, laid out ``[w1 | b1 | w2 | b2]`` along
+    the last axis of ``buf``: ``w1`` (..., h, d), ``b1`` (..., h), ``w2``
+    (..., d, h) and ``b2`` (..., d), as views that keep ``buf``'s leading
+    axes. Each reshape splits one axis, which never copies."""
+    lead, hd = buf.shape[:-1], h * d
+    return (buf[..., :hd].reshape(*lead, h, d), buf[..., hd:hd + h],
+            buf[..., hd + h:2 * hd + h].reshape(*lead, d, h), buf[..., 2 * hd + h:])
+
+
+def moe_views(buf: Array, n_experts: int, d: int) -> tuple[Array, Array]:
+    """An MoE buffer, laid out ``[router | one FFN buffer per expert]``, as
+    views: the router (n_experts, d) and the (n_experts, size) expert rows,
+    each an FFN buffer (``ffn_views``)."""
+    split = n_experts * d
+    return buf[:split].reshape(n_experts, d), buf[split:].reshape(n_experts, -1)
 
 
 class _Tensor:
@@ -58,8 +59,8 @@ class DenseFfn:
     """Two-layer feed-forward block ``w2 @ relu(w1 @ x + b1) + b2``.
 
     ``w1`` (h, d), ``b1`` (h,), ``w2`` (d, h) and ``b2`` (d,) are views of
-    one float64 buffer ``params``, in ``block_params`` order. Construction
-    copies the tensors into a new buffer.
+    one float64 buffer ``params`` (``ffn_views``). Construction copies the
+    tensors into a new buffer.
     """
 
     w1 = _Tensor()
@@ -70,14 +71,14 @@ class DenseFfn:
 
     def __init__(self, w1, b1, w2, b2):
         h, d = np.shape(w1)
-        self._view(np.empty(_layout(0, h, d)[-1][1].stop), h, d)
+        self._view(np.empty(2 * h * d + h + d), h, d)
         for key, value in zip(FFN_PARAMS, (w1, b1, w2, b2)):
             setattr(self, key, value)
 
     def _view(self, buf: Array, h: int, d: int) -> "DenseFfn":
         """Make ``buf`` this block's buffer, without copying."""
         self.h, self.d = h, d
-        self.__dict__.update(block_params(self, buf=buf), params=buf)
+        self.__dict__.update(zip(FFN_PARAMS, ffn_views(buf, h, d)), params=buf)
         return self
 
     def copy(self) -> "DenseFfn":
@@ -93,8 +94,8 @@ class MoeLayer:
     """``n_experts`` FFNs plus a bias-free router (n_experts x d).
 
     Construction copies the router and the experts' tensors into one float64
-    buffer ``params``, in ``block_params`` order. ``experts`` is a tuple of
-    new ``DenseFfn`` objects whose buffers are contiguous slices of it.
+    buffer ``params`` (``moe_views``). ``experts`` is a tuple of new
+    ``DenseFfn`` objects whose buffers are its expert rows.
     """
 
     router = _Tensor()
@@ -124,11 +125,10 @@ class MoeLayer:
     def _view(self, buf: Array) -> "MoeLayer":
         """Make ``buf`` this layer's buffer, without copying: the router and
         each expert (the same objects) become views of it."""
-        n_e, d = self.n_experts, self.d
-        size = buf.size // n_e - d
-        self.__dict__.update(router=buf[:n_e * d].reshape(n_e, d), params=buf)
-        for start, expert in zip(range(n_e * d, buf.size, size), self.experts):
-            expert._view(buf[start:start + size], self.h, d)
+        router, rows = moe_views(buf, self.n_experts, self.d)
+        self.__dict__.update(router=router, params=buf)
+        for expert, row in zip(self.experts, rows):
+            expert._view(row, self.h, self.d)
         return self
 
     def copy(self) -> "MoeLayer":
@@ -146,19 +146,18 @@ def block_params(block: DenseFfn | MoeLayer, prefix: str = "", buf: Array | None
     A ``DenseFfn`` yields ``w1, b1, w2, b2``; a ``MoeLayer`` yields ``router``
     and then each expert's walk under ``expert{i}.``. Every name is prefixed
     with ``prefix``. This order is the one SGD, EMA, checkpoints and the
-    gradient check all share, and the layout of the block's ``params``.
+    gradient check all share, and the order of the block's ``params``.
     """
     buf = block.params if buf is None else buf
-    n_e = block.n_experts if isinstance(block, MoeLayer) else 0
-    for name, part, shape in _layout(n_e, block.h, block.d):
-        yield prefix + name, buf[part].reshape(shape)
-
-
-def param_views(block: DenseFfn | MoeLayer, buf: Array) -> list[Array]:
-    """``block_params``' views of ``buf`` without the names, from one
-    ``_layout`` lookup: what a backward pass fills."""
-    n_e = block.n_experts if isinstance(block, MoeLayer) else 0
-    return [buf[part].reshape(shape) for _, part, shape in _layout(n_e, block.h, block.d)]
+    if isinstance(block, DenseFfn):
+        yield from zip([prefix + key for key in FFN_PARAMS], ffn_views(buf, block.h, block.d))
+        return
+    router, rows = moe_views(buf, block.n_experts, block.d)
+    yield prefix + "router", router
+    stacked = ffn_views(rows, block.h, block.d)
+    for i in range(block.n_experts):
+        for key, arr in zip(FFN_PARAMS, stacked):
+            yield f"{prefix}expert{i}.{key}", arr[i]
 
 
 def block_structure(block: DenseFfn | MoeLayer) -> dict:
@@ -280,12 +279,7 @@ class MoeForwardCache:
 @dataclass
 class FfnCache:
     x: Array
-    pre: Array   # (h, T) pre-activation
-    act: Array   # (h, T)
-
-
-def relu(z: Array) -> Array:
-    return np.maximum(z, 0.0)
+    act: Array   # (h, T) ReLU output; positive exactly where its input is
 
 
 def ffn_forward(ffn: DenseFfn, x) -> Array:
@@ -298,21 +292,21 @@ def ffn_forward_cached(ffn: DenseFfn, x) -> tuple[Array, FfnCache]:
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != ffn.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, FFN expects {ffn.d}")
-    pre = ffn.w1 @ xm
-    pre += ffn.b1[:, None]
-    act = relu(pre)
+    act = ffn.w1 @ xm
+    act += ffn.b1[:, None]
+    np.maximum(act, 0.0, out=act)
     y = ffn.w2 @ act
     y += ffn.b2[:, None]
-    return y, FfnCache(x=xm, pre=pre, act=act)
+    return y, FfnCache(x=xm, act=act)
 
 
 def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array, grads: list[Array]) -> Array:
     """Gradients of a cached forward pass: fills ``grads``, the four
-    ``param_views`` of a gradient buffer laid out like ``ffn.params``, and
+    ``ffn_views`` of a gradient buffer laid out like ``ffn.params``, and
     returns dx."""
     g_w1, g_b1, g_w2, g_b2 = grads
     d_pre = ffn.w2.T @ dy
-    d_pre *= cache.pre > 0.0
+    d_pre *= cache.act > 0.0
     np.matmul(dy, cache.act.T, out=g_w2)
     np.add.reduce(dy, axis=1, out=g_b2)
     np.matmul(d_pre, cache.x.T, out=g_w1)
@@ -482,16 +476,15 @@ def moe_backward(
     """
     record, plan = cache.record, cache.plan
     grads = np.empty_like(layer.params)
-    views = param_views(layer, grads)  # the router's, then each expert's four
+    g_router, g_rows = moe_views(grads, layer.n_experts, layer.d)
+    g_experts = ffn_views(g_rows, layer.h, layer.d)
     dy_gathered = dy[:, plan.rows]
     d_out = dy_gathered * plan.gates[None, :]
     dgate = np.einsum("dt,dt->t", dy_gathered, cache.outputs)
     dx_gathered = np.zeros((layer.d, plan.offsets[-1] + 1))
     for i, (lo, hi) in enumerate(zip(plan.offsets, plan.offsets[1:])):
-        expert_views = views[1 + 4 * i:5 + 4 * i]
         if hi == lo:
-            for g in expert_views:
-                g[...] = 0.0
+            g_rows[i] = 0.0
             continue
         if hi - lo == 1:
             # einsum reduces a contiguous (d, 1) pair in another order than
@@ -499,7 +492,7 @@ def moe_backward(
             dgate[lo] = np.einsum("dt,dt->t", dy_gathered[:, lo:hi],
                                   np.ascontiguousarray(cache.outputs[:, lo:hi]))[0]
         dx_gathered[:, lo:hi] = ffn_backward(
-            layer.experts[i], cache.expert_caches[i], d_out[:, lo:hi], expert_views)
+            layer.experts[i], cache.expert_caches[i], d_out[:, lo:hi], [g[i] for g in g_experts])
     dx = _add_ranks(np.zeros_like(cache.x), (dx_gathered[:, col] for col in plan.columns.T))
     dgates = np.zeros_like(record.gates)
     dgates[plan.rows, plan.slots] = dgate
@@ -515,7 +508,7 @@ def moe_backward(
     # softmax backward, rowwise
     dot = np.einsum("te,te->t", dprobs, record.probs)
     dlogits = record.probs * (dprobs - dot[:, None])  # (T, n_experts)
-    np.matmul(dlogits.T, cache.x.T, out=views[0])
+    np.matmul(dlogits.T, cache.x.T, out=g_router)
     dx += layer.router.T @ dlogits.T
     return dx, grads
 

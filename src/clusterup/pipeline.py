@@ -41,7 +41,7 @@ from .analysis import (
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import INIT_METHODS, PipelineConfig
 from .errors import CheckpointError, ClusterUpError, ConfigError, ShapeMismatch
-from .moe import block_from_tensors, block_structure
+from .moe import MoeLayer, block_from_tensors, block_structure
 from .seeding import derive_seed
 from . import train  # so run_analyze looks up train.model_forward at call time
 from . import workers as _workers  # aliased: ``workers`` is also a parameter here
@@ -150,19 +150,24 @@ def save_model_checkpoint(
 
 def load_model_checkpoint(path, cfg: PipelineConfig) -> ToyModel:
     """The model saved at ``path``, made under ``cfg``'s model and data
-    sections (``_check_config``) and with that model section's sizes."""
+    sections (``_check_config``), with that model section's sizes and the moe
+    section's ``n_experts`` and ``k`` (not its capacities: callers pass them)."""
     ckpt = load_checkpoint(path)
     _check_config(cfg, ckpt.manifest, path)
     if "model" not in ckpt.extra:
         raise CheckpointError(f"{path} holds no model")
     model = model_from_tensors(ckpt.extra["model"], ckpt.tensors)
-    sizes = [("d", model.input_dim), ("blocks", len(model.blocks)),
-             ("n_classes", model.n_classes), *(("h", block.h) for block in model.blocks)]
-    for key, size in sizes:
-        if size != getattr(cfg.model, key):
+    sizes = [("model", "d", model.input_dim), ("model", "blocks", len(model.blocks)),
+             ("model", "n_classes", model.n_classes),
+             *(("model", "h", block.h) for block in model.blocks),
+             *(("moe", key, getattr(block, key)) for block in model.blocks
+               if isinstance(block, MoeLayer) for key in ("n_experts", "k"))]
+    for section, key, size in sizes:
+        want = getattr(getattr(cfg, section), key)
+        if size != want:
             raise CheckpointError(
-                f"{path} holds a model unlike its model config: model.{key} is "
-                f"{size} in its tensors and {getattr(cfg.model, key)} in its config"
+                f"{path} holds a model unlike its {section} config: {section}.{key} is "
+                f"{size} in its tensors and {want} in its config"
             )
     return model
 

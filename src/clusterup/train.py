@@ -31,10 +31,10 @@ from .moe import (
     block_params,
     ffn_backward,
     ffn_forward_cached,
+    ffn_views,
     load_balance_loss,
     moe_backward,
     moe_forward_cached,
-    param_views,
 )
 
 
@@ -155,9 +155,6 @@ class SyntheticDataset:
     labels: np.ndarray     # (n,)
     cluster_ids: np.ndarray
     directions: Array      # (n_clusters, d), unit rows
-    n_clusters: int
-    separation: float
-    seed: int
 
     @property
     def n(self) -> int:
@@ -170,9 +167,6 @@ class SyntheticDataset:
             labels=self.labels[start:stop],
             cluster_ids=self.cluster_ids[start:stop],
             directions=self.directions,
-            n_clusters=self.n_clusters,
-            separation=self.separation,
-            seed=self.seed,
         )
 
 
@@ -236,9 +230,6 @@ def make_synthetic_dataset(
         labels=(cluster_ids % n_classes).astype(np.int64),
         cluster_ids=cluster_ids.astype(np.int64),
         directions=directions,
-        n_clusters=n_clusters,
-        separation=float(separation),
-        seed=int(seed),
     )
 
 
@@ -492,7 +483,7 @@ def total_loss(
             dxi, buffers[b + 1] = moe_backward(block, cache, dy, dprobs_extra)
         else:
             buffers[b + 1] = np.empty_like(block.params)
-            dxi = ffn_backward(block, cache, dx, param_views(block, buffers[b + 1]))
+            dxi = ffn_backward(block, cache, dx, ffn_views(buffers[b + 1], block.h, block.d))
         dx = dx + dxi
     return report, buffers, state, terms
 
@@ -513,13 +504,13 @@ def _decisions(state: ForwardState, start: int = 0, expert: int | None = None) -
     parts = []
     if expert is not None:
         resumed = caches.pop(0).expert_caches[expert]
-        parts += [resumed.pre > 0.0] if resumed is not None else []
+        parts += [resumed.act > 0.0] if resumed is not None else []
     for cache in caches:
         if isinstance(cache, MoeForwardCache):
             parts += [cache.record.topk_indices, cache.record.dropped]
-            parts += [c.pre > 0.0 for c in cache.expert_caches if c is not None]
+            parts += [c.act > 0.0 for c in cache.expert_caches if c is not None]
         else:
-            parts.append(cache.pre > 0.0)
+            parts.append(cache.act > 0.0)
     return b"".join(part.tobytes() for part in parts)
 
 

@@ -258,7 +258,8 @@ class TestModelSerialization:
         dense = make_dense_model(6, 8, 4, 2, seed=1)
         moe, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
                                   capacity_factor=1.5, seed=2)
-        path, cfg = tmp_path / "moe.ckpt", _model_cfg(6, 8, 4, 2)
+        path, cfg = tmp_path / "moe.ckpt", config_from_dict({
+            "model": {"d": 6, "h": 8, "blocks": 4, "n_classes": 2}, "moe": {"n_experts": 4}})
         save_model_checkpoint(path, moe, cfg, {"root": 0})
         loaded = load_model_checkpoint(path, cfg)
         assert loaded.moe_sites == [1, 3]
@@ -301,6 +302,12 @@ class TestModelSerialization:
             model_from_tensors(structure, dict(named_params(moe)))
 
 
+def _walk_cfg():
+    """The config that describes ``TestSingleWalk``'s model."""
+    return config_from_dict({"model": {"d": 6, "h": 8, "blocks": 4, "n_classes": 2},
+                             "moe": {"n_experts": 3}})
+
+
 class TestSingleWalk:
     """Checkpoints and SGD share the walk in clusterup.moe."""
 
@@ -311,7 +318,7 @@ class TestSingleWalk:
                                   capacity_factor=1.5, seed=8)
         cluster = {"cluster.site1.centroids": np.arange(6.0).reshape(2, 3)}
         path = tmp_path / "w.ckpt"
-        save_model_checkpoint(path, moe, _model_cfg(6, 8, 4, 2), {"root": 0},
+        save_model_checkpoint(path, moe, _walk_cfg(), {"root": 0},
                               extra={"init_method": "drop"}, cluster_tensors=cluster)
         return path, moe, cluster
 
@@ -322,7 +329,7 @@ class TestSingleWalk:
 
     def test_save_load_save_byte_identical(self, saved, tmp_path):
         path, _, _ = saved
-        cfg = _model_cfg(6, 8, 4, 2)
+        cfg = _walk_cfg()
         model = load_model_checkpoint(path, cfg)
         ckpt = load_checkpoint(path)
         cluster = {k: v for k, v in ckpt.tensors.items() if k.startswith("cluster.")}

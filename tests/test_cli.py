@@ -523,6 +523,30 @@ class TestErrors:
                        f"{path} holds a model unlike its model config: "
                        "model.d is 8 in its tensors and 6 in its config"}
 
+    @pytest.mark.parametrize("command", ["train-moe", "analyze"])
+    @pytest.mark.parametrize("moe,message", [
+        ("n_experts: 8, k: 3", "moe.n_experts is 4 in its tensors and 8"),
+        ("n_experts: 4, k: 3", "moe.k is 2 in its tensors and 3"),
+    ], ids=["n_experts", "k"])
+    def test_moe_unlike_config_reports_json(self, workspace, capsys, command, moe, message):
+        # The config check compares only the model and data sections; without
+        # this one, train-moe exits 0 and saves 4 experts under a config that
+        # records another count.
+        cfg_path, out = workspace
+        for argv in (("train-dense",), ("upcycle", "--method", "sparse")):
+            assert run("--config", cfg_path, *argv) == 0
+        cfg_path.write_text(cfg_path.read_text().replace("n_experts: 4, k: 2", moe))
+        path = out / "moe_sparse.ckpt"
+        argv = {"train-moe": ("train-moe", "--method", "sparse"),
+                "analyze": ("analyze", "--checkpoint", path)}[command]
+        capsys.readouterr()
+        assert run("--config", cfg_path, *argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "CheckpointError", "message":
+                       f"{path} holds a model unlike its moe config: {message} in its config"}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dense.ckpt", "dense_log.jsonl", "init_report_sparse.json", "moe_sparse.ckpt"]
+
     def test_input_made_under_other_config_reports_json(self, workspace, capsys):
         # Without the check, both stages exit 0 and mix the two configs.
         cfg_path, out = workspace

@@ -15,6 +15,7 @@ from clusterup.moe import (
     expert_capacity,
     ffn_forward,
     ffn_forward_cached,
+    ffn_views,
     load_balance_loss,
     moe_backward,
     moe_forward,
@@ -402,7 +403,7 @@ def reference_moe(layer, x, capacity_factor, dy, dprobs_extra):
         dgates[rows, slots] = np.einsum("dt,dt->t", dy_rows, out)
         views = dict(block_params(ffn, buf=expert_grads))
         d_pre = ffn.w2.T @ d_out
-        d_pre *= cache.pre > 0.0
+        d_pre *= cache.act > 0.0
         np.matmul(d_out, cache.act.T, out=views["w2"])
         np.add.reduce(d_out, axis=1, out=views["b2"])
         np.matmul(d_pre, cache.x.T, out=views["w1"])
@@ -475,6 +476,36 @@ class TestGroupedDispatchOracle:
                       lambda case: case[0].k == case[0].n_experts > 1,
                       lambda case: case[4] is not None):
             find(dispatch_cases(), holds, settings=settings(max_examples=300, database=None))
+
+
+class TestLayoutRule:
+    """One rule lays out every block buffer: an FFN's is ``[w1 | b1 | w2 |
+    b2]`` and an MoE layer's is ``[router | one FFN buffer per expert]``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_views_walk_and_gradients(self, n_e, h, d, seed):
+        rng = np.random.default_rng(seed)
+        layer = random_layer(rng, n_experts=n_e, d=d, h=h, k=1, capacity_factor=1.0)
+        stacked = ffn_views(layer.params[n_e * d:].reshape(n_e, -1), h, d)
+        for i, expert in enumerate(layer.experts):
+            for j, key in enumerate(("w1", "b1", "w2", "b2")):
+                mine = getattr(expert, key)
+                assert np.shares_memory(stacked[j][i], mine)
+                assert np.array_equal(stacked[j][i], mine)
+
+        ffn = [("w1", (h, d)), ("b1", (h,)), ("w2", (d, h)), ("b2", (d,))]
+        walk = [("router", (n_e, d))] + [
+            (f"expert{i}.{key}", shape) for i in range(n_e) for key, shape in ffn]
+        for block, expected in ((layer, walk), (layer.experts[0], ffn)):
+            got = list(block_params(block))
+            assert [(name, arr.shape) for name, arr in got] == expected
+            assert all(np.shares_memory(arr, block.params) for _, arr in got)
+            assert sum(arr.size for _, arr in got) == block.params.size
+
+        x, dy = rng.standard_normal((d, 9)), rng.standard_normal((d, 9))
+        _, grads = moe_backward(layer, moe_forward_cached(layer, x)[2], dy)
+        assert grads.tobytes() == reference_moe(layer, x, 1.0, dy, None)[2].tobytes()
 
 
 class TestResumeArguments:

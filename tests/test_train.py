@@ -545,7 +545,8 @@ class TestParameterBuffers:
         moe, _, _ = upcycle_model(dense, method, n_experts=3, k=2,
                                   capacity_factor=1.5, seed=67, bank=bank)
         path = tmp_path / "m.ckpt"
-        cfg = config_from_dict({"model": {"d": 6, "h": 8, "blocks": 4, "n_classes": 3}})
+        cfg = config_from_dict({"model": {"d": 6, "h": 8, "blocks": 4, "n_classes": 3},
+                                "moe": {"n_experts": 3}})
         save_model_checkpoint(path, moe, cfg, {"root": 0})
         loaded = load_model_checkpoint(path, cfg)
         for model in (moe, loaded):
