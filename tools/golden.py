@@ -13,7 +13,7 @@ The set, all on the ``src/`` tree next to this script:
   cluster model, once with 1 and once with 2 usable CPUs;
 * ``compare --seeds 2`` with ``train.steps: 300``, with and without
   ``--eesd``;
-* ``gradcheck`` at root seeds 0-11.
+* ``gradcheck`` at root seeds 0-11 (which ``train.steps`` does not affect).
 
 Every command runs in its own Python process, pinned by
 ``os.sched_setaffinity`` to the first 1 or 2 CPUs this process may use
@@ -69,13 +69,10 @@ def provenance() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     core = None
     for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_char_p
-                core = getter().decode()
-                break
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            core = getter().decode()
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"), "blas_core": core}
 
@@ -85,15 +82,14 @@ def _hashes(directory: Path) -> dict[str, str]:
             for path in sorted(directory.iterdir()) if path.is_file()}
 
 
-def _run(label: str, seed: int, cpus: list[int], commands, work: Path,
-         steps: int | None = 300) -> dict[str, str]:
-    """Run ``commands`` in order in one output directory; the hash of each
-    file a command wrote, keyed ``label/command/file``."""
+def _run(label: str, seed: int, cpus: list[int], commands, work: Path) -> dict[str, str]:
+    """Run ``commands`` in order in one output directory, under the default
+    config with ``train.steps: 300``; the hash of each file a command wrote,
+    keyed ``label/command/file``."""
     out = work / label
     out.mkdir()
-    train = "" if steps is None else f"train: {{steps: {steps}}}\n"
     config = work / f"{label}.yaml"
-    config.write_text(f"data: {{seed: {seed}}}\n{train}output_dir: {out}\n")
+    config.write_text(f"data: {{seed: {seed}}}\ntrain: {{steps: 300}}\noutput_dir: {out}\n")
     env = {key: value for key, value in os.environ.items() if key != "CLUSTERUP_OUTPUT_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     golden, before = {}, {}
@@ -124,8 +120,7 @@ def artifact_hashes() -> dict[str, str]:
         hashes.update(_run("compare", 0, two, [("compare", "--seeds", "2")], work))
         hashes.update(_run("compare-eesd", 0, two, [("compare", "--seeds", "2", "--eesd")], work))
         for seed in range(12):
-            hashes.update(_run(f"gradcheck-seed{seed}", seed, two, [("gradcheck",)], work,
-                               steps=None))
+            hashes.update(_run(f"gradcheck-seed{seed}", seed, two, [("gradcheck",)], work))
     return hashes
 
 
