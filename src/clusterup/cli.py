@@ -20,7 +20,6 @@ from . import pipeline
 from .config import INIT_METHODS, load_config
 from .errors import ClusterUpError, ConfigError
 
-OUTPUT_DIR_ENV = "CLUSTERUP_OUTPUT_DIR"
 # The CLI spells the init methods with hyphens (``drop-svd``).
 METHOD_CHOICES = tuple(method.replace("_", "-") for method in INIT_METHODS)
 
@@ -31,10 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dense-to-MoE upcycling pipeline on a synthetic task.",
     )
     parser.add_argument("--config", required=True, help="YAML config file")
-    parser.add_argument(
-        "--out-dir", default=None,
-        help=f"override output directory (also via ${OUTPUT_DIR_ENV})",
-    )
+    parser.add_argument("--out-dir", default=None, help="override output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("train-dense", help="pretrain the dense model")
@@ -75,14 +71,11 @@ def _fail(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    import os
-
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        override = args.out_dir or os.environ.get(OUTPUT_DIR_ENV)
-        if override:
-            cfg = replace(cfg, output_dir=override)
+        if args.out_dir:
+            cfg = replace(cfg, output_dir=args.out_dir)
 
         if args.command == "train-dense":
             path = pipeline.run_train_dense(cfg)

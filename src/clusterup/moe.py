@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch
+from .errors import ShapeMismatch
 from .linalg import Array, as_matrix
 
 FFN_PARAMS = ("w1", "b1", "w2", "b2")
@@ -37,6 +37,13 @@ def moe_views(buf: Array, n_experts: int, d: int) -> tuple[Array, Array]:
     each an FFN buffer (``ffn_views``)."""
     split = n_experts * d
     return buf[:split].reshape(n_experts, d), buf[split:].reshape(n_experts, -1)
+
+
+def _check_capacity(capacity_factor: float) -> None:
+    """Raise ``ValueError`` unless ``capacity_factor`` is finite and > 0: the
+    rule for a layer's capacity and for every per-call one."""
+    if not 0 < capacity_factor < math.inf:
+        raise ValueError(f"capacity_factor must be finite and > 0, got {capacity_factor}")
 
 
 class _Tensor:
@@ -112,8 +119,7 @@ class MoeLayer:
             raise TypeError(f"k must be an integer, got {k!r}")
         if not 1 <= k <= n_e:
             raise ValueError(f"k must lie in [1, {n_e}], got {k}")
-        if not 0 < capacity_factor < math.inf:
-            raise ValueError(f"capacity_factor must be finite and > 0, got {capacity_factor}")
+        _check_capacity(capacity_factor)
         self.k, self.capacity_factor = k, capacity_factor
         self.n_experts, self.d, self.h = n_e, d, h
         self.experts = tuple(DenseFfn.__new__(DenseFfn) for _ in experts)
@@ -158,40 +164,6 @@ def block_params(block: DenseFfn | MoeLayer, prefix: str = "", buf: Array | None
     for i in range(block.n_experts):
         for key, arr in zip(FFN_PARAMS, stacked):
             yield f"{prefix}expert{i}.{key}", arr[i]
-
-
-def block_structure(block: DenseFfn | MoeLayer) -> dict:
-    """The non-tensor description ``block_from_tensors`` needs to rebuild a block."""
-    if isinstance(block, MoeLayer):
-        return {
-            "kind": "moe",
-            "n_experts": block.n_experts,
-            "k": block.k,
-            "capacity_factor": block.capacity_factor,
-        }
-    return {"kind": "dense"}
-
-
-def block_from_tensors(entry: dict, tensors: dict, prefix: str = "") -> DenseFfn | MoeLayer:
-    """Inverse of ``block_params``: rebuild a block from its structure entry.
-
-    Raises ``CheckpointError`` when the entry is malformed or a tensor it names is missing.
-    """
-    try:
-        if entry["kind"] == "moe":
-            experts = [
-                block_from_tensors({"kind": "dense"}, tensors, f"{prefix}expert{i}.")
-                for i in range(entry["n_experts"])
-            ]
-            return MoeLayer(
-                experts=experts, router=tensors[prefix + "router"],
-                k=entry["k"], capacity_factor=entry["capacity_factor"],
-            )
-        return DenseFfn(*(tensors[prefix + key] for key in FFN_PARAMS))
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint is missing {exc} for block {prefix!r}") from None
-    except (ValueError, TypeError, ShapeMismatch) as exc:
-        raise CheckpointError(f"invalid structure for block {prefix!r}: {exc}") from None
 
 
 @dataclass
@@ -331,8 +303,10 @@ def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int)
     at most ``tokens``, since a token selects an expert at most once.
 
     Quotients within 1e-9 of an integer snap to it first, so exact ratios never
-    round up from floating-point noise.
+    round up from floating-point noise. ``capacity_factor`` must pass
+    ``_check_capacity``.
     """
+    _check_capacity(capacity_factor)
     q = min(capacity_factor * tokens * k / n_experts, tokens)
     nearest = round(q)
     if abs(q - nearest) < 1e-9:

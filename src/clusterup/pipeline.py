@@ -40,8 +40,8 @@ from .analysis import (
 )
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import INIT_METHODS, PipelineConfig
-from .errors import CheckpointError, ClusterUpError, ConfigError, ShapeMismatch
-from .moe import MoeLayer, block_from_tensors, block_structure
+from .errors import CheckpointError, ClusterUpError, ConfigError
+from .moe import DenseFfn, MoeLayer
 from .seeding import derive_seed
 from . import train  # so run_analyze looks up train.model_forward at call time
 from . import workers as _workers  # aliased: ``workers`` is also a parameter here
@@ -89,29 +89,6 @@ def moe_path(cfg, method: str, trained: bool = False) -> Path:
 # model (de)serialization
 # ---------------------------------------------------------------------------
 
-def model_structure(model: ToyModel) -> dict:
-    return {
-        "input_dim": model.input_dim,
-        "n_classes": model.n_classes,
-        "blocks": [block_structure(block) for block in model.blocks],
-    }
-
-
-def model_from_tensors(structure: dict, tensors: dict[str, np.ndarray]) -> ToyModel:
-    try:
-        blocks = [
-            block_from_tensors(entry, tensors, f"block{b}.")
-            for b, entry in enumerate(structure["blocks"])
-        ]
-        return ToyModel(input_dim=structure["input_dim"], blocks=blocks, head=tensors["head"])
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint is missing {exc}") from None
-    except ShapeMismatch as exc:
-        raise CheckpointError(f"inconsistent model shapes: {exc}") from None
-    except TypeError as exc:  # e.g. ``blocks`` is not a list
-        raise CheckpointError(f"invalid model structure: {exc}") from None
-
-
 def config_snapshot(cfg: PipelineConfig) -> dict:
     """The config recorded in checkpoints: all of it but ``output_dir``, so a
     run writes the same bytes whichever directory it writes them to."""
@@ -120,17 +97,22 @@ def config_snapshot(cfg: PipelineConfig) -> dict:
     return snapshot
 
 
-def _check_config(cfg: PipelineConfig, manifest: dict, path) -> None:
+def _check_config(cfg: PipelineConfig, manifest: dict, path, moe: bool = False) -> None:
     """Raise ``CheckpointError`` unless the checkpoint at ``path``, whose
     manifest is ``manifest``, records ``cfg``'s ``model`` and ``data``
-    sections: the stages that read it would otherwise mix two configs."""
+    sections and, given ``moe``, its ``moe.n_experts`` and ``moe.k``: the
+    stages that read it would otherwise mix two configs."""
     recorded = manifest["config"] if isinstance(manifest["config"], dict) else {}
     running = config_snapshot(cfg)
-    for section in ("model", "data"):
+    checked = {"model": None, "data": None, **({"moe": ("n_experts", "k")} if moe else {})}
+    for section, keys in checked.items():
         mine, theirs = running[section], recorded.get(section)
+        theirs = theirs if isinstance(theirs, dict) else {}
+        if keys:
+            mine = {key: mine[key] for key in keys}
+            theirs = {key: theirs[key] for key in keys if key in theirs}
         if theirs == mine:
             continue
-        theirs = theirs if isinstance(theirs, dict) else {}
         key = next(key for key in [*mine, *theirs]
                    if key not in mine or key not in theirs or mine[key] != theirs[key])
         raise CheckpointError(
@@ -144,31 +126,46 @@ def save_model_checkpoint(
     extra: dict | None = None, cluster_tensors: dict[str, np.ndarray] | None = None,
 ) -> None:
     tensors = {**dict(named_params(model)), **(cluster_tensors or {})}
-    save_checkpoint(path, tensors, config=config_snapshot(cfg), seeds=seeds,
-                    extra={"model": model_structure(model), **(extra or {})})
+    save_checkpoint(path, tensors, config=config_snapshot(cfg), seeds=seeds, extra=extra)
+
+
+def _blank_model(cfg: PipelineConfig, moe: bool) -> ToyModel:
+    """The zero-filled model ``cfg`` describes: dense or, given ``moe``, with
+    an MoE layer of the moe section's ``n_experts``, ``k`` and
+    ``capacity_train`` at every default site."""
+    m, e = cfg.model, cfg.moe
+    ffn = DenseFfn(np.zeros((m.h, m.d)), np.zeros(m.h), np.zeros((m.d, m.h)), np.zeros(m.d))
+    blocks = [ffn.copy() for _ in range(m.blocks)]
+    for b in default_moe_sites(m.blocks) if moe else []:
+        blocks[b] = MoeLayer([ffn] * e.n_experts, np.zeros((e.n_experts, m.d)),
+                             e.k, e.capacity_train)
+    return ToyModel(input_dim=m.d, blocks=blocks, head=np.zeros((m.n_classes, m.d)))
 
 
 def load_model_checkpoint(path, cfg: PipelineConfig) -> ToyModel:
-    """The model saved at ``path``, made under ``cfg``'s model and data
-    sections (``_check_config``), with that model section's sizes and the moe
-    section's ``n_experts`` and ``k`` (not its capacities: callers pass them)."""
+    """The model saved at ``path``: the model ``cfg`` describes, filled from
+    the file by tensor name. It is MoE at every default site if the file
+    holds the first site's router, and dense otherwise. The file must be made
+    under ``cfg`` (``_check_config``), and its tensors outside ``cluster.``
+    must be that model's ``named_params``, by name and shape. Its MoE layers
+    take ``moe.capacity_train``; callers pass the capacity they run at."""
     ckpt = load_checkpoint(path)
-    _check_config(cfg, ckpt.manifest, path)
-    if "model" not in ckpt.extra:
-        raise CheckpointError(f"{path} holds no model")
-    model = model_from_tensors(ckpt.extra["model"], ckpt.tensors)
-    sizes = [("model", "d", model.input_dim), ("model", "blocks", len(model.blocks)),
-             ("model", "n_classes", model.n_classes),
-             *(("model", "h", block.h) for block in model.blocks),
-             *(("moe", key, getattr(block, key)) for block in model.blocks
-               if isinstance(block, MoeLayer) for key in ("n_experts", "k"))]
-    for section, key, size in sizes:
-        want = getattr(getattr(cfg, section), key)
-        if size != want:
-            raise CheckpointError(
-                f"{path} holds a model unlike its {section} config: {section}.{key} is "
-                f"{size} in its tensors and {want} in its config"
-            )
+    moe = f"block{default_moe_sites(cfg.model.blocks)[0]}.router" in ckpt.tensors
+    _check_config(cfg, ckpt.manifest, path, moe)
+    model = _blank_model(cfg, moe)
+    views = dict(named_params(model))
+    stored = {name: t for name, t in ckpt.tensors.items() if not name.startswith("cluster.")}
+    for name in [*views, *stored]:
+        if name in views and name in stored and views[name].shape == stored[name].shape:
+            continue
+        problem = ("is missing" if name not in stored else "is not in that model"
+                   if name not in views else
+                   f"has shape {stored[name].shape} there and {views[name].shape} here")
+        raise CheckpointError(
+            f"{path} holds a model unlike the one its config describes: "
+            f"tensor {name!r} {problem}")
+    for name, view in views.items():
+        view[...] = stored[name]
     return model
 
 
@@ -333,10 +330,7 @@ def run_capture(cfg: PipelineConfig) -> Path:
     bank = capture(cfg, dense)
     tensors = {f"site{b}.activations": acts for b, acts in sorted(bank.per_site.items())}
     path = bank_path(cfg)
-    save_checkpoint(
-        path, tensors, config=config_snapshot(cfg), seeds=_seeds_dict(cfg),
-        extra={"token_cap": bank.token_cap, "sites": list(bank.per_site)},
-    )
+    save_checkpoint(path, tensors, config=config_snapshot(cfg), seeds=_seeds_dict(cfg))
     return path
 
 
@@ -346,8 +340,6 @@ def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
     ``cfg``'s model, whose Gram over the tokens is finite."""
     ckpt = load_checkpoint(path)
     _check_config(cfg, ckpt.manifest, path)
-    if "token_cap" not in ckpt.extra:
-        raise CheckpointError(f"{path} holds no activation bank")
     per_site = {}
     for b in default_moe_sites(cfg.model.blocks):
         acts = ckpt.tensors.get(f"site{b}.activations")
@@ -364,7 +356,7 @@ def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
             raise CheckpointError(
                 f"{path}: MoE site {b} activations overflow their Gram over the tokens")
         per_site[b] = acts
-    return ActivationBank(per_site=per_site, token_cap=ckpt.extra["token_cap"])
+    return ActivationBank(per_site=per_site)
 
 
 def run_upcycle(cfg: PipelineConfig, method: str | None = None) -> Path:

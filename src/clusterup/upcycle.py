@@ -63,7 +63,6 @@ class ActivationBank:
     """FFN-input activations per upcycling site, capped per site."""
 
     per_site: dict[int, Array]  # site -> (d, M)
-    token_cap: int
 
 
 def capture_activations(
@@ -94,7 +93,7 @@ def capture_activations(
             idx = np.sort(rng.choice(n, size=token_cap, replace=False))
             acts = acts[:, idx]
         per_site[b] = acts.copy()
-    return ActivationBank(per_site=per_site, token_cap=token_cap)
+    return ActivationBank(per_site=per_site)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,7 @@ from clusterup.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from clusterup.pipeline import (
-    load_model_checkpoint,
-    model_from_tensors,
-    model_structure,
-    save_model_checkpoint,
-)
+from clusterup.pipeline import load_model_checkpoint, save_model_checkpoint
 from clusterup.config import config_from_dict
 from clusterup.train import make_dense_model, named_params
 from clusterup.upcycle import upcycle_model
@@ -242,6 +237,18 @@ class TestByteFuzz:
             pass
 
 
+def _saved_moe(tmp_path, method="sparse"):
+    """A 2-expert top-2 model upcycled under its config, the config, and the
+    path it is saved at."""
+    cfg = config_from_dict({"model": {"d": 5, "h": 7, "blocks": 2, "n_classes": 3},
+                            "moe": {"n_experts": 2, "k": 2}})
+    moe, _, _ = upcycle_model(make_dense_model(5, 7, 2, 3, seed=5), method,
+                              n_experts=2, k=2, capacity_factor=cfg.moe.capacity_train, seed=6)
+    path = tmp_path / "moe.ckpt"
+    save_model_checkpoint(path, moe, cfg, {"root": 0})
+    return moe, cfg, path
+
+
 class TestModelSerialization:
     def test_dense_model_roundtrip(self, tmp_path):
         model = make_dense_model(6, 8, 3, 2, seed=0)
@@ -267,39 +274,97 @@ class TestModelSerialization:
         assert layer.k == 2 and layer.capacity_factor == 1.5
         assert layer.n_experts == 4
 
-    def test_structure_tensors_consistent(self):
-        dense = make_dense_model(5, 7, 4, 3, seed=5)
-        moe, _, _ = upcycle_model(dense, "drop", n_experts=2, k=1,
-                                  capacity_factor=1.0, seed=6)
-        rebuilt = model_from_tensors(model_structure(moe), dict(named_params(moe)))
-        for (name, a), (name2, b) in zip(named_params(moe), named_params(rebuilt)):
+    def test_structure_tensors_consistent(self, tmp_path):
+        moe, cfg, path = _saved_moe(tmp_path, "drop")
+        loaded = load_model_checkpoint(path, cfg)
+        for (name, a), (name2, b) in zip(named_params(moe), named_params(loaded), strict=True):
             assert name == name2
             np.testing.assert_array_equal(a, b)
 
-    def test_missing_tensor_raises_checkpoint_error(self):
-        moe, _, _ = upcycle_model(make_dense_model(5, 7, 2, 3, seed=5), "sparse",
-                                  n_experts=2, k=1, capacity_factor=1.0, seed=6)
-        tensors = dict(named_params(moe))
-        del tensors["block1.expert1.b2"]
-        with pytest.raises(CheckpointError, match="block1.expert1.b2"):
-            model_from_tensors(model_structure(moe), tensors)
-        structure = model_structure(moe)
-        del structure["blocks"][1]["k"]
-        with pytest.raises(CheckpointError):
-            model_from_tensors(structure, dict(named_params(moe)))
+    def test_missing_tensor_raises_checkpoint_error(self, tmp_path):
+        _, cfg, path = _saved_moe(tmp_path)
+        ckpt = load_checkpoint(path)
+        del ckpt.tensors["block1.expert1.b2"]
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds)
+        with pytest.raises(CheckpointError, match="'block1.expert1.b2' is missing"):
+            load_model_checkpoint(path, cfg)
 
     @pytest.mark.parametrize("key,value", [
         ("k", 9), ("k", "2"), ("k", 1.5), ("k", True), ("n_experts", 0),
-        ("capacity_factor", -1.0), ("capacity_factor", float("inf")),
-        ("capacity_factor", float("nan")),
     ])
-    def test_invalid_structure_raises_checkpoint_error(self, key, value):
-        moe, _, _ = upcycle_model(make_dense_model(5, 7, 2, 3, seed=5), "sparse",
-                                  n_experts=2, k=1, capacity_factor=1.0, seed=6)
-        structure = model_structure(moe)
-        structure["blocks"][1][key] = value
-        with pytest.raises(CheckpointError, match="block1"):
-            model_from_tensors(structure, dict(named_params(moe)))
+    def test_invalid_structure_raises_checkpoint_error(self, tmp_path, key, value):
+        # The file's recorded moe section differs from the running one in
+        # n_experts or k, which the tensors alone do not show.
+        _, cfg, path = _saved_moe(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.config["moe"][key] = value
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds)
+        with pytest.raises(CheckpointError, match=f"moe.{key} is {value!r} there and 2 here"):
+            load_model_checkpoint(path, cfg)
+
+
+class TestLoaderProperty:
+    """Save -> load of a random dense, sparse or drop model gives back its
+    tensors, and the loader refuses a file that is not the model its config
+    describes."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("loader")
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(1, 5), h=st.integers(1, 5), blocks=st.integers(2, 5),
+           n_classes=st.integers(2, 4), n_experts=st.integers(2, 4),
+           k=st.integers(1, 4), kind=st.sampled_from(["dense", "sparse", "drop"]),
+           data=st.data())
+    def test_save_load_and_refusals(self, workdir, d, h, blocks, n_classes, n_experts, k,
+                                    kind, data):
+        k = min(k, n_experts)
+        cfg = config_from_dict({
+            "model": {"d": d, "h": h, "blocks": blocks, "n_classes": n_classes},
+            "moe": {"n_experts": n_experts, "k": k}})
+        model = make_dense_model(d, h, blocks, n_classes, seed=d * h)
+        if kind != "dense":
+            model, _, _ = upcycle_model(model, kind, n_experts=n_experts, k=k,
+                                        capacity_factor=cfg.moe.capacity_train, seed=blocks)
+        path = workdir / "m.ckpt"
+        save_model_checkpoint(path, model, cfg, {"root": 0})
+        ckpt = load_checkpoint(path)
+
+        def load(tensors=ckpt.tensors, config=ckpt.config, extra=None):
+            save_checkpoint(path, tensors, config=config, seeds=ckpt.seeds, extra=extra)
+            return load_model_checkpoint(path, cfg)
+
+        def same_tensors(loaded):
+            want, got = list(named_params(model)), list(named_params(loaded))
+            assert [n for n, _ in got] == [n for n, _ in want]
+            for (_, a), (_, b) in zip(want, got):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        same_tensors(load())
+        name = data.draw(st.sampled_from(sorted(ckpt.tensors)), label="tensor")
+        # Without the first site's router the file reads as dense.
+        missing = "block1.w1" if name == "block1.router" else name
+        with pytest.raises(CheckpointError, match=f"{missing!r} is missing"):
+            load({n: t for n, t in ckpt.tensors.items() if n != name})
+        with pytest.raises(CheckpointError, match=f"{name!r} has shape"):
+            load({**ckpt.tensors, name: ckpt.tensors[name][..., None]})
+        # One expert too many, or for a dense model one block too many.
+        extra = f"block1.expert{n_experts}.w1" if kind != "dense" else f"block{blocks}.w1"
+        with pytest.raises(CheckpointError, match=f"{extra!r} is not in that model"):
+            load({**ckpt.tensors, extra: np.zeros((h, d))})
+        # A dense file does not depend on the moe section.
+        other_k = {**ckpt.config, "moe": {**ckpt.config["moe"], "k": k % n_experts + 1}}
+        if kind == "dense":
+            same_tensors(load(config=other_k))
+        else:
+            with pytest.raises(CheckpointError, match="moe.k is"):
+                load(config=other_k)
+        # Files written before the manifest lost its model structure still load.
+        legacy = {"input_dim": d, "n_classes": n_classes, "blocks": [
+            {"kind": "moe", "n_experts": n_experts, "k": k, "capacity_factor": 1.5}
+            if b in model.moe_sites else {"kind": "dense"} for b in range(blocks)]}
+        same_tensors(load(extra={"model": legacy}))
 
 
 def _walk_cfg():

@@ -355,14 +355,14 @@ class TestErrors:
             assert run("--config", cfg_path, *argv) == 0
         path = out / "moe_cluster.ckpt"
         ckpt = load_checkpoint(path)
-        ckpt.extra["model"]["blocks"][1]["k"] = 9
+        ckpt.config["moe"]["k"] = 9
         save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
                         extra=ckpt.extra)
         capsys.readouterr()
         assert run("--config", cfg_path, "train-moe", "--method", "cluster") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CheckpointError"
-        assert "k must lie in [1, 4], got 9" in err["message"]
+        assert "moe.k is 9 there and 2 here" in err["message"]
 
     def test_oversized_yaml_integer_reports_json(self, tmp_path, capsys):
         # Past Python's 4300-digit limit, PyYAML's int constructor raises ValueError.
@@ -373,8 +373,6 @@ class TestErrors:
         assert err["error"] == "ConfigError"
 
     @pytest.mark.parametrize("name,mutate,argv", [
-        ("moe_cluster.ckpt",
-         lambda tensors, extra: extra["model"].update(blocks=5), ("analyze",)),
         ("bank.ckpt",
          lambda tensors, extra: tensors.update({"siteX.activations": tensors.popitem()[1]}),
          ("upcycle", "--method", "cluster")),
@@ -387,7 +385,7 @@ class TestErrors:
         ("bank.ckpt",
          lambda tensors, extra: tensors.update({k: v * 1e200 for k, v in tensors.items()}),
          ("upcycle", "--method", "cluster")),
-    ], ids=["blocks-int", "bank-site-name", "head-1d", "router-transposed", "bank-gram-overflow"])
+    ], ids=["bank-site-name", "head-1d", "router-transposed", "bank-gram-overflow"])
     def test_malformed_metadata_reports_json(self, trained_workspace, capsys,
                                              name, mutate, argv):
         cfg_path, out = trained_workspace
@@ -520,18 +518,18 @@ class TestErrors:
         assert run("--config", cfg_path, "capture") == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "CheckpointError", "message":
-                       f"{path} holds a model unlike its model config: "
-                       "model.d is 8 in its tensors and 6 in its config"}
+                       f"{path} holds a model unlike the one its config describes: "
+                       "tensor 'head' has shape (2, 8) there and (2, 6) here"}
 
     @pytest.mark.parametrize("command", ["train-moe", "analyze"])
     @pytest.mark.parametrize("moe,message", [
-        ("n_experts: 8, k: 3", "moe.n_experts is 4 in its tensors and 8"),
-        ("n_experts: 4, k: 3", "moe.k is 2 in its tensors and 3"),
+        ("n_experts: 8, k: 3", "moe.n_experts is 4 there and 8 here"),
+        ("n_experts: 4, k: 3", "moe.k is 2 there and 3 here"),
     ], ids=["n_experts", "k"])
     def test_moe_unlike_config_reports_json(self, workspace, capsys, command, moe, message):
-        # The config check compares only the model and data sections; without
-        # this one, train-moe exits 0 and saves 4 experts under a config that
-        # records another count.
+        # An MoE checkpoint's recorded n_experts and k must be the running
+        # ones; without that check, train-moe exits 0 and saves 4 experts
+        # under a config that records another count.
         cfg_path, out = workspace
         for argv in (("train-dense",), ("upcycle", "--method", "sparse")):
             assert run("--config", cfg_path, *argv) == 0
@@ -543,7 +541,7 @@ class TestErrors:
         assert run("--config", cfg_path, *argv) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "CheckpointError", "message":
-                       f"{path} holds a model unlike its moe config: {message} in its config"}
+                       f"{path} was made under another moe config: {message}"}
         assert sorted(p.name for p in out.iterdir()) == [
             "dense.ckpt", "dense_log.jsonl", "init_report_sparse.json", "moe_sparse.ckpt"]
 
@@ -643,13 +641,15 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == error
 
-    def test_output_dir_env_override(self, workspace, tmp_path, capsys, monkeypatch):
+    def test_output_dir_env_ignored(self, workspace, tmp_path, capsys, monkeypatch):
+        # --out-dir and the config's output_dir set the output directory; the
+        # environment does not.
         cfg_path, out = workspace
         other = tmp_path / "elsewhere"
         monkeypatch.setenv("CLUSTERUP_OUTPUT_DIR", str(other))
-        run("--config", cfg_path, "train-dense")
-        assert (other / "dense.ckpt").exists()
-        assert not (out / "dense.ckpt").exists()
+        assert run("--config", cfg_path, "train-dense") == 0
+        assert (out / "dense.ckpt").exists()
+        assert not other.exists()
 
 
 class TestCompareWorkers:

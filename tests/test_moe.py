@@ -22,6 +22,7 @@ from clusterup.moe import (
     moe_forward_cached,
     router_probs,
 )
+from clusterup.train import ToyModel, evaluate
 
 
 def random_ffn(rng, d=4, h=6, scale=1.0):
@@ -152,6 +153,22 @@ class TestCapacity:
     def test_at_most_one_slot_per_token(self):
         assert expert_capacity(3.0, 5, 2, 2) == 5
         assert expert_capacity(1e308, 5, 2, 4) == 5  # the product overflows to inf
+
+    @pytest.mark.parametrize("capacity_factor", [0.0, -1.0, math.nan, math.inf])
+    def test_one_rule_for_every_capacity(self, capacity_factor):
+        # A layer's capacity and a per-call one, through moe_forward and
+        # evaluate, all refuse a capacity that is not finite and > 0.
+        rng = np.random.default_rng(3)
+        layer = random_layer(rng, capacity_factor=1.5)
+        x = rng.standard_normal((4, 32))
+        match = "capacity_factor must be finite and > 0"
+        with pytest.raises(ValueError, match=match):
+            random_layer(rng, capacity_factor=capacity_factor)
+        with pytest.raises(ValueError, match=match):
+            moe_forward(layer, x, capacity_factor)
+        model = ToyModel(input_dim=4, blocks=[layer], head=rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match=match):
+            evaluate(model, x, np.zeros(32, dtype=int), capacity_factor)
 
 
 class TestMoeForward:

@@ -90,7 +90,7 @@ def _run(label: str, seed: int, cpus: list[int], commands, work: Path) -> dict[s
     out.mkdir()
     config = work / f"{label}.yaml"
     config.write_text(f"data: {{seed: {seed}}}\ntrain: {{steps: 300}}\noutput_dir: {out}\n")
-    env = {key: value for key, value in os.environ.items() if key != "CLUSTERUP_OUTPUT_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     golden, before = {}, {}
     for command in commands:
