@@ -488,17 +488,25 @@ def moe_backward(
 
 
 def dense_ensemble_forward(layer: MoeLayer, x) -> Array:
-    """Full soft mixture: every expert weighted by its softmax probability."""
+    """Full soft mixture: every expert weighted by its softmax probability.
+
+    Every expert runs at once, as two batched GEMMs on the stacked
+    ``ffn_views`` of the layer's expert rows (no copy), and the weighted
+    outputs are added in expert order, so the result has the bits of a loop
+    of ``ffn_forward`` over the experts."""
     xm = as_matrix(x, "x", check_finite=False)
     if xm.shape[0] != layer.d:
         raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
     probs = router_probs(layer.router, xm)
-    y = np.zeros_like(xm)
-    for i, expert in enumerate(layer.experts):
-        out = ffn_forward(expert, xm)
-        out *= probs[:, i]
-        y += out
-    return y
+    w1, b1, w2, b2 = ffn_views(moe_views(layer.params, layer.n_experts, layer.d)[1],
+                               layer.h, layer.d)
+    act = np.matmul(w1, xm)
+    act += b1[:, :, None]
+    np.maximum(act, 0.0, out=act)
+    out = np.matmul(w2, act)
+    out += b2[:, :, None]
+    out *= probs.T[:, None, :]
+    return _add_ranks(np.zeros_like(xm), out)
 
 
 def load_balance_loss(routing: RoutingRecord) -> float:

@@ -337,7 +337,8 @@ def run_capture(cfg: PipelineConfig) -> Path:
 def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
     """The activation bank at ``path``, made under ``cfg``'s model and data
     sections (``_check_config``): a (d, tokens) matrix per MoE site of
-    ``cfg``'s model, whose Gram over the tokens is finite."""
+    ``cfg``'s model, whose Gram over the tokens is finite, and no other
+    tensor (``load_model_checkpoint``'s rule)."""
     ckpt = load_checkpoint(path)
     _check_config(cfg, ckpt.manifest, path)
     per_site = {}
@@ -356,6 +357,12 @@ def load_bank(path, cfg: PipelineConfig) -> ActivationBank:
             raise CheckpointError(
                 f"{path}: MoE site {b} activations overflow their Gram over the tokens")
         per_site[b] = acts
+    expected = {f"site{b}.activations" for b in per_site}
+    for name in ckpt.tensors:
+        if name not in expected:
+            raise CheckpointError(
+                f"{path} holds a bank unlike the one its config describes: "
+                f"tensor {name!r} is not in that bank")
     return ActivationBank(per_site=per_site)
 
 

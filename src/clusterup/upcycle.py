@@ -39,7 +39,7 @@ import numpy as np
 
 from .clustering import ClusterModel, _update_centroids, normalize_rows, spherical_kmeans
 from .config import InitConfig
-from .errors import EmptyCalibration, InsufficientData, NotPositiveDefinite
+from .errors import EmptyCalibration, InsufficientData, NotPositiveDefinite, ShapeMismatch
 from .linalg import (
     Array,
     as_matrix,
@@ -49,9 +49,11 @@ from .linalg import (
     pca_fit_transform,
     svd_full,
 )
-from .moe import DenseFfn, MoeLayer
+from .moe import DenseFfn, MoeLayer, ffn_forward, moe_forward
 from .seeding import derive_seed, substream
-from .train import ToyModel, model_forward
+# ``model_forward`` is not called here; ``perfbench/spans.py`` traces it under
+# this module's name.
+from .train import ToyModel, model_forward  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +72,13 @@ def capture_activations(
 ) -> ActivationBank:
     """Record the block-input vectors the listed blocks would see.
 
-    Runs the model once over ``data`` (d x N) and stores, for each site, the
-    residual-stream vectors entering that block, uniformly subsampled to
-    ``token_cap`` columns with a per-site stream of ``seed``.
+    Runs blocks ``0 … max(sites) - 1`` over ``data`` (d x N), each through
+    ``ffn_forward`` or ``moe_forward`` at its own capacity, and keeps only the
+    residual stream (``cur = cur + y``) and each site's input, uniformly
+    subsampled to ``token_cap`` columns with a per-site stream of ``seed``.
+    A site's columns are those of ``model_forward(model, data).caches[b].x``,
+    bit for bit, but no block's record is kept. With no sites no block runs,
+    and the bank is empty.
     """
     xm = as_matrix(data, "data")
     if xm.shape[1] == 0:
@@ -83,17 +89,21 @@ def capture_activations(
     for b in sites:
         if not 0 <= b < len(model.blocks):
             raise ValueError(f"site {b} out of range for {len(model.blocks)} blocks")
-    state = model_forward(model, xm)
-    per_site = {}
-    for b in sites:
-        acts = state.caches[b].x
-        n = acts.shape[1]
-        if n > token_cap:
-            rng = substream(seed, f"capture:{b}")
-            idx = np.sort(rng.choice(n, size=token_cap, replace=False))
-            acts = acts[:, idx]
-        per_site[b] = acts.copy()
-    return ActivationBank(per_site=per_site)
+    if xm.shape[0] != model.input_dim:
+        raise ShapeMismatch(f"data has {xm.shape[0]} rows, model expects {model.input_dim}")
+    kept, cur, n, last = {}, xm, xm.shape[1], max(sites, default=-1)
+    for b in range(last + 1):
+        if b in sites:
+            acts = cur
+            if n > token_cap:
+                idx = substream(seed, f"capture:{b}").choice(n, size=token_cap, replace=False)
+                acts = cur[:, np.sort(idx)]
+            kept[b] = acts.copy()
+        if b < last:
+            block = model.blocks[b]
+            cur = cur + (moe_forward(block, cur)[0] if isinstance(block, MoeLayer)
+                         else ffn_forward(block, cur))
+    return ActivationBank(per_site={b: kept[b] for b in sites})
 
 
 # ---------------------------------------------------------------------------

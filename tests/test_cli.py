@@ -442,6 +442,21 @@ class TestErrors:
         assert "site 3" in err["message"]
         assert "(5, " in err["message"] and "expected 8 rows" in err["message"]
 
+    @pytest.mark.parametrize("extra", ["site2.activations", "block1.router"])
+    def test_bank_with_extra_tensor_reports_json(self, trained_workspace, capsys, extra):
+        # Like a model checkpoint, a bank holds its config's tensors and no other.
+        cfg_path, out = trained_workspace
+        path = out / "bank.ckpt"
+        ckpt = load_checkpoint(path)
+        ckpt.tensors[extra] = ckpt.tensors["site1.activations"][:, :4]
+        save_checkpoint(path, ckpt.tensors, config=ckpt.config, seeds=ckpt.seeds,
+                        extra=ckpt.extra)
+        capsys.readouterr()
+        assert run("--config", cfg_path, "upcycle", "--method", "cluster") == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert f"tensor {extra!r} is not in that bank" in err["message"]
+
     @pytest.mark.parametrize("name,tensor,where,value,argv,error,message", [
         ("bank.ckpt", "site1.activations", (0, 0), np.nan, ("upcycle", "--method", "cluster"),
          "CheckpointError", "'site1.activations'"),

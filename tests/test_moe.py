@@ -495,6 +495,76 @@ class TestGroupedDispatchOracle:
             find(dispatch_cases(), holds, settings=settings(max_examples=300, database=None))
 
 
+def reference_ensemble(layer, x):
+    """The dense ensemble as a loop of ``ffn_forward`` over the experts, each
+    output weighted by its softmax column and added in expert order: the
+    oracle for the stacked ensemble."""
+    probs = router_probs(layer.router, x)
+    y = np.zeros_like(x)
+    for i, expert in enumerate(layer.experts):
+        out = ffn_forward(expert, x)
+        out *= probs[:, i]
+        y += out
+    return y
+
+
+def laid_out(x, layout):
+    """``x`` as a C-ordered copy, an F-ordered copy, or a view with a column
+    stride of two."""
+    if layout == "C":
+        return x.copy()
+    if layout == "F":
+        return np.asfortranarray(x)
+    wide = np.empty((x.shape[0], 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return wide[:, ::2]
+
+
+@st.composite
+def ensemble_cases(draw):
+    """A layer of 1-9 experts with tiny d and h, and 1-40 tokens laid out C,
+    F or strided."""
+    n_e = draw(st.integers(1, 9), label="n_experts")
+    d, h = draw(st.integers(1, 6), label="d"), draw(st.integers(1, 8), label="h")
+    t = draw(st.integers(1, 40), label="T")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = random_layer(rng, n_experts=n_e, d=d, h=h, k=1)
+    layout = draw(st.sampled_from(["C", "F", "strided"]), label="layout")
+    return layer, laid_out(rng.standard_normal((d, t)), layout)
+
+
+class TestStackedEnsembleOracle:
+    """``dense_ensemble_forward`` runs every expert in two batched GEMMs on
+    the stacked views of the layer's buffer, with the loop's bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ensemble_cases())
+    def test_matches_per_expert_loop_bit_for_bit(self, case):
+        layer, x = case
+        got, want = dense_ensemble_forward(layer, x), reference_ensemble(layer, x)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_default_shape(self, layout):
+        rng = np.random.default_rng(41)
+        layer = random_layer(rng, n_experts=8, d=32, h=64, k=2)
+        x = laid_out(rng.standard_normal((32, 128)), layout)
+        assert dense_ensemble_forward(layer, x).tobytes() == reference_ensemble(layer, x).tobytes()
+
+    def test_strategy_reaches_every_edge_case(self):
+        def f_ordered(x):
+            return x.flags.f_contiguous and not x.flags.c_contiguous
+
+        def strided(x):
+            return not (x.flags.c_contiguous or x.flags.f_contiguous)
+
+        for holds in (lambda case: case[0].n_experts == 1, lambda case: case[1].shape[1] == 1,
+                      lambda case: case[0].d == case[0].h == 1,
+                      lambda case: f_ordered(case[1]), lambda case: strided(case[1])):
+            find(ensemble_cases(), holds, settings=settings(max_examples=300, database=None))
+
+
 class TestLayoutRule:
     """One rule lays out every block buffer: an FFN's is ``[w1 | b1 | w2 |
     b2]`` and an MoE layer's is ``[router | one FFN buffer per expert]``."""

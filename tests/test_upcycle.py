@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,12 @@ from clusterup import upcycle
 
 from clusterup.analysis import expert_weight_similarity, mean_offdiagonal
 from clusterup.clustering import _assign_all
-from clusterup.errors import EmptyCalibration, InsufficientData
+from clusterup.errors import EmptyCalibration, InsufficientData, ShapeMismatch
 from clusterup.linalg import effective_rank, frobenius_sq, svd_full
 from clusterup.config import INIT_METHODS, InitConfig, PipelineConfig
 from clusterup.moe import DenseFfn, MoeLayer, ffn_forward, moe_forward, router_probs
-from clusterup.train import make_dense_model, make_synthetic_dataset, model_forward
+from clusterup.seeding import substream
+from clusterup.train import ToyModel, make_dense_model, make_synthetic_dataset, model_forward
 from clusterup.upcycle import (
     INITIALIZERS,
     capture_activations,
@@ -466,6 +468,101 @@ class TestCapture:
         model = make_dense_model(4, 6, 2, 2, seed=3)
         with pytest.raises(EmptyCalibration):
             capture_activations(model, np.zeros((4, 0)), [1], token_cap=10, seed=0)
+
+    def test_no_sites_runs_no_block(self, monkeypatch):
+        model = make_dense_model(4, 6, 3, 2, seed=3)
+        monkeypatch.setattr(upcycle, "ffn_forward", None)  # any call would raise
+        bank = capture_activations(model, np.ones((4, 7)), [], token_cap=3, seed=0)
+        assert bank.per_site == {}
+        # The data is still checked against the model.
+        with pytest.raises(ShapeMismatch, match="data has 5 rows, model expects 4"):
+            capture_activations(model, np.ones((5, 7)), [], token_cap=3, seed=0)
+
+    def test_runs_only_the_blocks_before_the_last_site(self, monkeypatch):
+        model = make_dense_model(4, 6, 4, 2, seed=3)
+        ran = []
+        forward = upcycle.ffn_forward
+        monkeypatch.setattr(upcycle, "ffn_forward",
+                            lambda block, x: ran.append(block) or forward(block, x))
+        capture_activations(model, np.ones((4, 7)), [2, 0], token_cap=3, seed=0)
+        assert ran == model.blocks[:2]
+
+    def test_moe_block_before_a_site_runs_at_its_own_capacity(self):
+        # Block 1 is an MoE layer that drops slots; site 3's inputs are those
+        # of model_forward, which runs it at the layer's capacity too.
+        rng = np.random.default_rng(27)
+        model = make_dense_model(5, 7, 4, 2, seed=4)
+        model.blocks[1] = MoeLayer([random_ffn(rng, 5, 7) for _ in range(3)],
+                                   rng.standard_normal((3, 5)), k=2, capacity_factor=0.5)
+        data = rng.standard_normal((5, 60))
+        assert model_forward(model, data).records[1].dropped.any()
+        bank = capture_activations(model, data, [3], token_cap=1000, seed=0)
+        assert bank.per_site[3].tobytes() == model_forward(model, data).caches[3].x.tobytes()
+        model.blocks[1].capacity_factor = 2.0
+        assert not np.array_equal(
+            capture_activations(model, data, [3], token_cap=1000, seed=0).per_site[3],
+            bank.per_site[3])
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_subsampled_full_forward(self, data):
+        """Each site's bank is ``model_forward(...).caches[b].x``, subsampled
+        as capture always did, bit for bit and in the same layout."""
+        d, h = data.draw(st.integers(1, 6), label="d"), data.draw(st.integers(1, 8), label="h")
+        n_blocks = data.draw(st.integers(1, 5), label="blocks")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        blocks = []
+        for _ in range(n_blocks):
+            if data.draw(st.booleans(), label="MoE block"):
+                n_e = data.draw(st.integers(1, 4), label="experts")
+                blocks.append(MoeLayer([random_ffn(rng, d, h) for _ in range(n_e)],
+                                       rng.standard_normal((n_e, d)),
+                                       k=data.draw(st.integers(1, n_e), label="k"),
+                                       capacity_factor=data.draw(st.sampled_from([0.5, 1.5]),
+                                                                 label="capacity")))
+            else:
+                blocks.append(random_ffn(rng, d, h))
+        model = ToyModel(input_dim=d, blocks=blocks, head=rng.standard_normal((2, d)))
+        sites = data.draw(st.lists(st.integers(0, n_blocks - 1), unique=True), label="sites")
+        n = data.draw(st.integers(1, 40), label="N")
+        token_cap = data.draw(st.one_of(st.integers(1, n), st.integers(n, 2 * n)), label="cap")
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]), label="layout")
+        x = rng.standard_normal((d, 2 * n))
+        x = {"C": x[:, :n].copy(), "F": np.asfortranarray(x[:, :n]), "strided": x[:, ::2]}[layout]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="capture seed")
+
+        bank = capture_activations(model, x, sites, token_cap, seed)
+        state = model_forward(model, x)
+        assert list(bank.per_site) == sites
+        for b in sites:
+            acts = state.caches[b].x
+            if n > token_cap:
+                rng_b = substream(seed, f"capture:{b}")
+                acts = acts[:, np.sort(rng_b.choice(n, size=token_cap, replace=False))]
+            want, got = acts.copy(), bank.per_site[b]
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_under_half_the_forward_record(self):
+        """At the default shape (d 32, h 64, 4 blocks, 4096 tokens, sites 1
+        and 3, a cap of 2048), capture allocates under half of what
+        ``model_forward``'s record of every block does."""
+        cfg = PipelineConfig()
+        model = make_dense_model(cfg.model.d, cfg.model.h, cfg.model.blocks,
+                                 cfg.model.n_classes, seed=0)
+        data = np.random.default_rng(28).standard_normal((cfg.model.d, cfg.data.n))
+        tracemalloc.start()
+        try:
+            bank = capture_activations(model, data, [1, 3], cfg.calibration.token_cap, seed=0)
+            capture_peak = tracemalloc.get_traced_memory()[1]
+            del bank
+            tracemalloc.reset_peak()
+            state = model_forward(model, data)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            del state
+        finally:
+            tracemalloc.stop()
+        assert capture_peak < forward_peak / 2
 
 
 class TestUpcycleModel:
