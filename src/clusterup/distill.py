@@ -69,11 +69,13 @@ def eesd_terms(student_y: Array, teacher_y: Array) -> tuple[float, Array]:
     The value is the squared residual summed over the tokens (columns) and
     divided by their count. Inputs are not scanned for NaN/Inf, so a diverged
     student yields a non-finite value for the caller's loss check to report.
+    A student output with a leading item axis gives one value per item.
     """
-    if student_y.shape != teacher_y.shape:
+    if student_y.shape[-2:] != teacher_y.shape:
         raise ShapeMismatch(f"student {student_y.shape} vs teacher {teacher_y.shape}")
     residual = student_y - teacher_y
-    n_valid = residual.shape[1]
+    n_valid = residual.shape[-1]
     if n_valid == 0:
         raise AllMasked("every token is masked")
-    return float(np.sum(residual * residual) / n_valid), residual
+    value = np.sum(residual * residual, axis=(-2, -1)) / n_valid
+    return (float(value) if value.ndim == 0 else value), residual

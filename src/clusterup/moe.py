@@ -189,7 +189,7 @@ class DispatchPlan:
 
     Column ``c`` of a plan-ordered matrix (the gathered tokens, the expert
     outputs) is kept slot ``c``: token ``rows[c]``'s top-k slot ``slots[c]``
-    with gate ``gates[c]``. Expert ``i`` owns columns
+    with gate ``gates[..., c]``. Expert ``i`` owns columns
     ``offsets[i]:offsets[i + 1]``, its kept slots in token order. Row ``t``
     of ``columns`` is token ``t``'s kept columns in expert order, padded with
     ``n_kept`` per dropped slot: column ``r`` is scatter pass ``r``.
@@ -197,26 +197,26 @@ class DispatchPlan:
 
     rows: np.ndarray     # (n_kept,) int
     slots: np.ndarray    # (n_kept,) int
-    gates: Array         # (n_kept,)
+    gates: Array         # (..., n_kept)
     offsets: list[int]   # n_experts + 1 column offsets
     columns: np.ndarray  # (T, k) int
 
-    def gated(self, outputs: Array, columns: np.ndarray | None = None) -> Array:
-        """``outputs`` (d x n_kept) times their gates, gathered at
-        ``columns`` (m x k; by default ``self.columns``) into k ranks of
-        d x m, rank r from column r of ``columns``. Padding gives +0.0 (it
-        is clipped to a kept column, then masked)."""
-        columns = self.columns if columns is None else columns
-        block = np.zeros((outputs.shape[0], *columns.shape))
+    def combine(self, outputs: Array, acc: Array, keep: bool = True) -> Array:
+        """Add to ``acc`` (..., d, T), in place, each token's kept slots of
+        ``outputs`` (..., d, n_kept) times their gates, rank by rank (column
+        r of ``columns``), so each token sums its slots in expert order. A
+        dropped slot adds nothing: the bits of adding +0.0 to a sum begun at
+        +0.0. Unless ``keep``, the gated outputs overwrite ``outputs``."""
         if self.offsets[-1]:
-            np.multiply(outputs.take(columns, axis=1, mode="clip"),
-                        self.gates.take(columns, mode="clip"),
-                        out=block, where=columns < self.offsets[-1])
-        return block.transpose(2, 0, 1)
+            weighted = np.multiply(outputs, self.gates[..., None, :],
+                                   out=None if keep else outputs)
+            for columns, kept in zip(self.columns.T, (self.columns < self.offsets[-1]).T):
+                np.add(acc, weighted.take(columns, axis=-1, mode="clip"), out=acc, where=kept)
+        return acc
 
 
 def _add_ranks(acc: Array, ranks) -> Array:
-    """Add to ``acc`` (d x m), in place and in order, each d x m array of
+    """Add to ``acc`` (..., d, m), in place and in order, each array of
     ``ranks``, so each column sums its terms in rank order. Padding is
     +0.0: a sum begun at +0.0 is never -0.0, so adding +0.0 keeps its
     bits."""
@@ -244,14 +244,18 @@ class MoeForwardCache:
     denom: Array                    # (T,)
     plan: DispatchPlan
     expert_caches: list["FfnCache | None"]
-    outputs: Array
+    outputs: Array | None
     y: Array
 
 
 @dataclass
 class FfnCache:
-    x: Array
-    act: Array   # (h, T) ReLU output; positive exactly where its input is
+    """An FFN's input and ReLU output (h, T), positive exactly where its
+    input is. A pass with fixed decisions is never differentiated: its
+    caches hold no input, and ``act > 0`` in place of ``act``."""
+
+    x: Array | None
+    act: Array
 
 
 def ffn_forward(ffn: DenseFfn, x) -> Array:
@@ -260,15 +264,29 @@ def ffn_forward(ffn: DenseFfn, x) -> Array:
     return y
 
 
+def _as_tokens(x, d: int, owner: str) -> Array:
+    """``x`` as float64 tokens (..., d, T), one d x T matrix per item of a
+    leading item axis, if any; not scanned for NaN/Inf."""
+    xm = np.asarray(x, dtype=np.float64)
+    if xm.ndim < 2:
+        raise ValueError(f"x must be 2-D, got shape {xm.shape}")
+    if xm.shape[-2] != d:
+        raise ShapeMismatch(f"x has {xm.shape[-2]} rows, {owner} expects {d}")
+    return xm
+
+
+def _biased(z: Array, b: Array) -> Array:
+    """``z + b[..., None]``, in place unless ``b`` has an item axis ``z`` lacks."""
+    return np.add(z, b[..., None], out=z if z.ndim > b.ndim else None)
+
+
 def ffn_forward_cached(ffn: DenseFfn, x) -> tuple[Array, FfnCache]:
-    xm = as_matrix(x, "x", check_finite=False)
-    if xm.shape[0] != ffn.d:
-        raise ShapeMismatch(f"x has {xm.shape[0]} rows, FFN expects {ffn.d}")
-    act = ffn.w1 @ xm
-    act += ffn.b1[:, None]
+    """``ffn_forward`` and its cache; a leading item axis on ``x`` or a
+    tensor gives one GEMM per item, of the unstacked shapes, so its bits."""
+    xm = _as_tokens(x, ffn.d, "FFN")
+    act = _biased(ffn.w1 @ xm, ffn.b1)
     np.maximum(act, 0.0, out=act)
-    y = ffn.w2 @ act
-    y += ffn.b2[:, None]
+    y = _biased(ffn.w2 @ act, ffn.b2)
     return y, FfnCache(x=xm, act=act)
 
 
@@ -287,15 +305,13 @@ def ffn_backward(ffn: DenseFfn, cache: FfnCache, dy: Array, grads: list[Array]) 
 
 
 def router_probs(router, x) -> Array:
-    """Softmax routing probabilities, one row per token (T x n_experts)."""
-    r = as_matrix(router, "router", check_finite=False)
-    xm = as_matrix(x, "x", check_finite=False)
-    if r.shape[1] != xm.shape[0]:
-        raise ShapeMismatch(f"router dim {r.shape[1]} != token dim {xm.shape[0]}")
-    logits = (r @ xm).T
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax routing probabilities, one row per token (T x n_experts); a
+    router or tokens with a leading item axis give one such matrix per item."""
+    r = np.asarray(router, dtype=np.float64)
+    logits = (r @ _as_tokens(x, r.shape[-1], "router")).swapaxes(-1, -2)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int) -> int:
@@ -314,18 +330,30 @@ def expert_capacity(capacity_factor: float, tokens: int, k: int, n_experts: int)
     return int(math.ceil(q))
 
 
-def _route(layer: MoeLayer, x: Array, capacity_factor: float):
+def _route(layer: MoeLayer, x: Array, capacity_factor: float,
+           fixed: MoeForwardCache | None = None):
     """The routing record, the gate denominators and the ``DispatchPlan``,
     all from one stable sort of the flat expert ids, whose kept part is the
     plan's permutation, and one stable sort of the tokens of every slot,
-    kept slots first, as the per-rank scatter passes."""
-    t_tokens = x.shape[1]
+    kept slots first, as the per-rank scatter passes. With ``fixed``, a
+    cache of an earlier pass, only the probabilities, selections and gates
+    are computed (with any leading item axis); drops, slot fractions and
+    plan are ``fixed``'s, as a pass with its selections would make them."""
+    t_tokens = x.shape[-1]
     n_e, k = layer.n_experts, layer.k
     probs = router_probs(layer.router, x)
-    topk = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    sel_probs = probs[np.arange(t_tokens)[:, None], topk]
-    denom = sel_probs.sum(axis=1)
-    gates = sel_probs / denom[:, None]
+    topk = np.argsort(-probs, axis=-1, kind="stable")[..., :k]
+    # probs[..., t, topk[..., t, :]], as one fancy index over the flat tokens
+    sel_probs = probs.reshape(-1, n_e)[np.arange(topk.size // k)[:, None],
+                                       topk.reshape(-1, k)].reshape(topk.shape)
+    denom = sel_probs.sum(axis=-1)
+    gates = sel_probs / denom[..., None]
+    if fixed is not None:
+        plan, kept = fixed.plan, fixed.record
+        record = RoutingRecord(probs, topk, gates, kept.dropped, kept.per_expert_fraction,
+                               probs.mean(axis=-2))
+        return record, denom, DispatchPlan(plan.rows, plan.slots, gates[..., plan.rows, plan.slots],
+                                           plan.offsets, plan.columns)
 
     cap = expert_capacity(capacity_factor, t_tokens, k, n_e)
     # Capacity fills in token order, then slot order within a token: the
@@ -371,54 +399,37 @@ def moe_forward_cached(
     x,
     capacity_factor: float | None = None,
     *,
-    base: MoeForwardCache | None = None,
-    expert: int | None = None,
+    fixed: MoeForwardCache | None = None,
 ) -> tuple[Array, RoutingRecord, MoeForwardCache]:
     """``moe_forward`` keeping the intermediates ``moe_backward`` needs.
 
     A routed pass runs each expert on its column slice of one gather of
-    ``x``, gathers every token's slots from the outputs and gates them at
-    once (``DispatchPlan.gated``), and adds them up in k passes, one per rank
-    (``_add_ranks``), so each token sums its slots in expert order.
+    ``x``, gates every slot of the outputs at once, and adds them up in k
+    passes, one per rank (``DispatchPlan.combine``), so each token sums its
+    slots in expert order.
 
-    With ``base``, a cache of this layer on the same ``x`` from before only
-    expert ``expert``'s tensors changed, the routing record, the gate
-    denominators, the dispatch plan and the other experts' caches and outputs
-    are ``base``'s, and only expert ``expert`` runs. ``y`` is a copy of
-    ``base.y`` whose columns of that expert's tokens are summed again the
-    same way, from the slots of those tokens alone, so it equals a full pass
-    bit for bit. ``base`` and ``expert`` come together, and ``expert`` must
-    index one of the layer's experts (``ValueError`` otherwise).
+    With ``fixed``, a cache of an earlier pass, the pass keeps its decisions
+    (``_route``) and ``x``, the router or an expert tensor may carry a
+    leading item axis; its cache keeps no outputs (see ``FfnCache``).
     """
-    xm = as_matrix(x, "x", check_finite=False)
-    if xm.shape[0] != layer.d:
-        raise ShapeMismatch(f"x has {xm.shape[0]} rows, layer expects {layer.d}")
-    if (base is None) != (expert is None):
-        raise ValueError("an expert resume needs both base and expert")
-    if base is not None:
-        if not 0 <= expert < layer.n_experts:
-            raise ValueError(f"expert must lie in [0, {layer.n_experts}), got {expert}")
-        plan, caches, outputs, y = base.plan, list(base.expert_caches), base.outputs, base.y.copy()
-        lo, hi = plan.offsets[expert:expert + 2]
-        if hi > lo:
-            outputs, rows = outputs.copy(), plan.rows[lo:hi]
-            outputs[:, lo:hi], caches[expert] = ffn_forward_cached(
-                layer.experts[expert], caches[expert].x)
-            y[:, rows] = _add_ranks(np.zeros((layer.d, hi - lo)),
-                                    plan.gated(outputs, plan.columns[rows]))
-        return y, base.record, MoeForwardCache(
-            xm, base.record, base.denom, plan, caches, outputs, y)
-
+    xm = _as_tokens(x, layer.d, "layer")
     cf = layer.capacity_factor if capacity_factor is None else capacity_factor
-    record, denom, plan = _route(layer, xm, cf)
-    gathered = xm[:, plan.rows]
-    outputs = np.empty(gathered.shape)  # C order, as each expert's output is
+    record, denom, plan = _route(layer, xm, cf, fixed)
+    gathered = xm[..., plan.rows]
     caches: list[FfnCache | None] = [None] * layer.n_experts
+    # C order, as each expert's output is
+    outputs = np.empty(max(gathered.shape[:-2], plan.gates.shape[:-1], key=len) + gathered.shape[-2:])
     for i, (lo, hi) in enumerate(zip(plan.offsets, plan.offsets[1:])):
         if hi > lo:
-            outputs[:, lo:hi], caches[i] = ffn_forward_cached(layer.experts[i], gathered[:, lo:hi])
-    y = _add_ranks(np.zeros_like(xm), plan.gated(outputs))
-    return y, record, MoeForwardCache(xm, record, denom, plan, caches, outputs, y)
+            y, cache = ffn_forward_cached(layer.experts[i], gathered[..., lo:hi])
+            if y.ndim > outputs.ndim:  # an expert tensor with an item axis
+                outputs = np.repeat(outputs[None], len(y), axis=0)
+            outputs[..., lo:hi] = y
+            caches[i] = cache if fixed is None else FfnCache(None, cache.act > 0.0)
+    y = plan.combine(outputs, np.zeros_like(xm, shape=outputs.shape[:-2] + xm.shape[-2:]),
+                     keep=fixed is None)
+    return y, record, MoeForwardCache(xm, record, denom, plan, caches,
+                                      outputs if fixed is None else None, y)
 
 
 def moe_forward(
@@ -509,6 +520,10 @@ def dense_ensemble_forward(layer: MoeLayer, x) -> Array:
     return _add_ranks(np.zeros_like(xm), out)
 
 
-def load_balance_loss(routing: RoutingRecord) -> float:
-    """Sum over experts of routed-slot fraction times mean routing probability."""
-    return float(np.dot(routing.per_expert_fraction, routing.per_expert_mean_prob))
+def load_balance_loss(routing: RoutingRecord) -> float | Array:
+    """Sum over experts of routed-slot fraction times mean routing probability;
+    one per item of mean probabilities with an item axis, each its own
+    ``np.dot``, since BLAS picks a dot product's kernel by its shapes."""
+    mean_prob = routing.per_expert_mean_prob
+    dots = [np.dot(routing.per_expert_fraction, row) for row in np.atleast_2d(mean_prob)]
+    return float(dots[0]) if mean_prob.ndim == 1 else np.array(dots)

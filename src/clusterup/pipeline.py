@@ -202,9 +202,10 @@ def _datasets(cfg: PipelineConfig):
     return full.slice(0, cfg.data.n), full.slice(cfg.data.n, full.n)
 
 
-def train_dense(cfg: PipelineConfig, log_fn=None) -> ToyModel:
-    """Pretrain a freshly initialized dense model; ``log_fn`` gets each step's record."""
-    dataset, _ = _datasets(cfg)
+def train_dense(cfg: PipelineConfig, log_fn=None, dataset=None) -> ToyModel:
+    """Pretrain a freshly initialized dense model on ``dataset``, by default
+    the train split of ``_datasets(cfg)``; ``log_fn`` gets each step's record."""
+    dataset = _datasets(cfg)[0] if dataset is None else dataset
     seeds = _seeds_dict(cfg)
     model = make_dense_model(
         cfg.model.d, cfg.model.h, cfg.model.blocks, cfg.model.n_classes,
@@ -219,11 +220,12 @@ def train_dense(cfg: PipelineConfig, log_fn=None) -> ToyModel:
     return model
 
 
-def capture(cfg: PipelineConfig, dense: ToyModel) -> ActivationBank:
-    """Calibration activations entering each MoE site of ``dense``."""
+def capture(cfg: PipelineConfig, dense: ToyModel, dataset=None) -> ActivationBank:
+    """Calibration activations entering each MoE site of ``dense``, drawn
+    from ``dataset`` (by default the train split of ``_datasets(cfg)``)."""
     from .upcycle import capture_activations
 
-    dataset, _ = _datasets(cfg)
+    dataset = _datasets(cfg)[0] if dataset is None else dataset
     return capture_activations(
         dense, dataset.inputs, default_moe_sites(cfg.model.blocks),
         cfg.calibration.token_cap, seed=_seeds_dict(cfg)["calibration"],
@@ -243,15 +245,16 @@ def upcycle(cfg: PipelineConfig, dense: ToyModel, method: str, bank: ActivationB
 
 
 def train_moe(cfg: PipelineConfig, model: ToyModel, method: str, eesd: bool,
-              log_fn=None, workers: int = 1) -> None:
-    """Train the upcycled ``model`` in place, with an EMA teacher given
+              log_fn=None, workers: int = 1, dataset=None) -> None:
+    """Train the upcycled ``model`` in place on ``dataset`` (by default the
+    train split of ``_datasets(cfg)``), with an EMA teacher given
     ``eesd``. ``log_fn`` gets each step's record; ``compare`` keeps no log and
     passes none. With ``eesd`` and ``workers >= 2``, a forked replica runs
     the teacher's EMA and ensembles alongside the student (``run_training``,
     which redoes the run here if the replica's child fails), with the same
     bits; ``compare``'s cells keep one worker, since ``workers.split_map``
     already fills the usable CPUs."""
-    dataset, _ = _datasets(cfg)
+    dataset = _datasets(cfg)[0] if dataset is None else dataset
     teacher = make_model_teacher(model, cfg.train.beta) if eesd else None
     run_training(
         model, teacher, dataset,
@@ -271,9 +274,10 @@ COMPARE_COLUMNS = (
 )
 
 
-def compare_row(cfg: PipelineConfig, model: ToyModel, method: str) -> dict:
-    """One ``compare.csv`` row: ``model`` evaluated on the held-out split."""
-    _, eval_set = _datasets(cfg)
+def compare_row(cfg: PipelineConfig, model: ToyModel, method: str, eval_set=None) -> dict:
+    """One ``compare.csv`` row: ``model`` evaluated on ``eval_set``, by
+    default the held-out split of ``_datasets(cfg)``."""
+    eval_set = _datasets(cfg)[1] if eval_set is None else eval_set
     report, state, accuracy = evaluate(
         model, eval_set.inputs, eval_set.labels, cfg.moe.capacity_eval
     )
@@ -472,33 +476,36 @@ def run_gradcheck(cfg: PipelineConfig) -> Path:
 # compare
 # ---------------------------------------------------------------------------
 
-def _compare_cell(cfg: PipelineConfig, dense: ToyModel, bank: ActivationBank,
+def _compare_cell(cfg: PipelineConfig, splits, dense: ToyModel, bank: ActivationBank,
                   method: str, eesd: bool) -> list[float]:
     """One compare cell's numeric columns, ``COMPARE_COLUMNS[2:]``: upcycle
-    ``dense``, train it, and evaluate it."""
+    ``dense``, train it on the train split of ``splits`` (``_datasets(cfg)``),
+    and evaluate it on the held-out one."""
     model, _, _ = upcycle(cfg, dense, method, bank)
-    train_moe(cfg, model, method, eesd)
-    row = compare_row(cfg, model, method)
+    train_moe(cfg, model, method, eesd, dataset=splits[0])
+    row = compare_row(cfg, model, method, splits[1])
     return [row[c] for c in COMPARE_COLUMNS[2:]]
 
 
 def _compare_rows(cfg: PipelineConfig, root_seeds, cells) -> list[dict]:
     """Every (seed, cell) row, in seed order and then ``cells``' order; a cell
-    is a ``(method, eesd)`` pair. ``seed_state`` pretrains and captures a
-    seed the first time it is asked, since upcycling copies the dense model
-    and capture only reads it. Every seed is warmed here in order, so the
-    processes of ``workers.split_map`` inherit the cache and each seed's model
-    and bank (about 1.1 MiB at the defaults) are held until the cells finish.
-    Warming stops at a failing seed; its cells pretrain it again, so its
-    error comes in cell order, as in one process."""
+    is a ``(method, eesd)`` pair. ``seed_state`` draws a seed's splits, and
+    pretrains and captures it, the first time it is asked, since upcycling
+    copies the dense model and capture only reads it. Every seed is warmed
+    here in order, so the processes of ``workers.split_map`` inherit the
+    cache and each seed's splits, model and bank (about 2.4 MiB at the
+    defaults) are held until the cells finish. Warming stops at a failing
+    seed; its cells pretrain it again, so its error comes in cell order, as
+    in one process."""
     items = [(seed, method, eesd) for seed in root_seeds for method, eesd in cells]
     states = {}
 
-    def seed_state(seed: int) -> tuple[PipelineConfig, ToyModel, ActivationBank]:
+    def seed_state(seed: int) -> tuple:
         if seed not in states:
             seed_cfg = replace(cfg, data=replace(cfg.data, seed=seed))
-            dense = train_dense(seed_cfg)
-            states[seed] = seed_cfg, dense, capture(seed_cfg, dense)
+            splits = _datasets(seed_cfg)
+            dense = train_dense(seed_cfg, dataset=splits[0])
+            states[seed] = seed_cfg, splits, dense, capture(seed_cfg, dense, splits[0])
         return states[seed]
 
     with contextlib.suppress(Exception):

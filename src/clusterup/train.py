@@ -25,6 +25,7 @@ from .linalg import Array, as_matrix
 from .moe import (
     FFN_PARAMS,
     DenseFfn,
+    FfnCache,
     MoeForwardCache,
     MoeLayer,
     RoutingRecord,
@@ -261,7 +262,8 @@ class ForwardState:
 
     ``caches[b]`` is block b's ``FfnCache``, or its ``MoeForwardCache`` at an
     MoE site; the latter holds the site's routing record and output. Either
-    holds the block's input as ``x``.
+    holds the block's input as ``x``, but an FFN cache of a stacked pass
+    (``_forward``'s ``fixed``) holds none.
     """
 
     caches: list
@@ -282,9 +284,6 @@ def model_forward(
     x,
     capacity_factor: float | None = None,
     *,
-    base: ForwardState | None = None,
-    start: int = 0,
-    expert: int | None = None,
     on_input=None,
 ) -> ForwardState:
     """Forward pass keeping every intermediate needed for backward.
@@ -292,61 +291,54 @@ def model_forward(
     ``on_input(b, x)``, when given, is called just before MoE block ``b``
     runs, on that block's input ``x`` (``total_loss`` starts each site's
     teacher ensemble there).
-
-    With ``base``, a state of the same model on the same ``x``, the pass
-    resumes at block ``start``: blocks before it keep ``base``'s caches, and
-    blocks ``start``… run from ``base.caches[start].x`` (from
-    ``base.final`` when ``start`` is ``len(model.blocks)``, which recomputes
-    only the logits). With ``expert`` as well, block ``start`` is an MoE
-    layer that reruns only that expert and keeps the rest of
-    ``base.caches[start]`` (``moe_forward_cached``'s ``base``/``expert``).
-    When no tensor before block ``start`` (nor, with ``expert``, in block
-    ``start`` outside that expert) changed since ``base`` was computed, the
-    result equals a full pass bit for bit.
     """
-    if base is None:
-        if start or expert is not None:
-            raise ValueError("a pass can resume only from a base state")
-        xm = as_matrix(x, "x")
-        if xm.shape[0] != model.input_dim:
-            raise ShapeMismatch(f"x has {xm.shape[0]} rows, model expects {model.input_dim}")
-        caches, cur = [], xm
-    else:
-        caches = base.caches[:start]
-        cur = base.caches[start].x if start < len(model.blocks) else base.final
-    resumed = None
-    if expert is not None:
-        if not isinstance(model.blocks[start], MoeLayer):
-            raise ValueError(f"block {start} has no experts to resume")
-        resumed = base.caches[start]
-    for b, block in enumerate(model.blocks[start:], start):
+    xm = as_matrix(x, "x")
+    if xm.shape[0] != model.input_dim:
+        raise ShapeMismatch(f"x has {xm.shape[0]} rows, model expects {model.input_dim}")
+    return _forward(model.blocks, model.head, xm, capacity_factor, on_input=on_input)
+
+
+def _forward(blocks, head, x, capacity_factor, *, start=0, fixed=None, on_input=None):
+    """Blocks ``start``… of ``blocks`` from their input ``x``, then ``head``.
+    With ``fixed``, a full pass's state, blocks before ``start`` keep its
+    caches and each MoE site its decisions (``moe_forward_cached``), so a
+    leading item axis on ``x``, ``head`` or a tensor of block ``start``
+    carries through to the logits; FFN caches keep only ReLU signs."""
+    if start and fixed is None:
+        raise ValueError("a pass can resume only from a fixed state")
+    caches, cur = [] if fixed is None else fixed.caches[:start], x
+    for b, block in enumerate(blocks[start:], start):
         if isinstance(block, MoeLayer):
             if on_input is not None:
                 on_input(b, cur)
             y, _, cache = moe_forward_cached(
-                block, cur, capacity_factor, base=resumed, expert=expert)
-            resumed = expert = None
+                block, cur, capacity_factor, fixed=None if fixed is None else fixed.caches[b])
         else:
             y, cache = ffn_forward_cached(block, cur)
+            cache = cache if fixed is None else FfnCache(None, cache.act > 0.0)
         caches.append(cache)
         cur = cur + y
-    return ForwardState(caches=caches, final=cur, logits=model.head @ cur)
+    return ForwardState(caches=caches, final=cur, logits=head @ cur)
 
 
 def _cross_entropy(
     logits: Array, labels: np.ndarray, grad: bool = True
 ) -> tuple[float, Array | None]:
-    """Mean cross-entropy and its gradient wrt the logits (None unless ``grad``)."""
-    n_tokens = logits.shape[1]
+    """Mean cross-entropy and its gradient wrt the logits (None unless
+    ``grad``); logits with an item axis give one loss per item, no gradient."""
+    n_tokens = logits.shape[-1]
     labels = np.asarray(labels).reshape(-1)
     if labels.size != n_tokens:
         raise ShapeMismatch(f"{labels.size} labels for {n_tokens} tokens")
     # The ufunc reductions behind ``max``, ``sum`` and ``np.mean`` (the sum,
     # then the division), with their bits and without their Python wrappers.
-    shifted = logits - np.maximum.reduce(logits, axis=0, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=0))
+    shifted = logits - np.maximum.reduce(logits, axis=-2, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-2))
     token_idx = np.arange(n_tokens)
-    loss = float(np.add.reduce(log_z - shifted[labels, token_idx]) / n_tokens)
+    loss = np.add.reduce(log_z - shifted[..., labels, token_idx], axis=-1) / n_tokens
+    if logits.ndim > 2:
+        return loss, None
+    loss = float(loss)
     if not grad:
         return loss, None
     probs = np.exp(shifted - log_z[None, :])
@@ -393,7 +385,6 @@ def _objective(
     lambda_lb: float,
     lambda_eesd: float,
     grad: bool = True,
-    base: dict[int, SiteTerms] | None = None,
 ) -> tuple[LossReport, Array | None, dict[int, SiteTerms]]:
     """Task, load-balancing and distillation terms of one forward pass.
 
@@ -401,32 +392,21 @@ def _objective(
     sums over MoE sites; the distillation term averages ``eesd_terms`` over
     MoE sites and is active only when teacher outputs are supplied. Returns
     the report, the task gradient wrt the logits (None unless ``grad``), and
-    each site's ``SiteTerms``.
-
-    ``base`` holds the site terms of an earlier pass of the same model on the
-    same inputs with the same teacher outputs. A site whose cache is the
-    base's own object takes both its terms from there, and one whose routing
-    record is takes its load-balancing term; the site values are summed in
-    the same order either way, so the report has the same bits.
+    each site's ``SiteTerms``. A state with an item axis gives one value
+    per item wherever it does, with the bits of the same sums of floats.
     """
     sites = model.moe_sites
     task, dlogits = _cross_entropy(state.logits, labels, grad)
     terms: dict[int, SiteTerms] = {}
     for b in sites:
-        cache, known = state.caches[b], None if base is None else base[b]
-        if known is not None and known.cache is cache:
-            terms[b] = known
-            continue
-        if known is not None and known.cache.record is cache.record:
-            site_lb = known.lb
-        else:
-            site_lb = load_balance_loss(cache.record)
+        cache = state.caches[b]
         site_eesd, residual, teacher_y = 0.0, None, None
         if teacher_ys is not None:
             teacher_y = teacher_ys[b]
             site_eesd, residual = eesd_terms(cache.y, teacher_y)
-        terms[b] = SiteTerms(cache, site_lb, site_eesd, residual, teacher_y)
-    lb = float(sum(t.lb for t in terms.values()))
+        terms[b] = SiteTerms(cache, load_balance_loss(cache.record), site_eesd, residual,
+                             teacher_y)
+    lb = sum((t.lb for t in terms.values()), 0.0)
     eesd = 0.0
     if teacher_ys is not None and sites:
         for t in terms.values():
@@ -486,32 +466,6 @@ def total_loss(
             dxi = ffn_backward(block, cache, dx, ffn_views(buffers[b + 1], block.h, block.d))
         dx = dx + dxi
     return report, buffers, state, terms
-
-
-def _decisions(state: ForwardState, start: int = 0, expert: int | None = None) -> bytes:
-    """Top-k selections, capacity drops and ReLU signs of blocks ``start``…
-    of one forward pass; with ``expert``, block ``start`` contributes only
-    that expert's ReLU signs.
-
-    The loss is smooth only while all of them stay fixed. They are packed
-    into one byte string, so two passes compare with one equality test; a
-    site's selections and drops precede, and fix the sizes of, its expert
-    ReLU masks, so equal bytes mean equal decisions. ``expert`` serves a pass
-    resumed at that expert (``model_forward``'s ``expert``), whose routing
-    record and other experts' caches are its base's own objects.
-    """
-    caches = state.caches[start:]
-    parts = []
-    if expert is not None:
-        resumed = caches.pop(0).expert_caches[expert]
-        parts += [resumed.act > 0.0] if resumed is not None else []
-    for cache in caches:
-        if isinstance(cache, MoeForwardCache):
-            parts += [cache.record.topk_indices, cache.record.dropped]
-            parts += [c.act > 0.0 for c in cache.expert_caches if c is not None]
-        else:
-            parts.append(cache.act > 0.0)
-    return b"".join(part.tobytes() for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +589,63 @@ def evaluate(
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
+# Samples of one tensor per stacked pass of ``grad_check`` (2 items each): a
+# larger chunk shares numpy calls among more items but holds more memory.
+GRADCHECK_CHUNK = 4
+
+
+def _with_tensor(block, expert: int | None, key: str, tensor: Array):
+    """A shallow copy of ``block`` whose tensor ``key`` (of expert
+    ``expert``, unless None) is ``tensor``; the rest stays ``block``'s."""
+    def swap(obj, **attrs):
+        new = object.__new__(type(obj))
+        new.__dict__.update(obj.__dict__, **attrs)
+        return new
+
+    if expert is None:
+        return swap(block, **{key: tensor})
+    experts = list(block.experts)
+    experts[expert] = swap(experts[expert], **{key: tensor})
+    return swap(block, experts=tuple(experts))
+
+
+def _stacked_pass(model: ToyModel, state: ForwardState, resume, name: str, stacked: Array,
+                  capacity_factor: float | None) -> ForwardState:
+    """``model``'s pass from ``name``'s resume point (``_staged_params``)
+    with that tensor replaced by ``stacked``, its copies along an item axis,
+    keeping the decisions of ``state``, a full pass."""
+    start, expert = resume
+    blocks, head = list(model.blocks), model.head
+    if name == "head":
+        head, x = stacked, state.final
+    else:
+        blocks[start] = _with_tensor(blocks[start], expert, name.rsplit(".", 1)[1], stacked)
+        x = state.caches[start].x
+    return _forward(blocks, head, x, capacity_factor, start=start, fixed=state)
+
+
+def _same_decisions(state: ForwardState, base: ForwardState, items: int) -> Array:
+    """Whether each item of ``state``, a stacked pass under ``base``'s
+    decisions, made ``base``'s top-k selections and ReLU signs too (so its
+    drops, and all its bits, are a full pass's); only stacked arrays differ."""
+    same = np.ones(items, dtype=bool)
+
+    def compare(ours: Array, theirs: Array) -> None:
+        if ours.ndim > theirs.ndim:
+            same[...] &= (ours == theirs).reshape(items, -1).all(axis=1)
+
+    for cache, known in zip(state.caches, base.caches):
+        if isinstance(cache, MoeForwardCache):
+            compare(cache.record.topk_indices, known.record.topk_indices)
+            ffns = zip(cache.expert_caches, known.expert_caches)
+        else:
+            ffns = [(cache, known)]
+        for ours, theirs in ffns:
+            if ours is not None and ours.act.ndim > theirs.act.ndim:
+                compare(ours.act, theirs.act > 0.0)
+    return same
+
+
 def grad_check(
     model: ToyModel,
     teacher: ModelTeacher | None,
@@ -653,33 +664,32 @@ def grad_check(
 
     Samples parameters per tensor and skips any whose perturbation flips a
     top-k selection, capacity decision or ReLU sign at either evaluation
-    point, since the objective is only piecewise smooth there. Each +-eps
-    pass resumes from the base forward pass at the first block the perturbed
-    tensor feeds (``model_forward``'s ``base``/``start``), so a head entry
-    recomputes only the logits, and an expert's entry reruns only that expert
-    in its block (``expert``); the states equal full passes bit for bit. So
-    the blocks before the resume point are the base pass's own caches, and
-    only the decisions that can change are compared: those of the blocks
-    from the resume point on, or at an expert resume that expert's ReLU signs
-    and the blocks after it. The +-eps objectives skip the logits gradient,
-    which they do not use, and take from the base pass's ``SiteTerms``, as
-    ``total_loss`` returned them, every site term whose inputs are the base's
-    own objects (``_objective``'s ``base``), so a head or teacher entry
-    computes only the cross-entropy. Teacher predictions are frozen at their
-    base values (each term's ``teacher_y``) for every evaluation, matching
-    the stop-gradient semantics of the distillation term; no student block
-    reads a teacher tensor, so a teacher pair resumes past the last block
-    and its quotient is zero by construction, and the objective is still
-    evaluated for every teacher sample. Returns a dict with
+    point, since the objective is only piecewise smooth there. Teacher
+    predictions are frozen at their base values (each term's ``teacher_y``)
+    for every evaluation, matching the stop-gradient semantics of the
+    distillation term; no student block reads a teacher tensor, so a teacher
+    sample's quotient is zero by construction. Returns a dict with
     max_rel_error, per_tensor errors, checked/skipped counts, and
     teacher_max_quotient.
 
     The whole sample list is drawn first, student tensors in
-    ``_staged_params`` order and then the teacher's. After the base pass
-    ``workers.split_map`` evaluates each sample, over ``workers`` processes,
-    to one float64: a relative error or teacher quotient, or -1.0 for a
-    skipped sample, since no real value is negative. They are folded here in sample
-    order, so the result does not depend on ``workers``.
+    ``_staged_params`` order and then the teacher's, and cut into chunks of
+    at most ``GRADCHECK_CHUNK`` samples of one tensor. One stacked
+    evaluation serves a chunk: the tensor's +eps copies and then its -eps
+    copies are its items, a leading axis on that tensor alone. From the
+    first block the tensor feeds on (``_staged_params``' resume point), the
+    blocks run on every item at once with each MoE site's decisions kept
+    from the base pass (``_forward``'s ``fixed``), and ``_objective`` gives
+    each item's loss without a logits gradient. An item whose selections or
+    ReLU signs differ from the base's (``_same_decisions``) skips its
+    sample; every other item has the bits of a full pass. A teacher chunk
+    evaluates the objective of the base pass once.
+
+    ``workers.split_map`` evaluates the chunks, over ``workers`` processes,
+    each to ``GRADCHECK_CHUNK`` float64 values: a relative error or teacher
+    quotient per sample, or -1.0 for a skipped sample, since no real value
+    is negative. They are folded here in sample order, so the result does
+    not depend on ``workers``.
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-3], got {epsilon}")
@@ -697,60 +707,62 @@ def grad_check(
 
     # (name, tensor, resume point); a teacher tensor has no name.
     tensors = [(name, arr, resume) for resume, name, arr in _staged_params(model)]
-    base_decisions = {resume: _decisions(state, *resume) for resume in {r for *_, r in tensors}}
     if teacher is not None:
         tensors += [
-            (None, arr, (len(model.blocks), None)) for b in sorted(teacher.sites)
+            (None, arr, None) for b in sorted(teacher.sites)
             for _, arr in block_params(teacher.sites[b].mirror)
         ]
     rng = np.random.default_rng(seed)
-    samples = [
-        (name, arr, flat_idx, resume) for name, arr, resume in tensors
-        for flat_idx in rng.choice(arr.size, size=min(samples_per_tensor, arr.size),
-                                   replace=False)
-    ]
+    chunks = []
+    for name, arr, resume in tensors:
+        picked = rng.choice(arr.size, size=min(samples_per_tensor, arr.size), replace=False)
+        chunks += [(name, arr, resume, picked[lo:lo + GRADCHECK_CHUNK])
+                   for lo in range(0, picked.size, GRADCHECK_CHUNK)]
 
-    def loss_value(forward: ForwardState) -> float:
-        return _objective(
-            model, forward, labels, frozen, lambda_lb, lambda_eesd,
-            grad=False, base=base_terms,
-        )[0].total
+    def objective(forward: ForwardState):
+        return _objective(model, forward, labels, frozen, lambda_lb, lambda_eesd,
+                          grad=False)[0].total
 
-    def sample_value(i: int) -> float:
-        """The relative error of student sample ``i``, or -1.0 where it is
-        skipped, or the quotient of teacher sample ``i``."""
-        name, arr, flat_idx, resume = samples[i]
-        orig = arr.flat[flat_idx]
-        try:
-            arr.flat[flat_idx] = orig + epsilon
-            state_plus = model_forward(
-                model, xm, capacity_factor, base=state, start=resume[0], expert=resume[1])
-            arr.flat[flat_idx] = orig - epsilon
-            state_minus = model_forward(
-                model, xm, capacity_factor, base=state, start=resume[0], expert=resume[1])
-        finally:
-            arr.flat[flat_idx] = orig
-        if name is None:
-            return abs(loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
-        if not (_decisions(state_plus, *resume) == _decisions(state_minus, *resume)
-                == base_decisions[resume]):
-            return -1.0
-        numeric = (loss_value(state_plus) - loss_value(state_minus)) / (2.0 * epsilon)
-        analytic = float(named_grads[name].flat[flat_idx])
-        return abs(analytic - numeric) / max(1.0, abs(numeric))
+    def chunk_values(c: int) -> list[float]:
+        """Chunk ``c``'s values: each sample's relative error, or -1.0 where
+        it is skipped, or each teacher sample's quotient; padded to
+        ``GRADCHECK_CHUNK``."""
+        name, arr, resume, picked = chunks[c]
+        n, values = picked.size, [0.0] * GRADCHECK_CHUNK
+        if name is None:  # no student block reads a teacher tensor
+            total = objective(state)
+            values[:n] = [abs(total - total) / (2.0 * epsilon)] * n
+            return values
+        stacked = np.repeat(arr[None], 2 * n, axis=0)
+        flat, orig, rows = stacked.reshape(2 * n, -1), arr.flat[picked], np.arange(n)
+        flat[rows, picked] = orig + epsilon
+        flat[n + rows, picked] = orig - epsilon
+        forward = _stacked_pass(model, state, resume, name, stacked, capacity_factor)
+        # An expert that kept no slot leaves every array unstacked.
+        totals = np.broadcast_to(objective(forward), (2 * n,))
+        same = _same_decisions(forward, state, 2 * n)
+        for j, flat_idx in enumerate(picked):
+            if not (same[j] and same[n + j]):
+                values[j] = -1.0
+                continue
+            numeric = (float(totals[j]) - float(totals[n + j])) / (2.0 * epsilon)
+            analytic = float(named_grads[name].flat[flat_idx])
+            values[j] = abs(analytic - numeric) / max(1.0, abs(numeric))
+        return values
 
-    values = _workers.split_map(lambda i: [sample_value(i)], len(samples), workers)
+    values = _workers.split_map(chunk_values, len(chunks), workers, GRADCHECK_CHUNK)
     per_tensor = {name: 0.0 for name, _, _ in tensors if name is not None}
     teacher_max_quotient = None if teacher is None else 0.0
     checked = skipped = 0
-    for (name, *_), value in zip(samples, values):
-        if name is None:
-            teacher_max_quotient = max(teacher_max_quotient, value)
-        elif value < 0.0:
-            skipped += 1
-        else:
-            per_tensor[name] = max(per_tensor[name], value)
-            checked += 1
+    for c, (name, _, _, picked) in enumerate(chunks):
+        for value in values[c * GRADCHECK_CHUNK:c * GRADCHECK_CHUNK + picked.size]:
+            if name is None:
+                teacher_max_quotient = max(teacher_max_quotient, value)
+            elif value < 0.0:
+                skipped += 1
+            else:
+                per_tensor[name] = max(per_tensor[name], value)
+                checked += 1
     return {
         "max_rel_error": max(per_tensor.values()),
         "per_tensor": per_tensor,

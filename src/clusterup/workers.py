@@ -1,7 +1,7 @@
 """Forked worker processes: how they start, how many, and what a failure does.
 
 ``fork`` is the package's only fork. ``split_map`` maps a function over
-items on forked children (``grad_check``'s samples, ``compare``'s cells),
+items on forked children (``grad_check``'s chunks, ``compare``'s cells),
 ``teacher_replica`` runs an EMA teacher, its EMA steps and its ensembles,
 in one forked child (``run_training``), and ``usable_cpus`` caps the worker
 count. One rule covers a failure of either: the work a child lost is redone

@@ -691,10 +691,10 @@ class TestCompareWorkers:
         ``NonFiniteLoss``; the forked children inherit the patch."""
         train_moe = pipeline.train_moe
 
-        def diverge(cfg, model, method, eesd, log_fn=None):
+        def diverge(cfg, model, method, eesd, log_fn=None, **kwargs):
             if fails(cfg, method):
                 raise NonFiniteLoss(f"seed {cfg.root_seed}: {method} diverged")
-            return train_moe(cfg, model, method, eesd, log_fn)
+            return train_moe(cfg, model, method, eesd, log_fn, **kwargs)
 
         monkeypatch.setattr(pipeline, "train_moe", diverge)
 
@@ -742,10 +742,10 @@ class TestCompareWorkers:
         self._diverge(monkeypatch, lambda cfg, method: (cfg.root_seed, method) == (3, "drop_svd"))
         pretrain = pipeline.train_dense
 
-        def pretrain_fails_at_4(cfg, log_fn=None):
+        def pretrain_fails_at_4(cfg, log_fn=None, **kwargs):
             if cfg.root_seed == 4:
                 raise SeparationInfeasible("seed 4: pretraining failed")
-            return pretrain(cfg, log_fn)
+            return pretrain(cfg, log_fn, **kwargs)
 
         monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(pipeline, "train_dense", pretrain_fails_at_4)
@@ -765,9 +765,9 @@ class TestCompareWorkers:
         monkeypatch.delattr(os, "fork")
         train_moe, pids = pipeline.train_moe, []
 
-        def record_pid(cfg, model, method, eesd, log_fn=None):
+        def record_pid(cfg, model, method, eesd, log_fn=None, **kwargs):
             pids.append(os.getpid())
-            return train_moe(cfg, model, method, eesd, log_fn)
+            return train_moe(cfg, model, method, eesd, log_fn, **kwargs)
 
         monkeypatch.setattr(pipeline, "train_moe", record_pid)
         assert run("--config", cfg_path, "compare", "--seeds", "1") == 0
@@ -803,25 +803,26 @@ class TestGradcheckWorkers:
         assert (out / "gradcheck.json").exists()
 
     def test_sample_error_reports_json(self, workspace, monkeypatch, capsys):
-        # Every perturbed pass raises, in the workers too; the error is the
-        # one a one-process run reports.
+        # Every stacked pass raises, in the workers too; the error is the
+        # one a one-process run reports: the first chunk's, of the dense
+        # stack's head.
         cfg_path, out = workspace
-        forward = train.model_forward
+        forward = train._forward
 
-        def diverge(model, x, capacity_factor=None, *, base=None, start=0, expert=None,
-                    on_input=None):
-            if base is not None:
-                raise NonFiniteLoss(f"pass resumed at block {start}, expert {expert}")
-            return forward(model, x, capacity_factor, on_input=on_input)
+        def diverge(blocks, head, x, capacity_factor, *, start=0, fixed=None, on_input=None):
+            if fixed is not None:
+                raise NonFiniteLoss(f"stacked pass of {head.shape[0]} items resumed at block {start}")
+            return forward(blocks, head, x, capacity_factor, on_input=on_input)
 
-        monkeypatch.setattr(train, "model_forward", diverge)
+        monkeypatch.setattr(train, "_forward", diverge)
         errors = []
         for workers in (1, 2):
             monkeypatch.setattr(clusterup.workers, "usable_cpus", lambda n=workers: n)
             assert run("--config", cfg_path, "gradcheck") == 2
             errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
         assert errors[0] == errors[1] == {
-            "error": "NonFiniteLoss", "message": "pass resumed at block 4, expert None"}
+            "error": "NonFiniteLoss",
+            "message": f"stacked pass of {2 * train.GRADCHECK_CHUNK} items resumed at block 4"}
         assert not (out / "gradcheck.json").exists()
 
 

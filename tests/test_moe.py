@@ -593,35 +593,3 @@ class TestLayoutRule:
         x, dy = rng.standard_normal((d, 9)), rng.standard_normal((d, 9))
         _, grads = moe_backward(layer, moe_forward_cached(layer, x)[2], dy)
         assert grads.tobytes() == reference_moe(layer, x, 1.0, dy, None)[2].tobytes()
-
-
-class TestResumeArguments:
-    """``moe_forward_cached``'s ``base`` and ``expert`` come together, and
-    ``expert`` indexes one of the layer's experts."""
-
-    @pytest.fixture
-    def case(self):
-        rng = np.random.default_rng(40)
-        layer = random_layer(rng, n_experts=3, k=2, capacity_factor=1.0)
-        x = rng.standard_normal((4, 10))
-        return layer, x, moe_forward_cached(layer, x)[2]
-
-    def test_expert_without_base(self, case):
-        layer, x, _ = case
-        with pytest.raises(ValueError, match="both base and expert"):
-            moe_forward_cached(layer, x, expert=0)
-
-    def test_base_without_expert(self, case):
-        layer, x, base = case
-        with pytest.raises(ValueError, match="both base and expert"):
-            moe_forward_cached(layer, x, base=base)
-
-    def test_expert_past_the_last(self, case):
-        layer, x, base = case
-        with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            moe_forward_cached(layer, x, base=base, expert=7)
-
-    def test_negative_expert(self, case):
-        layer, x, base = case
-        with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            moe_forward_cached(layer, x, base=base, expert=-1)

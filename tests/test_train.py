@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from clusterup.errors import NonFiniteLoss, SeparationInfeasible, ShapeMismatch
 from clusterup import train
 import clusterup.workers
 from clusterup.config import INIT_METHODS, config_from_dict
-from clusterup.moe import FFN_PARAMS, DenseFfn, MoeLayer, block_params
+from clusterup.moe import FFN_PARAMS, DenseFfn, MoeForwardCache, MoeLayer, block_params
 from clusterup.pipeline import load_model_checkpoint, save_model_checkpoint
 from clusterup.train import (
     LossReport,
@@ -274,28 +275,25 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
     def test_one_base_forward_pass(self, moe, monkeypatch):
-        # One base pass (inside total_loss), then a +-eps pair per sampled
-        # student entry, checked or skipped, and per sampled teacher entry.
-        calls, result, _, teacher_samples = _counted_grad_check(
-            moe, monkeypatch, "model_forward")
-        expected = 1 + 2 * (result["checked"] + result["skipped"]) + 2 * teacher_samples
-        assert calls["model_forward"] == expected
+        # One base pass (inside total_loss); the stacked passes of the
+        # chunks are not model_forward calls.
+        calls, _, _, _ = _counted_grad_check(moe, monkeypatch, "model_forward")
+        assert calls["model_forward"] == 1
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
     def test_base_objective_and_teacher_outputs_computed_once(self, moe, monkeypatch):
-        # total_loss's objective and teacher outputs serve every +-eps pair;
-        # each checked or teacher pair evaluates the objective twice, and a
-        # skipped pair not at all.
-        calls, result, model, teacher_samples = _counted_grad_check(
+        # total_loss's objective and teacher outputs serve every chunk; each
+        # chunk, student or teacher, evaluates the objective once.
+        calls, _, model, _ = _counted_grad_check(
             moe, monkeypatch, "_objective", "teacher_forward")
         assert calls["teacher_forward"] == (len(model.moe_sites) if moe else 0)
-        assert calls["_objective"] == 1 + 2 * result["checked"] + 2 * teacher_samples
+        assert calls["_objective"] == 1 + len(_chunk_blocks(model, 5, moe))
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
     def test_passes_resume_at_perturbed_block(self, moe, monkeypatch):
-        # The base pass evaluates every block; a +-eps pair for an entry of
-        # block b evaluates blocks b.. twice, and one for a head or teacher
-        # entry evaluates none.
+        # The base pass evaluates every block; the stacked pass of a chunk
+        # of block b's entries evaluates blocks b.. once, and one of a head
+        # or teacher chunk evaluates none.
         model = make_dense_model(6, 10, 4, 3, seed=34)
         teacher = None
         if moe:
@@ -311,10 +309,7 @@ class TestGradCheck:
         grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
                    lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
         n_blocks = len(model.blocks)
-        expected = n_blocks + sum(
-            2 * min(5, arr.size) * (n_blocks - b)
-            for b, block in enumerate(model.blocks) for _, arr in block_params(block)
-        )
+        expected = n_blocks + sum(n_blocks - b for b in _chunk_blocks(model, 5, moe))
         assert len(calls) == expected
 
     def test_epsilon_bounds(self):
@@ -322,6 +317,19 @@ class TestGradCheck:
         ds = make_synthetic_dataset(4, 2, 2, 10, 3.0, seed=39)
         with pytest.raises(ValueError):
             grad_check(model, None, ds.inputs, ds.labels, epsilon=1e-2)
+
+
+def _chunk_blocks(model, samples_per_tensor, teacher: bool) -> list[int]:
+    """The resume block of each of ``grad_check``'s chunks on ``model``
+    (``len(model.blocks)`` for the head and for a teacher tensor, which
+    an MoE model's teacher mirrors block by block)."""
+    n_blocks, chunk = len(model.blocks), train.GRADCHECK_CHUNK
+    tensors = [(n_blocks, model.head)] + [
+        (b, arr) for b, block in enumerate(model.blocks) for _, arr in block_params(block)]
+    if teacher:
+        tensors += [(n_blocks, arr) for b in model.moe_sites
+                    for _, arr in block_params(model.blocks[b])]
+    return [b for b, arr in tensors for _ in range(-(-min(samples_per_tensor, arr.size) // chunk))]
 
 
 def _counted_grad_check(moe, monkeypatch, *names, **kwargs):
@@ -356,7 +364,54 @@ def _counted_grad_check(moe, monkeypatch, *names, **kwargs):
     return calls, result, model, teacher_samples
 
 
+def _stacked_items(model, base, capacity, resume, name, arr, edits):
+    """One stacked pass (``train._stacked_pass``) whose items are ``arr``
+    with each ``(flat index, value)`` of ``edits`` written in turn, and the
+    full pass of ``model`` each item stands for."""
+    stacked = np.repeat(arr[None], len(edits), axis=0)
+    fulls = []
+    for item, (flat_idx, value) in zip(stacked, edits):
+        item.flat[flat_idx] = value
+        orig = arr.flat[flat_idx]
+        arr.flat[flat_idx] = value
+        fulls.append(model_forward(model, base.caches[0].x, capacity))
+        arr.flat[flat_idx] = orig
+    return train._stacked_pass(model, base, resume, name, stacked, capacity), fulls
+
+
+def _item(arr, i):
+    """Item ``i`` of an array of a stacked pass, or the array where it has
+    no item axis."""
+    return arr[i] if arr.ndim == 3 else arr
+
+
+def _assert_items_are_full_passes(model, base, stacked, fulls, labels) -> list[bool]:
+    """Each item of ``stacked`` made the full pass's decisions exactly when
+    ``train._same_decisions`` says so, and then has its logits, output,
+    site outputs and objective bit for bit. Returns the flags."""
+    same = train._same_decisions(stacked, base, len(fulls)).tolist()
+    rng = np.random.default_rng(0)
+    frozen = {b: rng.standard_normal(base.caches[b].y.shape) for b in model.moe_sites}
+    totals = np.broadcast_to(train._objective(model, stacked, labels, frozen, 0.01, 0.5,
+                                              grad=False)[0].total, (len(fulls),))
+    for i, full in enumerate(fulls):
+        assert same[i] == (_decisions(full) == _decisions(base)), i
+        if not same[i]:
+            continue
+        assert _item(stacked.logits, i).tobytes() == full.logits.tobytes(), i
+        assert _item(stacked.final, i).tobytes() == full.final.tobytes(), i
+        for b in model.moe_sites:
+            assert _item(stacked.caches[b].y, i).tobytes() == full.caches[b].y.tobytes()
+        total = train._objective(model, full, labels, frozen, 0.01, 0.5)[0].total
+        assert np.float64(totals[i]).tobytes() == np.float64(total).tobytes(), i
+    return same
+
+
 class TestResumedForward:
+    """A stacked pass from a tensor's resume point (``grad_check``'s
+    chunks) gives each item the bits of a full pass of the model with that
+    item's tensor."""
+
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-drops"])
     def test_resumed_pass_equals_full_pass(self, moe):
         model = make_dense_model(6, 10, 4, 3, seed=50)
@@ -364,31 +419,27 @@ class TestResumedForward:
             model, _, _ = upcycle_model(model, "drop", n_experts=4, k=2,
                                         capacity_factor=1.0, seed=51)
         x = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=52).inputs
+        labels = np.arange(x.shape[1]) % 3
         base = model_forward(model, x, 1.0)
         if moe:
             assert any(r.dropped.any() for r in base.records.values())
-        stages = [(len(model.blocks), "head", model.head)] + [
-            (b, name, arr) for b, block in enumerate(model.blocks)
-            for name, arr in block_params(block, f"block{b}.")
-        ]
-        changed = 0
-        for start, name, arr in stages:
-            orig = arr.flat[0]
-            arr.flat[0] = orig + 0.3
-            resumed = model_forward(model, x, 1.0, base=base, start=start)
-            full = model_forward(model, x, 1.0)
-            arr.flat[0] = orig
-            assert np.array_equal(resumed.logits, full.logits), name
-            assert np.array_equal(resumed.final, full.final), name
-            assert train._decisions(resumed) == train._decisions(full), name
-            changed += not np.array_equal(resumed.logits, base.logits)
+        changed = kept = 0
+        for resume, name, arr in train._staged_params(model):
+            first, last = arr.flat[0], arr.flat[-1]
+            edits = [(0, first + 0.3), (0, first - 0.3), (arr.size - 1, last + 1e-5)]
+            stacked, fulls = _stacked_items(model, base, 1.0, resume, name, arr, edits)
+            kept += sum(_assert_items_are_full_passes(model, base, stacked, fulls, labels))
+            changed += not np.array_equal(fulls[0].logits, base.logits)
         # An entry of an expert that receives no token changes nothing.
-        assert changed > len(stages) // 2
+        n_tensors = len(list(named_params(model)))
+        assert changed > n_tensors // 2
+        # Both kinds of item occur: kept decisions and flipped ones.
+        assert n_tensors < kept < 3 * n_tensors
 
     def test_resume_needs_base_state(self):
         model = make_dense_model(4, 6, 2, 2, seed=53)
-        with pytest.raises(ValueError):
-            model_forward(model, np.zeros((4, 3)), start=1)
+        with pytest.raises(ValueError, match="fixed state"):
+            train._forward(model.blocks, model.head, np.zeros((4, 3)), None, start=1)
 
 
 class TestStopGradient:
@@ -660,7 +711,10 @@ def _resume_model(k: int, n_e: int = 4, capacity: float = 0.7, seed: int | None 
 class TestExpertResume:
     @pytest.mark.parametrize("k", [1, 3])
     def test_resumed_state_equals_full_pass(self, k):
+        # One stacked pass per expert tensor, of six items: its first and
+        # last entries each moved by 1e-5, -1e-5 and 0.3.
         model, x = _resume_model(k)
+        labels = np.arange(x.shape[1]) % 3
         base = model_forward(model, x)
         assert all(r.dropped.any() for r in base.records.values())
         assert _expert_width(base.caches[0], -1) == 0
@@ -669,39 +723,22 @@ class TestExpertResume:
             if expert is None:
                 continue
             experts += 1
-            for flat_idx in (0, arr.size - 1):
-                orig = arr.flat[flat_idx]
-                for step in (1e-5, -1e-5, 0.3):
-                    arr.flat[flat_idx] = orig + step
-                    resumed = model_forward(model, x, base=base, start=start, expert=expert)
-                    full = model_forward(model, x)
-                    arr.flat[flat_idx] = orig
-                    assert _state_bytes(resumed) == _state_bytes(full), (name, step)
-                    assert train._decisions(resumed) == train._decisions(full), (name, step)
-                    assert (train._decisions(resumed, start)
-                            == train._decisions(full, start)), (name, step)
-                    # Blocks before the resume point, and in its block the
-                    # routing and the other experts, are the base's objects.
-                    assert all(r is b for r, b in zip(resumed.caches[:start],
-                                                      base.caches[:start]))
-                    assert all(r.x is b.x for r, b in zip(resumed.caches[:start + 1],
-                                                          base.caches[:start + 1]))
-                    site, base_site = resumed.caches[start], base.caches[start]
-                    assert site.record is base_site.record
-                    assert site.plan is base_site.plan
-                    assert all(c is b for i, (c, b) in enumerate(
-                        zip(site.expert_caches, base_site.expert_caches)) if i != expert)
-                    if _expert_width(base_site, expert) == 0:
-                        assert _state_bytes(resumed) == _state_bytes(base), name
+            edits = [(i, arr.flat[i] + step) for i in (0, arr.size - 1)
+                     for step in (1e-5, -1e-5, 0.3)]
+            stacked, fulls = _stacked_items(model, base, None, (start, expert), name, arr, edits)
+            _assert_items_are_full_passes(model, base, stacked, fulls, labels)
+            # Blocks before the resume point are the base's objects, and
+            # the site keeps the base's drops and dispatch plan.
+            assert all(r is b for r, b in zip(stacked.caches[:start], base.caches[:start]))
+            site, base_site = stacked.caches[start], base.caches[start]
+            assert site.record.dropped is base_site.record.dropped
+            assert site.plan.rows is base_site.plan.rows
+            assert site.plan.columns is base_site.plan.columns
+            if _expert_width(base_site, expert) == 0:  # nothing gains an item axis
+                for got, want in [(stacked.logits, base.logits), (stacked.final, base.final)] + [
+                        (stacked.caches[b].y, base.caches[b].y) for b in model.moe_sites]:
+                    assert _state_bytes(got) == _state_bytes(want), name
         assert experts == 2 * 4 * len(FFN_PARAMS)
-
-    def test_resume_needs_an_moe_block(self):
-        model, x = _resume_model(1)
-        base = model_forward(model, x)
-        with pytest.raises(ValueError):
-            model_forward(model, x, base=base, start=1, expert=0)
-        with pytest.raises(ValueError):
-            model_forward(model, x, expert=0)
 
     def test_loss_only_objective_has_the_same_bits(self):
         model, x = _resume_model(3)
@@ -726,19 +763,14 @@ class TestExpertResumeProperties:
         if k < n_e:
             assert _expert_width(base.caches[0], -1) == 0
         rng = np.random.default_rng(seed)
-        for (start, expert), name, arr in train._staged_params(model):
-            if expert is None or not name.endswith(".w1"):
+        for resume, name, arr in train._staged_params(model):
+            if not name.endswith((".w1", ".router")):
                 continue
             flat_idx = rng.integers(arr.size)
-            orig = arr.flat[flat_idx]
-            arr.flat[flat_idx] = orig + step
-            resumed = model_forward(model, x, base=base, start=start, expert=expert)
-            full = model_forward(model, x)
-            arr.flat[flat_idx] = orig
-            assert _state_bytes(resumed) == _state_bytes(full), name
-            assert train._decisions(resumed) == train._decisions(full), name
-            assert (train._decisions(resumed, start, expert)
-                    == train._decisions(full, start, expert)), name
+            edits = [(flat_idx, arr.flat[flat_idx] + step), (flat_idx, arr.flat[flat_idx] - step)]
+            stacked, fulls = _stacked_items(model, base, None, resume, name, arr, edits)
+            _assert_items_are_full_passes(model, base, stacked, fulls,
+                                          np.arange(x.shape[1]) % 3)
 
 
 class TestObjective:
@@ -756,58 +788,19 @@ class TestObjective:
             loss, _ = train._cross_entropy(logits, labels, grad)
             assert np.float64(loss).tobytes() == np.float64(oracle).tobytes()
 
-    def test_site_terms_run_only_from_the_resume_point(self, monkeypatch):
-        # Each +-eps pass computes the load-balancing term of the sites after
-        # its resume point (and of its own site unless it resumed an expert,
-        # whose routing record is the base's) and the EESD term of the sites
-        # from it on; head entries and teacher pairs compute neither.
-        dense = make_dense_model(6, 10, 4, 3, seed=34)
-        model, _, _ = upcycle_model(dense, "sparse", n_experts=4, k=2,
-                                    capacity_factor=1.5, seed=35)
-        teacher = make_model_teacher(model, beta=0.999)
-        ds = make_synthetic_dataset(6, 3, 4, 24, 3.0, seed=36)
-        sites = model.moe_sites
-        states, passes, calls = [], [], []
-        forward = train.model_forward
-
-        def spy_forward(*args, start=0, expert=None, **kwargs):
-            states.append(forward(*args, start=start, expert=expert, **kwargs))
-            passes.append((start, expert))
-            return states[-1]
-
-        def spy(term, original, site_of):
-            def wrapped(arg, *rest):
-                # The objective of a +-eps pair runs after both of its passes.
-                site, = {b for state in states[-2:] for b in sites
-                         if site_of(state.caches[b]) is arg}
-                calls.append((term, len(passes) - 1, site))
-                return original(arg, *rest)
-            return wrapped
-
-        monkeypatch.setattr(train, "model_forward", spy_forward)
-        monkeypatch.setattr(train, "load_balance_loss",
-                            spy("lb", train.load_balance_loss, lambda c: c.record))
-        monkeypatch.setattr(train, "eesd_terms",
-                            spy("eesd", train.eesd_terms, lambda c: c.y))
-        result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
-                            lambda_eesd=1.0, samples_per_tensor=5)
-        assert result["checked"] > 0
-        # The base pass: total_loss's terms, which every +-eps pass reuses.
-        base = sorted(call for call in calls if call[1] == 0)
-        assert base == sorted((term, 0, b) for term in ("lb", "eesd") for b in sites)
-        seen = set()
-        for term, index, site in calls[len(base):]:
-            start, expert = passes[index]
-            first = start if term == "eesd" or expert is None else start + 1
-            assert site >= first, (term, start, expert, site)
-            seen.add((term, expert is None, site - start))
-        # A resumed expert's own site recomputes its EESD term only.
-        assert ("eesd", False, 0) in seen and ("lb", False, 0) not in seen
-        assert ("lb", True, 0) in seen and ("lb", False, 2) in seen
-        # Head entries and teacher pairs resume past the last block.
-        n_blocks = len(model.blocks)
-        assert (n_blocks, None) in passes
-        assert all(passes[index][0] < n_blocks for _, index, _ in calls)
+def _decisions(state) -> bytes:
+    """Top-k selections, capacity drops and ReLU signs of every block of one
+    forward pass, packed into one byte string, so two passes compare with
+    one equality test; a site's selections and drops precede, and fix the
+    sizes of, its expert ReLU masks, so equal bytes mean equal decisions."""
+    parts = []
+    for cache in state.caches:
+        if isinstance(cache, MoeForwardCache):
+            parts += [cache.record.topk_indices, cache.record.dropped]
+            parts += [c.act > 0.0 for c in cache.expert_caches if c is not None]
+        else:
+            parts.append(cache.act > 0.0)
+    return b"".join(part.tobytes() for part in parts)
 
 
 def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
@@ -825,7 +818,7 @@ def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
         forward = model_forward(model, inputs, capacity_factor)
         arr.flat[flat_idx] = orig
         loss = train._objective(model, forward, labels, frozen, lambda_lb, lambda_eesd)
-        return loss[0].total, train._decisions(forward)
+        return loss[0].total, _decisions(forward)
 
     rng = np.random.default_rng(seed)
     per_tensor, max_rel, checked, skipped = {}, 0.0, 0, 0
@@ -836,7 +829,7 @@ def _full_pass_grad_check(model, teacher, inputs, labels, epsilon, *, lambda_lb,
             orig = arr.flat[flat_idx]
             plus, plus_decisions = evaluate_at(arr, flat_idx, orig + epsilon)
             minus, minus_decisions = evaluate_at(arr, flat_idx, orig - epsilon)
-            if not plus_decisions == minus_decisions == train._decisions(state):
+            if not plus_decisions == minus_decisions == _decisions(state):
                 skipped += 1
                 continue
             numeric = (plus - minus) / (2.0 * epsilon)
@@ -892,6 +885,73 @@ class TestGradCheckMatchesFullPasses:
     @pytest.mark.parametrize("seed,k,capacity", FULL_PASS_CASES)
     def test_same_result_as_full_passes_with_two_workers(self, seed, k, capacity):
         self._check(seed, k, capacity, workers=2)
+
+
+class TestGradCheckProperties:
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 4), h=st.integers(2, 5), n_e=st.integers(2, 4),
+           capacity=st.floats(0.3, 1.2), lambda_lb=st.sampled_from([0.0, 0.01]),
+           lambda_eesd=st.sampled_from([0.0, 0.5]), with_teacher=st.booleans(),
+           samples=st.integers(1, 7), workers=st.integers(1, 3), tie=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_chunked_equals_full_passes(self, data, d, h, n_e, capacity, lambda_lb, lambda_eesd,
+                                        with_teacher, samples, workers, tie, seed):
+        # MoE, dense, MoE blocks; ``samples`` exceeds the size of some
+        # tensors (a bias of 2 entries, say), and low capacities drop slots.
+        # With ``tie``, each router's first two rows nearly agree, so +-eps
+        # flips top-k selections and samples are skipped.
+        k = data.draw(st.integers(1, n_e), label="k")
+        rng = np.random.default_rng(seed)
+
+        def moe():
+            router = rng.standard_normal((n_e, d))
+            if tie:
+                router[1] = router[0] + 1e-4 * rng.standard_normal(d)
+            return MoeLayer([_random_ffn(rng, d, h) for _ in range(n_e)], router, k, capacity)
+
+        model = ToyModel(input_dim=d, blocks=[moe(), _random_ffn(rng, d, h), moe()],
+                         head=rng.standard_normal((3, d)))
+        teacher = None
+        if with_teacher:
+            teacher = make_model_teacher(model, beta=0.999)
+            for site_teacher in teacher.sites.values():
+                site_teacher.mirror.params += 0.05 * rng.standard_normal(
+                    site_teacher.mirror.params.shape)
+        x, labels = rng.standard_normal((d, 10)), rng.integers(3, size=10)
+        kwargs = dict(epsilon=1e-3, lambda_lb=lambda_lb, lambda_eesd=lambda_eesd,
+                      capacity_factor=capacity, samples_per_tensor=samples, seed=seed)
+        result = grad_check(model, teacher, x, labels, workers=workers, **kwargs)
+        assert result == _full_pass_grad_check(model, teacher, x, labels, **kwargs)
+
+
+class TestGradCheckMemory:
+    def test_peak_at_the_gradcheck_shape(self):
+        # The MoE stack of ``gradcheck`` at the package defaults (d=32,
+        # h=64, 4 blocks, 8 experts, top-2, T=32, 25 samples per tensor).
+        # With its teacher, the base pass and one chunk's stacked pass it
+        # peaks at about 2.1 MiB; chunks of 6 samples peaked at about 2.5
+        # MiB, chunks of 8 at about 2.9 MiB.
+        cfg = config_from_dict({})
+        d, h = cfg.model.d, cfg.model.h
+        ds = make_synthetic_dataset(d, cfg.model.n_classes, cfg.data.n_clusters, 32,
+                                    cfg.data.separation, seed=1)
+        dense = make_dense_model(d, h, cfg.model.blocks, cfg.model.n_classes, seed=2)
+        model, _, _ = upcycle_model(dense, "sparse", n_experts=cfg.moe.n_experts, k=cfg.moe.k,
+                                    capacity_factor=cfg.moe.capacity_train, seed=3)
+        teacher = make_model_teacher(model, cfg.train.beta)
+        for site_teacher in teacher.sites.values():
+            site_teacher.mirror.router += 0.01
+        tracemalloc.start()
+        try:
+            result = grad_check(model, teacher, ds.inputs, ds.labels,
+                                lambda_lb=cfg.train.lambda_lb, lambda_eesd=cfg.train.lambda_eesd,
+                                capacity_factor=cfg.moe.capacity_train, samples_per_tensor=25,
+                                seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["checked"] > 0
+        assert peak < 2.5 * 2**20
 
 
 class TestGradCheckWorkers:
@@ -979,30 +1039,31 @@ class TestGradCheckWorkers:
         assert evaluated == shares[0] + shares[1][3:]
 
     def test_failing_samples_raise_the_one_process_error(self, monkeypatch):
-        # One sample per tensor: head, block0.w1, block0.b1, ... A pass with
-        # block0.w1 or block0.b1 perturbed raises. In snake order, with two
-        # workers the one child's share holds both and it fails at
-        # block0.w1; with three, one child fails at block0.w1 and the other
-        # at block0.b1. Either way the samples no process finished rerun
-        # here in index order and, as in one process, block0.w1's error is
-        # the one raised.
+        # One sample per tensor, so one chunk per tensor: head, block0.w1,
+        # block0.b1, ... A stacked pass of block0.w1 or block0.b1 raises. In
+        # snake order, with two workers the one child's share holds both
+        # and it fails at block0.w1; with three, one child fails at
+        # block0.w1 and the other at block0.b1. Either way the chunks no
+        # process finished rerun here in index order and, as in one process,
+        # block0.w1's error is the one raised.
         model = make_dense_model(6, 10, 2, 3, seed=27)
         ds = make_synthetic_dataset(6, 3, 3, 24, 3.0, seed=28)
         saved = {name: arr.copy() for name, arr in named_params(model)}
-        forward = train.model_forward
+        block0, forward = model.blocks[0], train.ffn_forward_cached
 
-        def failing_forward(model_, *args, **kwargs):
-            for name, arr in named_params(model_):
-                if name in ("block0.w1", "block0.b1") and not np.array_equal(arr, saved[name]):
-                    raise NonFiniteLoss(f"{name} perturbed")
-            return forward(model_, *args, **kwargs)
+        def failing_forward(ffn, x):
+            # A stacked pass's copy of block 0 shares all but one tensor.
+            swapped = [key for key in FFN_PARAMS if getattr(ffn, key) is not getattr(block0, key)]
+            if swapped in (["w1"], ["b1"]):
+                raise NonFiniteLoss(f"block0.{swapped[0]} perturbed")
+            return forward(ffn, x)
 
-        monkeypatch.setattr(train, "model_forward", failing_forward)
+        monkeypatch.setattr(train, "ffn_forward_cached", failing_forward)
         for workers in (1, 2, 3):
             with pytest.raises(NonFiniteLoss, match=r"^block0\.w1 perturbed$"):
                 grad_check(model, None, ds.inputs, ds.labels, samples_per_tensor=1,
                            workers=workers)
-        for name, arr in named_params(model):  # every perturbed entry was restored
+        for name, arr in named_params(model):  # no entry was written in place
             np.testing.assert_array_equal(arr, saved[name])
 
     def test_nothing_forked_without_os_fork(self, monkeypatch):
