@@ -667,14 +667,14 @@ def grad_check(
     point, since the objective is only piecewise smooth there. Teacher
     predictions are frozen at their base values (each term's ``teacher_y``)
     for every evaluation, matching the stop-gradient semantics of the
-    distillation term; no student block reads a teacher tensor, so a teacher
-    sample's quotient is zero by construction. Returns a dict with
-    max_rel_error, per_tensor errors, checked/skipped counts, and
+    distillation term; no student block reads a teacher tensor, so the
+    objective does not move with one, and ``teacher_max_quotient`` is that
+    of the base objective with itself: zero by construction. Returns a dict
+    with max_rel_error, per_tensor errors, checked/skipped counts, and
     teacher_max_quotient.
 
-    The whole sample list is drawn first, student tensors in
-    ``_staged_params`` order and then the teacher's, and cut into chunks of
-    at most ``GRADCHECK_CHUNK`` samples of one tensor. One stacked
+    The whole sample list is drawn first, in ``_staged_params`` order, and
+    cut into chunks of at most ``GRADCHECK_CHUNK`` samples of one tensor. One stacked
     evaluation serves a chunk: the tensor's +eps copies and then its -eps
     copies are its items, a leading axis on that tensor alone. From the
     first block the tensor feeds on (``_staged_params``' resume point), the
@@ -682,13 +682,11 @@ def grad_check(
     from the base pass (``_forward``'s ``fixed``), and ``_objective`` gives
     each item's loss without a logits gradient. An item whose selections or
     ReLU signs differ from the base's (``_same_decisions``) skips its
-    sample; every other item has the bits of a full pass. A teacher chunk
-    evaluates the objective of the base pass once.
+    sample; every other item has the bits of a full pass.
 
     ``workers.split_map`` evaluates the chunks, over ``workers`` processes,
-    each to ``GRADCHECK_CHUNK`` float64 values: a relative error or teacher
-    quotient per sample, or -1.0 for a skipped sample, since no real value
-    is negative. They are folded here in sample order, so the result does
+    each to ``GRADCHECK_CHUNK`` float64 values: a relative error per sample,
+    or -1.0 for a skipped sample, since no real value is negative. They are folded here in sample order, so the result does
     not depend on ``workers``.
     """
     if not 1e-6 <= epsilon <= 1e-3:
@@ -698,48 +696,33 @@ def grad_check(
     if samples_per_tensor < 1:
         raise ValueError(f"samples_per_tensor must be >= 1, got {samples_per_tensor}")
     xm = as_matrix(inputs, "inputs")
-    _, grads, state, base_terms = total_loss(
+    report, grads, state, base_terms = total_loss(
         model, teacher, xm, labels,
         lambda_lb=lambda_lb, lambda_eesd=lambda_eesd, capacity_factor=capacity_factor,
     )
     named_grads = dict(named_params(model, grads))
     frozen = None if teacher is None else {b: t.teacher_y for b, t in base_terms.items()}
 
-    # (name, tensor, resume point); a teacher tensor has no name.
-    tensors = [(name, arr, resume) for resume, name, arr in _staged_params(model)]
-    if teacher is not None:
-        tensors += [
-            (None, arr, None) for b in sorted(teacher.sites)
-            for _, arr in block_params(teacher.sites[b].mirror)
-        ]
     rng = np.random.default_rng(seed)
     chunks = []
-    for name, arr, resume in tensors:
+    for resume, name, arr in _staged_params(model):
         picked = rng.choice(arr.size, size=min(samples_per_tensor, arr.size), replace=False)
         chunks += [(name, arr, resume, picked[lo:lo + GRADCHECK_CHUNK])
                    for lo in range(0, picked.size, GRADCHECK_CHUNK)]
 
-    def objective(forward: ForwardState):
-        return _objective(model, forward, labels, frozen, lambda_lb, lambda_eesd,
-                          grad=False)[0].total
-
     def chunk_values(c: int) -> list[float]:
         """Chunk ``c``'s values: each sample's relative error, or -1.0 where
-        it is skipped, or each teacher sample's quotient; padded to
-        ``GRADCHECK_CHUNK``."""
+        it is skipped; padded to ``GRADCHECK_CHUNK``."""
         name, arr, resume, picked = chunks[c]
         n, values = picked.size, [0.0] * GRADCHECK_CHUNK
-        if name is None:  # no student block reads a teacher tensor
-            total = objective(state)
-            values[:n] = [abs(total - total) / (2.0 * epsilon)] * n
-            return values
         stacked = np.repeat(arr[None], 2 * n, axis=0)
         flat, orig, rows = stacked.reshape(2 * n, -1), arr.flat[picked], np.arange(n)
         flat[rows, picked] = orig + epsilon
         flat[n + rows, picked] = orig - epsilon
         forward = _stacked_pass(model, state, resume, name, stacked, capacity_factor)
         # An expert that kept no slot leaves every array unstacked.
-        totals = np.broadcast_to(objective(forward), (2 * n,))
+        totals = np.broadcast_to(_objective(model, forward, labels, frozen, lambda_lb,
+                                            lambda_eesd, grad=False)[0].total, (2 * n,))
         same = _same_decisions(forward, state, 2 * n)
         for j, flat_idx in enumerate(picked):
             if not (same[j] and same[n + j]):
@@ -751,14 +734,11 @@ def grad_check(
         return values
 
     values = _workers.split_map(chunk_values, len(chunks), workers, GRADCHECK_CHUNK)
-    per_tensor = {name: 0.0 for name, _, _ in tensors if name is not None}
-    teacher_max_quotient = None if teacher is None else 0.0
+    per_tensor = dict.fromkeys(named_grads, 0.0)
     checked = skipped = 0
     for c, (name, _, _, picked) in enumerate(chunks):
         for value in values[c * GRADCHECK_CHUNK:c * GRADCHECK_CHUNK + picked.size]:
-            if name is None:
-                teacher_max_quotient = max(teacher_max_quotient, value)
-            elif value < 0.0:
+            if value < 0.0:
                 skipped += 1
             else:
                 per_tensor[name] = max(per_tensor[name], value)
@@ -768,5 +748,6 @@ def grad_check(
         "per_tensor": per_tensor,
         "checked": checked,
         "skipped": skipped,
-        "teacher_max_quotient": teacher_max_quotient,
+        "teacher_max_quotient": None if teacher is None else max(
+            0.0, abs(report.total - report.total) / (2.0 * epsilon)),
     }

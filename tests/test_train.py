@@ -283,17 +283,18 @@ class TestGradCheck:
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
     def test_base_objective_and_teacher_outputs_computed_once(self, moe, monkeypatch):
         # total_loss's objective and teacher outputs serve every chunk; each
-        # chunk, student or teacher, evaluates the objective once.
+        # chunk evaluates the objective once, and the teacher's tensors,
+        # which no student block reads, none.
         calls, _, model, _ = _counted_grad_check(
             moe, monkeypatch, "_objective", "teacher_forward")
         assert calls["teacher_forward"] == (len(model.moe_sites) if moe else 0)
-        assert calls["_objective"] == 1 + len(_chunk_blocks(model, 5, moe))
+        assert calls["_objective"] == 1 + len(_chunk_blocks(model, 5))
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe-teacher"])
     def test_passes_resume_at_perturbed_block(self, moe, monkeypatch):
         # The base pass evaluates every block; the stacked pass of a chunk
-        # of block b's entries evaluates blocks b.. once, and one of a head
-        # or teacher chunk evaluates none.
+        # of block b's entries evaluates blocks b.. once, and one of head
+        # entries none.
         model = make_dense_model(6, 10, 4, 3, seed=34)
         teacher = None
         if moe:
@@ -309,7 +310,7 @@ class TestGradCheck:
         grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
                    lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5)
         n_blocks = len(model.blocks)
-        expected = n_blocks + sum(n_blocks - b for b in _chunk_blocks(model, 5, moe))
+        expected = n_blocks + sum(n_blocks - b for b in _chunk_blocks(model, 5))
         assert len(calls) == expected
 
     def test_epsilon_bounds(self):
@@ -319,16 +320,12 @@ class TestGradCheck:
             grad_check(model, None, ds.inputs, ds.labels, epsilon=1e-2)
 
 
-def _chunk_blocks(model, samples_per_tensor, teacher: bool) -> list[int]:
+def _chunk_blocks(model, samples_per_tensor) -> list[int]:
     """The resume block of each of ``grad_check``'s chunks on ``model``
-    (``len(model.blocks)`` for the head and for a teacher tensor, which
-    an MoE model's teacher mirrors block by block)."""
+    (``len(model.blocks)`` for the head)."""
     n_blocks, chunk = len(model.blocks), train.GRADCHECK_CHUNK
     tensors = [(n_blocks, model.head)] + [
         (b, arr) for b, block in enumerate(model.blocks) for _, arr in block_params(block)]
-    if teacher:
-        tensors += [(n_blocks, arr) for b in model.moe_sites
-                    for _, arr in block_params(model.blocks[b])]
     return [b for b, arr in tensors for _ in range(-(-min(samples_per_tensor, arr.size) // chunk))]
 
 
@@ -336,8 +333,8 @@ def _counted_grad_check(moe, monkeypatch, *names, **kwargs):
     """``grad_check`` on a small dense model, or its upcycled MoE model with
     an EMA teacher, counting calls made in this process to each ``train``
     attribute in ``names``; ``kwargs`` go to ``grad_check``. Returns the
-    counts, the result, the model and how many teacher entries it
-    perturbed."""
+    counts, the result, the model and its teacher (None for the dense
+    model)."""
     model = make_dense_model(6, 10, 2, 3, seed=34)
     teacher = None
     if moe:
@@ -357,11 +354,7 @@ def _counted_grad_check(moe, monkeypatch, *names, **kwargs):
         monkeypatch.setattr(train, name, counted(name, getattr(train, name)))
     result = grad_check(model, teacher, ds.inputs, ds.labels, lambda_lb=0.001,
                         lambda_eesd=1.0 if moe else 0.0, samples_per_tensor=5, **kwargs)
-    teacher_samples = 0 if teacher is None else sum(
-        min(5, arr.size) for t in teacher.sites.values()
-        for _, arr in block_params(t.mirror)
-    )
-    return calls, result, model, teacher_samples
+    return calls, result, model, teacher
 
 
 def _stacked_items(model, base, capacity, resume, name, arr, edits):
